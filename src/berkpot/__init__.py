@@ -25,6 +25,7 @@ from .green import (
     standard_potential,
 )
 from .measures import (
+    ArchMeasure,
     Measure,
     energy_pairing,
     equilibrium_arch,

@@ -9,6 +9,11 @@ S = 1/T, and the two descriptions must agree on the overlap ring.
 
 Minus-infinity constants are kept symbolic (None); where a finite stand-in
 is needed (sup-norm nets) they clamp at -10^6.
+
+Evaluation follows the place: at ultrametric places one point at a time in
+exact arithmetic; at archimedean places on numpy arrays of points, with
+the chart picked per point by |T| > 1 and the chart-inf pieces evaluated at
+S = 1/T (S = 0 at infinity).
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import MetricGraph, PLFunction, subdivide_edge
 from .places import NEG_INF, Place, PlaceError, abs_log_value, is_neg_inf, vmax, vplus, vscale
-from .points import BerkPoint, classical, disk, eval_log_abs, infinity
+from .points import ARCH_INF, BerkPoint, arch_point, classical, disk, eval_log_abs, infinity
 from .polys import taylor_shift
 
 SENTINEL = -(10**6)  # finite stand-in for -inf constants on numeric nets
@@ -135,7 +142,7 @@ def _t_log(place: Place, x: BerkPoint):
 def _branch_value(place: Place, branch: Branch, x: BerkPoint, chart: str, t_log):
     if branch.const is None:
         return NEG_INF
-    total = branch.const if place.is_exact else float(branch.const)
+    total = branch.const
     for q, coeffs in branch.terms:
         if q == 0:
             continue
@@ -153,9 +160,7 @@ def _log_abs_in_s(place: Place, x: BerkPoint, coeffs, t_log):
     """log|g(1/T)|(x) via the reversed polynomial: |g(S)| = |ghat(T)| / |T|^m."""
     if x.t == "inf":
         c0 = coeffs[0] if coeffs else 0
-        if c0 == 0:
-            return NEG_INF
-        return abs_log_value(place, c0) if place.is_exact else float(place.eps) * math.log(abs(complex(c0)))
+        return NEG_INF if c0 == 0 else abs_log_value(place, c0)
     m = len(coeffs) - 1
     rev = list(reversed(coeffs))
     v = eval_log_abs(place, x, rev)
@@ -174,8 +179,57 @@ def _piece_value(place: Place, piece: Piece, x: BerkPoint, chart: str, t_log):
     return best
 
 
-def affable_eval(place: Place, fn: AffableFn, x: BerkPoint):
-    """Value at x on the place's coefficient scale; chart picked by |T(x)|."""
+def _arch_piece(place: Place, piece: Piece, u):
+    """Piece values at the chart coordinates u (complex array), eps log|.|
+    scale; -inf where every branch is."""
+    eps = float(place.eps)
+    best = np.full(u.shape, NEG_INF)
+    for b in piece.branches:
+        if b.const is None:
+            continue
+        total = np.full(u.shape, float(b.const))
+        for q, coeffs in b.terms:
+            if q == 0:
+                continue
+            g = np.zeros_like(u)
+            for c in reversed(coeffs):
+                g = g * u + complex(c)
+            with np.errstate(divide="ignore"):
+                total = total + float(q) * (eps * np.log(np.abs(g)))
+        best = np.maximum(best, total)
+    return best
+
+
+def _arch_chart(place: Place, plus: Piece, minus: Piece, u):
+    """plus - minus at chart coordinates u, and the mask where either is -inf."""
+    p = _arch_piece(place, plus, u)
+    m = _arch_piece(place, minus, u)
+    poles = (p == NEG_INF) | (m == NEG_INF)
+    return np.subtract(p, m, out=np.zeros_like(p), where=~poles), poles
+
+
+def affable_eval(place: Place, fn: AffableFn, x):
+    """Value at x on the place's coefficient scale; chart picked by |T(x)|.
+
+    At an archimedean place x may also be a complex ndarray of points
+    (complex inf for the point at infinity), evaluated at once.
+    """
+    if not place.is_ultrametric:
+        if isinstance(x, BerkPoint):
+            if x.t == "disk":
+                raise PlaceError("disk points live in ultrametric fibers only")
+            z = ARCH_INF if x.t == "inf" else complex(x.z)
+            return float(affable_eval(place, fn, np.array([z]))[0])
+        z = np.asarray(x, dtype=complex)
+        big = np.abs(z) > 1
+        out = np.empty(z.shape)
+        for sel, plus, minus, u in ((~big, fn.chart0_plus, fn.chart0_minus, z[~big]),
+                                    (big, fn.chartinf_plus, fn.chartinf_minus, 1 / z[big])):
+            vals, poles = _arch_chart(place, plus, minus, u)
+            if poles.any():
+                raise AffableError(f"affable value is -inf at {arch_point(z[sel][poles][0])!r}")
+            out[sel] = vals
+        return out
     t_log = _t_log(place, x)
     use_inf = (x.t == "inf") or (not is_neg_inf(t_log) and t_log > 0)
     if use_inf:
@@ -192,8 +246,11 @@ def affable_eval(place: Place, fn: AffableFn, x: BerkPoint):
 
 
 def affable_real(place: Place, fn: AffableFn):
-    """Real-valued evaluator (coefficient scale times the place unit)."""
+    """Real-valued evaluator (coefficient scale times the place unit): on
+    point arrays at archimedean places, on BerkPoints at ultrametric ones."""
     unit = place.log_unit
+    if not place.is_ultrametric:
+        return lambda z: affable_eval(place, fn, z) * unit
 
     def f(x: BerkPoint) -> float:
         return float(affable_eval(place, fn, x)) * unit
@@ -264,30 +321,29 @@ def _piece_sup_net(place: Place, piece: Piece, chart: str, radius: float = 4.0) 
     """Net-estimated sup of |piece| over the chart disk of the given radius.
 
     The chart-0 disk is |T| <= radius; the chart-inf disk is |S| <= radius.
-    Archimedean places use a 4-ring x 64-angle net, ultrametric ones the
-    disk points eta_{0,q} of a small radius ladder plus rational points.
+    Archimedean places use a 4-ring x 64-angle net plus the centre, in the
+    chart coordinate; ultrametric ones the disk points eta_{0,q} of a small
+    radius ladder plus rational points.
     """
-    pts = []
     if not place.is_ultrametric:
-        for i in range(4):
-            r = radius * (i + 1) / 4.0
-            for k in range(64):
-                s = r * complex(math.cos(2 * math.pi * (k + 0.5) / 64), math.sin(2 * math.pi * (k + 0.5) / 64))
-                pts.append(classical(s) if chart == "0" else classical(1.0 / s))
-        pts.append(classical(0.0) if chart == "0" else infinity())
+        rings = radius * np.arange(1, 5) / 4.0
+        angles = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        v = _arch_piece(place, piece, np.append(np.outer(rings, angles).ravel(), 0j))
+        v = np.abs(v[v > NEG_INF])  # exact poles of the piece are skipped
+        return max(0.0, float(v.max())) if v.size else abs(float(SENTINEL))
+    pts = []
+    unit = place.log_unit
+    qtop = int(math.floor(math.log(radius) / unit))
+    signs = 1 if chart == "0" else -1
+    for qq in range(-4, max(qtop, 0) + 1):
+        pts.append(disk(0, Fraction(signs * qq)))
+    if chart == "0":
+        for z in (0, 1, -1, 2, -2, 3):
+            pts.append(classical(Fraction(z)))
     else:
-        unit = place.log_unit
-        qtop = int(math.floor(math.log(radius) / unit))
-        signs = 1 if chart == "0" else -1
-        for qq in range(-4, max(qtop, 0) + 1):
-            pts.append(disk(0, Fraction(signs * qq)))
-        if chart == "0":
-            for z in (0, 1, -1, 2, -2, 3):
-                pts.append(classical(Fraction(z)))
-        else:
-            pts.append(infinity())
-            for z in (1, -1, 2, -2, 3):
-                pts.append(classical(Fraction(1, 1) / z))
+        pts.append(infinity())
+        for z in (1, -1, 2, -2, 3):
+            pts.append(classical(Fraction(1, 1) / z))
     best = None
     for x in pts:
         t_log = _t_log(place, x)
@@ -305,17 +361,21 @@ def _piece_sup_net(place: Place, piece: Piece, chart: str, radius: float = 4.0) 
 def mass_bound(place: Place, fn: AffableFn) -> float:
     """Uniform bound for the total variation of the fiber Laplacian.
 
-    Per chart, (2/log 2) (||f+|| + ||f-||) over the radius-4 chart disk,
+    Per chart, (2/log(R/r)) (||f+|| + ||f-||) over the radius-4 chart disk,
     charts summed; the disk bound with R = 4, r = 2 drives the constant.
-    Sup norms are net estimates; pole points of a single piece are skipped
-    (a piece that is -inf on the whole net falls back to the sentinel).
+    Sup norms are on the place's coefficient scale, so log(R/r) is taken on
+    it too: eps log 2 at an archimedean place |.|^eps, log 2 at ultrametric
+    places, and the bound does not carry eps.  Sup norms are net estimates;
+    pole points of a single piece are skipped (a piece that is -inf on the
+    whole net falls back to the sentinel).
     """
     unit = place.log_unit
+    log_ratio = math.log(2.0) * (1.0 if place.is_ultrametric else float(place.eps))
     total = 0.0
     for chart, plus, minus in fn.charts():
         sup_p = _piece_sup_net(place, plus, chart)
         sup_m = _piece_sup_net(place, minus, chart)
-        total += (2.0 / math.log(2.0)) * (sup_p + sup_m) * unit
+        total += (2.0 / log_ratio) * (sup_p + sup_m) * unit
     return total
 
 
@@ -457,26 +517,26 @@ def _affine_crossings(vals_a, vals_b, a, b):
 
 def validate_charts(place: Place, fn: AffableFn, tol: float = 1e-9) -> bool:
     """Chart-overlap consistency on a 16-point probe of 1/2 < |T| < 2."""
+    if not place.is_ultrametric:
+        k = np.arange(16)
+        z = (0.6 + 0.3 * (k % 4)) * np.exp(2j * np.pi * k / 16)
+        v0, poles0 = _arch_chart(place, fn.chart0_plus, fn.chart0_minus, z)
+        vi, polesi = _arch_chart(place, fn.chartinf_plus, fn.chartinf_minus, 1 / z)
+        return bool((poles0 == polesi).all() and (np.abs(v0 - vi) <= tol).all())
     probes = []
-    if place.is_ultrametric:
-        unit = place.log_unit
-        # radii with |T| strictly inside (1/2, 2): |k| step <= 5 step/2 < log 2
-        step = Fraction(1, 8 * max(1, int(math.ceil(unit / math.log(2)))))
-        for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
-            probes.append(disk(0, k * step))
-        probes.append(disk(0, Fraction(0)))
-        probes.append(disk(1, -step))
-        probes.append(disk(1, -2 * step))
-        for z in (1, -1, 3, 5, 7):
-            if len(probes) >= 16:
-                break
-            if abs(float(abs_log_value(place, Fraction(z))) * unit) < math.log(2):
-                probes.append(classical(Fraction(z)))
-    else:
-        for k in range(16):
-            r = 0.6 + 0.3 * (k % 4)
-            theta = 2 * math.pi * k / 16
-            probes.append(classical(r * complex(math.cos(theta), math.sin(theta))))
+    unit = place.log_unit
+    # radii with |T| strictly inside (1/2, 2): |k| step <= 5 step/2 < log 2
+    step = Fraction(1, 8 * max(1, int(math.ceil(unit / math.log(2)))))
+    for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+        probes.append(disk(0, k * step))
+    probes.append(disk(0, Fraction(0)))
+    probes.append(disk(1, -step))
+    probes.append(disk(1, -2 * step))
+    for z in (1, -1, 3, 5, 7):
+        if len(probes) >= 16:
+            break
+        if abs(float(abs_log_value(place, Fraction(z))) * unit) < math.log(2):
+            probes.append(classical(Fraction(z)))
     for x in probes:
         t_log = _t_log(place, x)
         vals = []
@@ -487,13 +547,10 @@ def validate_charts(place: Place, fn: AffableFn, tol: float = 1e-9) -> bool:
             vals.append(None if (is_neg_inf(p) or is_neg_inf(m)) else p - m)
         v0, vi = vals
         if v0 is None or vi is None:
-            if v0 is not vi and (v0 is None) != (vi is None):
+            if (v0 is None) != (vi is None):
                 return False
             continue
-        if place.is_exact:
-            if v0 != vi:
-                return False
-        elif abs(float(v0) - float(vi)) > tol:
+        if v0 != vi:
             return False
     return True
 

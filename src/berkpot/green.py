@@ -236,8 +236,23 @@ class DeviationBound:
         return max(self.upper, -self.lower, 0.0)
 
 
+_DEVIATION_CACHE: dict = {}
+
+
 def deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
-    """Certified G_max when coefficients are rational, sampled otherwise."""
+    """Certified G_max when coefficients are rational, sampled otherwise.
+
+    Computed once per (place, lift); the sample of a complex lift is seeded,
+    so the cached bound is the one every call would compute.
+    """
+    # a complex lift can equal a rational one (2 == 2+0j) but gets a sampled bound
+    key = (place, lift, lift.is_rational)
+    if key not in _DEVIATION_CACHE:
+        _DEVIATION_CACHE[key] = _deviation_bound(place, lift)
+    return _DEVIATION_CACHE[key]
+
+
+def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
     d = lift.d
     if lift.is_rational:
         cof = resultant_cofactors(lift)

@@ -1,15 +1,27 @@
 """Desk-scale Radon measures on the fiber line and equilibrium measures.
 
-A measure is a finite list of point atoms plus circle components carrying
-normalized Haar mass.  Circle components store the Euclidean radius of the
-underlying set, so the unit circle means the same set at every archimedean
-exponent; in ultrametric fibers the circle measures are Dirac masses at the
-corresponding disk points and never appear as Haar components.
+Two representations, one per regime:
+
+- ``Measure``: a list of point atoms (BerkPoint, weight), exact weights
+  allowed.  Ultrametric measures are always of this kind; their circle
+  measures are Dirac masses at disk points, never Haar components.
+- ``ArchMeasure``: an archimedean measure held as numpy arrays, finite atoms
+  at the complex points ``z`` with real weights ``w``, any mass at infinity
+  as its own weight ``inf_mass``, plus circle components carrying
+  normalized Haar mass.  Circle components store the Euclidean radius of
+  the underlying set, so the unit circle means the same set at every
+  archimedean exponent.
+
+Integrands follow the regime: at an archimedean place ``integrate`` calls f
+once on a complex ndarray of points (all atoms, or all nodes of one
+quadrature level; complex ``inf`` is the point at infinity) and expects one
+real value per point; at an ultrametric place it calls f on each BerkPoint
+atom, in exact arithmetic where f is exact.
 
 Equilibrium measures come in two regimes: over C as normalized preimage
-trees d^{-n} (phi^*)^n delta_seed, and over ultrametric fields as
-chi_{0,1} - (graph Laplacian of the canonical potential restricted to a
-skeleton).
+trees d^{-n} (phi^*)^n delta_seed, one batched preimage solve per tree
+level, and over ultrametric fields as chi_{0,1} - (graph Laplacian of the
+canonical potential restricted to a skeleton).
 """
 
 from __future__ import annotations
@@ -20,11 +32,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import PLFunction, graph_laplacian
 from .green import lambda_limit
 from .places import Place, PlaceError
-from .points import GAUSS, BerkPoint, MetricGraph, classical, disk
-from .rmaps import HomogeneousLift, MapError, preimage_points
+from .points import ARCH_INF, GAUSS, BerkPoint, MetricGraph, arch_point, classical, disk, infinity
+from .rmaps import HomogeneousLift, MapError, preimages_arch
 
 
 class MeasureError(RuntimeError):
@@ -37,7 +51,7 @@ class ExceptionalSeedWarning(UserWarning):
 
 @dataclass
 class Measure:
-    """Finite atoms plus weighted unit-mass circle (Haar) components."""
+    """Finite point atoms plus weighted unit-mass circle (Haar) components."""
 
     atoms: list = field(default_factory=list)   # (BerkPoint, weight)
     haars: list = field(default_factory=list)   # (complex center, euclidean radius, weight)
@@ -46,28 +60,56 @@ class Measure:
     def total_mass(self):
         return sum(w for _, w in self.atoms) + sum(w for _, _, w in self.haars)
 
-    def scaled(self, c) -> "Measure":
-        return Measure(
-            [(x, c * w) for x, w in self.atoms],
-            [(z, r, c * w) for z, r, w in self.haars],
-        )
 
-    def __add__(self, other: "Measure") -> "Measure":
-        return Measure(self.atoms + other.atoms, self.haars + other.haars)
+@dataclass
+class ArchMeasure:
+    """Archimedean measure: atoms at complex points ``z`` with real weights
+    ``w``, a weight at infinity, and circle (Haar) components."""
 
-    def __sub__(self, other: "Measure") -> "Measure":
-        return self + other.scaled(-1)
+    z: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    w: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    inf_mass: float = 0.0
+    haars: list = field(default_factory=list)   # (complex center, euclidean radius, weight)
+
+    @property
+    def atoms(self) -> list:
+        """(BerkPoint, weight) pairs, built on demand: finite atoms, then infinity."""
+        out = [(classical(complex(z)), float(w)) for z, w in zip(self.z, self.w)]
+        if self.inf_mass:
+            out.append((infinity(), self.inf_mass))
+        return out
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.w.sum()) + self.inf_mass + sum(w for _, _, w in self.haars)
+
+
+def _as_arch(mu) -> ArchMeasure:
+    """The array form of a measure of classical points and circles."""
+    if isinstance(mu, ArchMeasure):
+        return mu
+    z, w, inf_mass = [], [], 0.0
+    for x, wt in mu.atoms:
+        if x.t == "disk":
+            raise MeasureError("archimedean measures need classical atoms")
+        if x.t == "inf":
+            inf_mass += float(wt)
+        else:
+            z.append(complex(x.z))
+            w.append(float(wt))
+    return ArchMeasure(np.array(z, dtype=complex), np.array(w, dtype=float), inf_mass,
+                       list(mu.haars))
 
 
 def dirac(x: BerkPoint, weight=1) -> Measure:
     return Measure([(x, weight)])
 
 
-def haar_circle(center, euclid_radius, weight=1) -> Measure:
-    return Measure([], [(complex(center), float(euclid_radius), weight)])
+def haar_circle(center, euclid_radius, weight=1) -> ArchMeasure:
+    return ArchMeasure(haars=[(complex(center), float(euclid_radius), weight)])
 
 
-def chi_measure(place: Place, center, radius_log, euclid_radius=None) -> Measure:
+def chi_measure(place: Place, center, radius_log, euclid_radius=None):
     """The circle family member at this place: Haar on the circle at
     archimedean places, Dirac at the disk point eta_{center, radius}
     at ultrametric ones.  ``radius_log`` is on the place's coefficient scale;
@@ -80,44 +122,68 @@ def chi_measure(place: Place, center, radius_log, euclid_radius=None) -> Measure
     return haar_circle(complex(Fraction(center)), euclid_radius)
 
 
-def integrate(place: Place, mu: Measure, f, quad_n: int = 64, quad_tol: float = 1e-9,
+def integrate(place: Place, mu, f, quad_n: int = 64, quad_tol: float = 1e-9,
               quad_cap: int = 1 << 16):
-    """sum of f over atoms plus circle quadrature, doubling until stable.
+    """Integral of f against mu: (value, quad_error).
 
-    f maps BerkPoint -> real (coefficient-scale values are the caller's
-    concern; f should return plain reals).  Returns (value, quad_error).
+    At an archimedean place f maps a complex ndarray of points to real
+    values (see the module docstring); atoms take one call and each circle
+    one call per quadrature level, doubling the nodes until stable.  At an
+    ultrametric place f maps each BerkPoint atom to a real.  A non-finite
+    integrand value raises ``MeasureError``.
     """
-    total = 0.0
-    for x, w in mu.atoms:
-        v = f(x)
-        if v is None or (isinstance(v, float) and not math.isfinite(v)):
-            raise MeasureError(f"integrand is not finite at atom {x!r}")
-        total += float(w) * float(v)
+    if place.is_ultrametric:
+        if mu.haars:
+            raise MeasureError("ultrametric measures carry no Haar circles")
+        total = 0.0
+        for x, w in mu.atoms:
+            v = f(x)
+            if v is None or (isinstance(v, float) and not math.isfinite(v)):
+                raise MeasureError(f"integrand is not finite at atom {x!r}")
+            total += float(w) * float(v)
+        return total, 0.0
+    mu = _as_arch(mu)
+    z, w = mu.z, mu.w
+    if mu.inf_mass:
+        z, w = np.append(z, ARCH_INF), np.append(w, mu.inf_mass)
+    total = float(w @ _values(f, z)) if len(z) else 0.0
     err = 0.0
-    for z, r, w in mu.haars:
-        val, e = _circle_quadrature(f, z, r, quad_n, quad_tol, quad_cap)
-        total += float(w) * val
-        err += abs(float(w)) * e
+    for c, r, wt in mu.haars:
+        val, e = _circle_quadrature(f, c, r, quad_n, quad_tol, quad_cap)
+        total += float(wt) * val
+        err += abs(float(wt)) * e
     return total, err
 
 
-def _circle_quadrature(f, center, radius, n, tol, cap):
-    def estimate(m):
-        s = 0.0
-        for k in range(m):
-            z = center + radius * cmath.exp(2j * math.pi * (k + 0.5) / m)
-            s += float(f(classical(z)))
-        return s / m
+def _values(f, z):
+    """f on the point array z, one finite real per point."""
+    v = np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise MeasureError(f"integrand is not finite at {arch_point(z[bad][0])!r}")
+    return v
 
-    prev = estimate(n)
+
+def _circle_quadrature(f, center, radius, n, tol, cap):
+    """Midpoint rule with n, 2n, 4n, ... nodes until two levels agree within
+    tol or the cap is reached.  Returns the last estimate and, as its error,
+    the last doubling difference (infinite when no doubling fits under the
+    cap) plus machine epsilon times sum |f| over the last nodes, which
+    bounds the rounding of the two means."""
+
+    def estimate(m):
+        nodes = center + radius * np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
+        vals = _values(f, nodes)
+        return float(vals.sum()) / m, float(np.finfo(float).eps * np.abs(vals).sum())
+
+    cur, rounding = estimate(n)
+    diff = math.inf
     m = n
-    while m < cap:
+    while m < cap and not diff < tol:
         m *= 2
-        cur = estimate(m)
-        if abs(cur - prev) < tol:
-            return cur, abs(cur - prev)
-        prev = cur
-    return prev, tol
+        prev, (cur, rounding) = cur, estimate(m)
+        diff = abs(cur - prev)
+    return cur, diff + rounding
 
 
 def pushforward_measure(map_fn, mu: Measure, circle_image=None, haar_samples: int = 256) -> Measure:
@@ -142,31 +208,36 @@ def pushforward_measure(map_fn, mu: Measure, circle_image=None, haar_samples: in
     return out
 
 
-def pullback_measure(place: Place, lift: HomogeneousLift, mu: Measure) -> Measure:
-    """Atoms pulled back with multiplicities; total mass multiplies by d."""
+def pullback_measure(place: Place, lift: HomogeneousLift, mu) -> ArchMeasure:
+    """Atoms pulled back with multiplicities; total mass multiplies by d.
+
+    One batched preimage solve for all finite atoms, one for infinity.
+    """
     if place.is_ultrametric:
         raise PlaceError("measure pullback uses complex preimages")
+    mu = _as_arch(mu)
     if mu.haars:
         raise MeasureError("pullback implemented for atomic measures")
-    atoms = []
-    for x, w in mu.atoms:
-        if x.t == "disk":
-            raise MeasureError("pullback needs classical atoms")
-        target = x if x.t == "inf" else complex(x.z)
-        for pt, m in preimage_points(lift, "inf" if x.t == "inf" else target):
-            atoms.append((pt, w * m))
-    return Measure(atoms)
+    pre = preimages_arch(lift, mu.z)
+    z = [pre.z]
+    w = [mu.w[pre.parent] * pre.mult]
+    inf_mass = float(mu.w @ pre.inf_mult)
+    if mu.inf_mass:
+        top = preimages_arch(lift, "inf")
+        z.append(top.z)
+        w.append(mu.inf_mass * top.mult)
+        inf_mass += mu.inf_mass * float(top.inf_mult[0])
+    return ArchMeasure(np.concatenate(z), np.concatenate(w).astype(float), inf_mass)
 
 
-def _atom_key(pt: BerkPoint):
-    if pt.t == "cls":
-        z = complex(pt.z)
-        return (0, round(z.real, 12), round(z.imag, 12))
-    return (1, 0.0, 0.0)
+def _rounded(z):
+    """Atom keys: real and imaginary parts rounded to 12 decimals."""
+    return np.round(z.real, 12), np.round(z.imag, 12)
 
 
-def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> Measure:
-    """d^{-n} (phi^*)^n delta_seed as an atomic measure with d^n atoms.
+def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> ArchMeasure:
+    """d^{-n} (phi^*)^n delta_seed as an atomic measure with d^n atoms,
+    sorted by position (infinity last).
 
     Warns when the preimage tree collapses to <= 2 points across three
     consecutive levels: the seed is then (numerically) exceptional.
@@ -175,11 +246,12 @@ def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> Measu
         raise PlaceError("preimage-tree equilibrium is archimedean")
     if n < 0:
         raise MeasureError("n must be nonnegative")
-    mu = dirac(classical(complex(seed)) if not isinstance(seed, BerkPoint) else seed)
+    mu = _as_arch(dirac(seed if isinstance(seed, BerkPoint) else classical(complex(seed))))
     collapse_streak = 0
     for level in range(n):
-        mu = pullback_measure(place, lift, mu).scaled(Fraction(1, lift.d))
-        distinct = len({_atom_key(pt) for pt, _ in mu.atoms})
+        mu = pullback_measure(place, lift, mu)  # weights are multiplicity products
+        re, im = _rounded(mu.z)
+        distinct = len(np.unique(re + 1j * im)) + (mu.inf_mass != 0)
         if distinct <= 2:
             collapse_streak += 1
             if collapse_streak >= 3:
@@ -192,8 +264,10 @@ def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> Measu
         else:
             collapse_streak = 0
     # deterministic atom order
-    mu.atoms.sort(key=lambda item: _atom_key(item[0]))
-    return mu
+    re, im = _rounded(mu.z)
+    order = np.lexsort((im, re))
+    scale = lift.d**n
+    return ArchMeasure(mu.z[order], mu.w[order] / scale, mu.inf_mass / scale)
 
 
 @dataclass
@@ -252,7 +326,7 @@ def equilibrium_nonarch(place: Place, lift: HomogeneousLift, skeleton: MetricGra
     return mu, report
 
 
-def measure_to_rows(place: Place, mu: Measure):
+def measure_to_rows(place: Place, mu):
     """CSV rows: kind, point_or_center, logr_or_radius, weight."""
     rows = []
     for x, w in mu.atoms:
@@ -293,6 +367,7 @@ def energy_pairing(place: Place, lift_f: HomogeneousLift, lift_g: HomogeneousLif
         return (float(lf) - float(lg)) * unit
 
     total = 0.0
-    for x, w in (mu_f - mu_g).atoms:
-        total += float(w) * integrand(x)
+    for mu, sign in ((mu_f, 1), (mu_g, -1)):
+        for x, w in mu.atoms:
+            total += sign * float(w) * integrand(x)
     return total

@@ -9,6 +9,7 @@ the place's coefficient scale (see places module), so the Gauss point is
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -88,6 +89,16 @@ def disk(center, logr) -> BerkPoint:
 
 def infinity() -> BerkPoint:
     return BerkPoint(INF)
+
+
+ARCH_INF = complex(float("inf"), 0.0)  # the point at infinity in archimedean point arrays
+
+
+def arch_point(z) -> BerkPoint:
+    """The point named by an entry of an archimedean point array (complex
+    infinity names the point at infinity)."""
+    z = complex(z)
+    return classical(z) if cmath.isfinite(z) else infinity()
 
 
 GAUSS = disk(0, 0)

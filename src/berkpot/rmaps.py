@@ -20,6 +20,7 @@ from .points import BerkPoint, CLS, INF, classical, classical_pair, disk, infini
 from .polys import exact_det, poly_eval, sylvester_matrix, taylor_shift, trim
 
 INF_POINT = "inf"  # marker used in preimage lists
+CLUSTER_REL = 1e-7  # roots closer than this, relative to 1 + |root|, are one root
 
 
 class MapError(ValueError):
@@ -146,57 +147,108 @@ def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> BerkPoint:
 
 @dataclass
 class PreimageSet:
-    """Solutions of phi = a with multiplicity; multiplicities sum to d."""
+    """Solutions of phi = a with multiplicity, for one target or a batch.
 
-    entries: list  # (complex | "inf", multiplicity)
+    Finite preimages are grouped by target, in target order; above each
+    target the multiplicities (infinity included) sum to d.
+    """
+
+    z: np.ndarray         # finite preimages, complex
+    mult: np.ndarray      # multiplicity of each
+    parent: np.ndarray    # index of the target each lies above
+    inf_mult: np.ndarray  # multiplicity of infinity above each target
     flagged: bool = False  # set when clusters were numerically ambiguous
 
     @property
+    def entries(self) -> list:
+        """(complex | "inf", multiplicity) pairs, grouped by target."""
+        out = []
+        for i, inf in enumerate(self.inf_mult):
+            sel = self.parent == i
+            out += [(complex(z), int(m)) for z, m in zip(self.z[sel], self.mult[sel])]
+            if inf:
+                out.append((INF_POINT, int(inf)))
+        return out
+
+    @property
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
+        return int(self.mult.sum() + self.inf_mult.sum())
 
 
 def preimages_arch(lift: HomogeneousLift, a) -> PreimageSet:
     """Preimages of a under phi over C, with multiplicities from clustering.
 
-    Roots of F0(t,1) - a F1(t,1) via companion-matrix eigenvalues plus one
-    Newton polish; infinity accounts for any degree drop.
+    ``a`` is one target (a number, ``INF_POINT`` or the point at infinity)
+    or a 1-D complex array of finite targets, solved as one batch.  The
+    roots of F0(t,1) - a F1(t,1) are the eigenvalues of stacked companion
+    matrices plus one Newton polish; infinity accounts for any degree drop.
     """
-    d = lift.d
-    if a == INF_POINT or (isinstance(a, BerkPoint) and a.t == INF):
-        coeffs = [complex(c) for c in lift.f1]
+    f0 = np.array([complex(c) for c in lift.f0])
+    f1 = np.array([complex(c) for c in lift.f1])
+    if isinstance(a, np.ndarray):
+        rows = f0 - a.astype(complex)[:, None] * f1
+    elif isinstance(a, str) and a == INF_POINT or isinstance(a, BerkPoint) and a.t == INF:
+        rows = f1[None, :]
     else:
-        a = complex(a)
-        coeffs = [complex(c0) - a * complex(c1) for c0, c1 in zip(lift.f0, lift.f1)]
-    scale = max(abs(c) for c in coeffs)
-    if scale == 0:
+        rows = (f0 - complex(a) * f1)[None, :]
+    return _solve_rows(rows, lift.d)
+
+
+def _solve_rows(rows, d: int) -> PreimageSet:
+    """Roots of each row of ascending coefficients, with the np.roots
+    conventions: top coefficients below 1e-12 of the row scale drop the
+    degree (roots at infinity), exactly zero low coefficients are roots at 0."""
+    k = len(rows)
+    size = np.abs(rows)
+    scale = size.max(axis=1)
+    if not (scale > 0).all():
         raise MapError("zero preimage polynomial; degenerate map")
-    deg = d
-    while deg > 0 and abs(coeffs[deg]) <= 1e-12 * scale:
-        deg -= 1
-    entries = []
-    inf_mult = d - deg
-    if deg > 0:
-        roots = np.roots(np.array(coeffs[: deg + 1][::-1], dtype=complex))
-        poly = np.array(coeffs[: deg + 1][::-1], dtype=complex)
-        dpoly = np.polyder(poly)
-        polished = []
-        for r in roots:
-            fp = np.polyval(dpoly, r)
-            if abs(fp) > 1e-12 * scale:
-                r = r - np.polyval(poly, r) / fp
-            polished.append(complex(r))
-        entries, flagged = _cluster(polished)
-    else:
-        flagged = False
-    if inf_mult > 0:
-        entries.append((INF_POINT, inf_mult))
-    out = PreimageSet(entries, flagged)
-    assert out.total_multiplicity == d
-    return out
+    kept = size > 1e-12 * scale[:, None]
+    kept[:, 0] = True
+    deg = d - np.argmax(kept[:, ::-1], axis=1)
+    low = np.argmax(rows != 0, axis=1)  # exactly zero low coefficients
+    roots = np.full((k, d), np.nan, dtype=complex)
+    mult = np.zeros((k, d), dtype=np.int64)
+    flagged = False
+    for dg, lz in set(zip(deg.tolist(), low.tolist())):
+        if dg == 0:
+            continue
+        idx = np.nonzero((deg == dg) & (low == lz))[0]
+        poly = rows[idx, : dg + 1][:, ::-1]  # highest coefficient first
+        n = dg - lz
+        r = np.zeros((len(idx), dg), dtype=complex)
+        if n:
+            comp = np.zeros((len(idx), n, n), dtype=complex)
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1
+            comp[:, 0, :] = -poly[:, 1 : n + 1] / poly[:, :1]
+            r[:, :n] = np.linalg.eigvals(comp)
+        # one Newton step where the derivative is not negligible
+        val = np.zeros_like(r)
+        der = np.zeros_like(r)
+        for j in range(dg + 1):
+            val = val * r + poly[:, j, None]
+            if j < dg:
+                der = der * r + poly[:, j, None] * (dg - j)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(np.abs(der) > 1e-12 * scale[idx, None], r - val / der, r)
+        roots[idx, :dg] = r
+        mult[idx, :dg] = 1
+        # rows with two roots within 10x the cluster radius go through _cluster
+        gap = np.abs(r[:, :, None] - r[:, None, :])
+        big = np.maximum(np.abs(r[:, :, None]), np.abs(r[:, None, :]))
+        near = gap <= 10 * CLUSTER_REL * (1.0 + big)
+        near &= ~np.eye(dg, dtype=bool)
+        for i in np.nonzero(near.any(axis=(1, 2)))[0]:
+            entries, flag = _cluster([complex(x) for x in r[i]])
+            flagged = flagged or flag
+            mult[idx[i]] = 0
+            roots[idx[i], : len(entries)] = [z for z, _ in entries]
+            mult[idx[i], : len(entries)] = [m for _, m in entries]
+    keep = mult > 0
+    return PreimageSet(roots[keep], mult[keep], np.nonzero(keep)[0], d - deg, flagged)
 
 
-def _cluster(roots, rel=1e-7):
+def _cluster(roots, rel=CLUSTER_REL):
     """Greedy clustering; cluster sizes become multiplicities."""
     clusters = []  # (representative, members)
     flagged = False

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from berkpot.affable import (
@@ -48,6 +49,31 @@ def test_eval_examples():
     assert affable_eval(ARC, F1, classical(4.0 + 0j)) == pytest.approx(math.log(2))
     half = Place.archimedean(F(1, 2))
     assert affable_eval(half, F1, classical(4.0 + 0j)) == pytest.approx(math.log(2) / 2)
+
+
+def test_arch_array_eval_matches_closed_forms():
+    # the battery's closed forms, point by point, on both charts
+    def lg(x):
+        return math.log(abs(x))
+
+    forms = {
+        "clip_log_T_minus_2": lambda z, e: e * max(0.0, lg(z - 2)),
+        "one": lambda z, e: 1.0,
+        "log_plus_T": lambda z, e: e * max(0.0, lg(z)),
+        "log_ratio_3_2": lambda z, e: e * (lg(z - 3) - lg(z - 2)),
+        "clip_log_T2_minus_2": lambda z, e: e * (max(0.0, lg(z * z - 2)) - max(0.0, 2 * lg(z))),
+        "half_clip_log_T_minus_1": lambda z, e: e * max(0.0, 0.5 * lg(z - 1)),
+        "min_clip_half": lambda z, e: min(e * max(0.0, lg(z - 2)), 0.5),
+        "standard_potential": lambda z, e: e * max(0.0, -lg(z)),
+    }
+    rng = random.Random(41)
+    zs = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(300)]
+    for eps in (F(1), F(1, 3), F(1, 1024)):
+        place = Place.archimedean(eps)
+        for fn in BAT:
+            got = affable_eval(place, fn, np.array(zs))
+            want = [forms[fn.fn_id](z, float(eps)) for z in zs]
+            assert got == pytest.approx(want, abs=1e-12), (fn.fn_id, eps)
 
 
 def test_eval_chart_switch_consistency():

@@ -185,6 +185,19 @@ def test_heuristic_bound_for_complex_lifts():
     assert st.certificate == "heuristic"
 
 
+def test_deviation_bound_cached_for_complex_lift(monkeypatch):
+    import berkpot.green as green
+
+    rabbit = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
+    first = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
+    calls = []
+    original = green.deviation_g
+    monkeypatch.setattr(green, "deviation_g", lambda *a: calls.append(a) or original(*a))
+    second = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
+    assert len(calls) == second.n_used  # the orbit only, no new sample
+    assert second.gmax == first.gmax and second.value == first.value
+
+
 def test_ecart_examples():
     K = circle_sample(16)
     assert ecart_dK(lambda x: 1.0, lambda x: 1.0, K) == 0

@@ -4,10 +4,12 @@ import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from berkpot.measures import (
     ExceptionalSeedWarning,
+    _circle_quadrature,
     Measure,
     MeasureError,
     chi_measure,
@@ -48,13 +50,13 @@ def test_integrate_atom_examples():
 
 
 def test_integrate_haar_mass():
-    val, err = integrate(ARC, haar_circle(0, 1.0), lambda x: 1.0)
+    val, err = integrate(ARC, haar_circle(0, 1.0), lambda z: np.ones(z.shape))
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_jensen():
     mu = haar_circle(0, 1.0)
-    f = lambda x: math.log(abs(complex(x.z) - 2))
+    f = lambda z: np.log(np.abs(z - 2))
     val, _ = integrate(ARC, mu, f)
     oracle = quadrature_oracle(lambda z: math.log(abs(z - 2)), 0, 1.0)
     assert val == pytest.approx(math.log(2), abs=1e-9)
@@ -64,7 +66,16 @@ def test_integrate_jensen():
 def test_integrate_rejects_infinite_atom():
     mu = dirac(classical(0j))
     with pytest.raises(MeasureError):
-        integrate(ARC, mu, lambda x: math.inf)
+        integrate(ARC, mu, lambda z: np.full(z.shape, math.inf))
+
+
+def test_circle_quadrature_unconverged_error_is_honest():
+    # log|T-1| has its singularity on the circle: at cap 256 the midpoint
+    # rule is still log(2)/256 away from the true integral 0
+    f = lambda z: np.log(np.abs(z - 1))
+    val, err = _circle_quadrature(f, 0j, 1.0, 64, 1e-9, 256)
+    assert abs(val) == pytest.approx(2.7e-3, rel=0.01)
+    assert err >= abs(val - 0.0)
 
 
 def test_pushforward_examples():
@@ -127,6 +138,31 @@ def test_equilibrium_arch_exceptional_seed_warns():
     assert any(issubclass(w.category, ExceptionalSeedWarning) for w in caught)
 
 
+def test_equilibrium_arch_seed_zero_under_squaring():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExceptionalSeedWarning)
+        mu = equilibrium_arch(ARC, Z2, 0, 3)
+    assert mu.atoms == [(classical(0j), 1)]
+
+
+def test_equilibrium_arch_keeps_mass_at_infinity():
+    # phi = 1/z^2 swaps 0 and infinity: odd levels sit at infinity
+    inv = HomogeneousLift.from_coeffs(2, [1], [0, 0, 1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mu = equilibrium_arch(ARC, inv, 0, 5)
+    assert any(issubclass(w.category, ExceptionalSeedWarning) for w in caught)
+    assert mu.inf_mass == 1 and len(mu.z) == 0 and mu.total_mass == 1
+    assert [pt.t for pt, _ in mu.atoms] == ["inf"]
+    # phi = z/(z^2+1): 0 has preimages 0 and infinity, infinity has +-i
+    lift = HomogeneousLift.from_coeffs(2, [0, 1], [1, 0, 1])
+    mu = equilibrium_arch(ARC, lift, 0, 2)
+    assert mu.inf_mass == F(1, 4) and mu.total_mass == 1
+    assert [str(pt) for pt, _ in mu.atoms] == ["Pt(-1j)", "Pt(0j)", "Pt(1j)", "Pt(inf)"]
+    val, _ = integrate(ARC, mu, lambda z: np.where(np.isfinite(z), 0.0, 1.0))
+    assert val == 0.25
+
+
 def test_equilibrium_arch_successive_diffs_decreasing():
     # shipped example: the squaring map, whose preimage trees of 2 fill the
     # unit circle monotonically; the potential-type entry is dropped so the
@@ -152,7 +188,7 @@ def test_equilibrium_invariance_weak_form():
     mu = equilibrium_arch(ARC, lift, 2, 10)
     fn = standard_battery()[0]
     f = affable_real(ARC, fn)
-    lhs, _ = integrate(ARC, mu, lambda x: pushforward_values(ARC, lift, f, x.z))
+    lhs, _ = integrate(ARC, mu, lambda z: np.array([pushforward_values(ARC, lift, f, a) for a in z]))
     rhs, _ = integrate(ARC, mu, f)
     assert lhs == pytest.approx(2 * rhs, abs=2e-3 * 2)
 

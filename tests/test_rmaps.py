@@ -111,6 +111,36 @@ def test_multiplicities_sum_to_d_random():
         assert preimages_arch(lift, a).total_multiplicity == d
 
 
+def test_preimages_batch_matches_single_targets():
+    rng = random.Random(8)
+    lift = HomogeneousLift.from_coeffs(3, [1, -2, 0, 3], [2, 1, 1, 0])
+    targets = np.array([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(12)])
+    batch = preimages_arch(lift, targets)
+    assert batch.total_multiplicity == 3 * len(targets)
+    assert batch.entries == [e for a in targets for e in preimages_arch(lift, a).entries]
+
+
+def test_preimages_batch_double_root_and_near_collision():
+    # seed 0 under z^2: one root of multiplicity 2 beside simple roots
+    pre = preimages_arch(Z2, np.array([0j, 4 + 0j]))
+    assert pre.mult.tolist() == [2, 1, 1] and pre.parent.tolist() == [0, 1, 1]
+    assert pre.z[0] == 0 and not pre.flagged
+    # roots 6e-7 apart: two clusters of multiplicity 1, flagged as ambiguous
+    near = preimages_arch(Z2, 1e-13)
+    assert near.flagged
+    assert [m for _, m in near.entries] == [1, 1]
+    assert preimages_arch(Z2, np.array([4 + 0j, 1e-13])).flagged
+
+
+def test_preimages_batch_degree_drop():
+    # phi = 1/z^2: the target 0 has both preimages at infinity
+    inv = HomogeneousLift.from_coeffs(2, [1], [0, 0, 1])
+    pre = preimages_arch(inv, np.array([4 + 0j, 0j]))
+    assert pre.inf_mult.tolist() == [0, 2] and pre.parent.tolist() == [0, 0]
+    assert sorted(pre.z.real) == pytest.approx([-0.5, 0.5], abs=1e-15)
+    assert pre.entries[-1] == (INF_POINT, 2) and pre.total_multiplicity == 4
+
+
 def test_pushforward_values_examples():
     assert pushforward_values(ARC, Z2, lambda x: 1.0, 7 + 0j) == pytest.approx(2.0)
     assert pushforward_values(ARC, Z2, lambda x: x.z.real, 4 + 0j) == pytest.approx(0.0)

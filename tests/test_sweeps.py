@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -271,3 +272,34 @@ def test_sweep_quadrature_doubling_within_cert():
     ta, tb = sweep_chi(cfg_a), sweep_chi(cfg_b)
     for ra, rb in zip(ta.rows, tb.rows):
         assert abs(ra.value - rb.value) <= max(ra.cert_err, 1e-12)
+
+
+def test_squaring_map_rows_within_summed_certificates():
+    # mu_{z^2} is the unit-circle Haar measure: every sweep-eq row agrees
+    # with its sweep-chi row within the two certificates, also at small eps
+    grid = [Place.archimedean(F(1, 2**k)) for k in range(5, 11)]
+    cfg = SweepConfig(grid=grid, battery=BAT, lift=Z2, atom_budget=1 << 13)
+    eq, chi = sweep_equilibrium(cfg), sweep_chi(cfg)
+    assert len(eq.rows) == len(chi.rows) == len(grid) * len(BAT)
+    for a, b in zip(eq.rows, chi.rows):
+        assert (a.place_param, a.fn_id) == (b.place_param, b.fn_id) and not a.error
+        assert abs(a.value - b.value) <= a.cert_err + b.cert_err, (a, b)
+
+
+def test_cli_equilibrium_matches_reference_rows(tmp_path):
+    # rows of `equilibrium --mode arch --n 8` for z^2 - 1, as written by the
+    # scalar preimage solver this library used before its batched one
+    ref_path = os.path.join(os.path.dirname(__file__), "data", "equilibrium_z2m1_n8.csv")
+    m = _write(tmp_path, "m.json", lift_to_json(HomogeneousLift.polynomial([-1, 0, 1])))
+    out_path = os.path.join(tmp_path, "eq.csv")
+    assert main(["equilibrium", "--map", m, "--place", '{"kind":"arch","eps":"1"}',
+                 "--mode", "arch", "--n", "8", "--out", out_path, "--quiet"]) == 0
+    with open(ref_path, newline="") as fh:
+        ref = list(csv.reader(fh))
+    with open(out_path, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ref[0] and len(got) == len(ref) == 257
+    for g, r in zip(got[1:], ref[1:]):
+        assert g[0] == r[0] == "atom" and g[2] == r[2] == ""
+        assert abs(complex(g[1]) - complex(r[1])) <= 1e-12
+        assert abs(float(g[3]) - float(r[3])) <= 1e-12
