@@ -17,6 +17,7 @@ from .points import (
 from .graphs import PLFunction, GraphMeasure, dirichlet_extend, graph_laplacian, mass_in
 from .rmaps import HomogeneousLift, preimages_arch, pushforward_values, apply_point
 from .green import (
+    contraction_ratios,
     deviation_g,
     ecart_dK,
     gmax,
@@ -36,6 +37,6 @@ from .measures import (
 )
 from .affable import AffableFn, affable_combine, affable_eval, mass_bound, restrict_to_skeleton
 from .battery import load_battery, standard_battery
-from .sweeps import SweepConfig, default_grid, report_contraction, sweep_chi, sweep_equilibrium
+from .sweeps import SweepConfig, default_grid, sweep_chi, sweep_equilibrium
 
 __version__ = "0.1.0"

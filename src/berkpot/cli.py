@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .affable import AffableError
 from .graphs import GraphError, PLFunction, dirichlet_extend, graph_from_json, graph_laplacian
-from .green import GreenError, lambda_limit
+from .green import GreenError, contraction_ratios, lambda_limit
 from .measures import MeasureError, equilibrium_arch, equilibrium_nonarch, measure_to_rows
 from .places import Place, PlaceError, place_from_json
 from .points import point_from_json
@@ -26,7 +26,6 @@ from .sweeps import (
     SweepError,
     circle_sample,
     default_skeleton,
-    report_contraction,
     sweep_chi,
     sweep_equilibrium,
 )
@@ -134,7 +133,7 @@ def _cmd_contraction(args) -> int:
     else:
         sample = circle_sample(count, radius)
     rows = []
-    for n, ratio in report_contraction(lift, place, sample, args.n):
+    for n, ratio in contraction_ratios(place, lift, sample, args.n):
         rows.append((n, "exact-0" if ratio is None else ratio))
     _emit(rows, ["n", "ratio"], args.out, args.quiet)
     return 0

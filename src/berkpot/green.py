@@ -16,6 +16,18 @@ branch divides the resultant by a cofactor bound, using the exact identities
 Res * t^{2d-1} = A0 f0 + B0 f1 and Res = A1 f0 + B1 f1 with deg A_i, B_i < d
 (solved once over Q from the Sylvester system).  When the lift has complex
 coefficients the bound falls back to a sampled infimum marked "heuristic".
+
+Archimedean places run every orbit through one kernel, ``_arch_step``, which
+reads the lift's complex coefficients (``HomogeneousLift.complex_coeffs``)
+and works on complex scalars and ndarrays alike.  There ``lambda_n``,
+``lambda_limit`` and ``deviation_sequence`` take either a BerkPoint or a
+complex ndarray of points, complex ``inf`` standing for the point at
+infinity as in ``preimages_arch``.  An array gives one ``PotentialState``
+whose ``value`` is an array of the same shape; ``n_used``,
+``certified_error``, ``certificate`` and ``gmax`` stay scalars, because the
+tail bound does not depend on the point, so every point runs the same n
+steps.  Ultrametric places keep the exact scalar path: Fraction arithmetic,
+exact disk transport and the closed escape tail.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import numpy as np
 
 from .places import (
     NEG_INF,
+    POS_INF,
     LogValue,
     Place,
     PlaceError,
@@ -46,6 +59,9 @@ class GreenError(RuntimeError):
     pass
 
 
+_INFINITE_BOUND = "deviation bound is infinite at this place (coefficients blow up)"
+
+
 def standard_potential(place: Place, x: BerkPoint) -> LogValue:
     """-log of the standard norm of T0 at x: max(-log|T|, 0), coefficient units."""
     if x.t == INF:
@@ -54,6 +70,68 @@ def standard_potential(place: Place, x: BerkPoint) -> LogValue:
     if is_neg_inf(t):
         return float("inf")
     return vmax(vscale(-1, t), 0)
+
+
+# -- archimedean orbit kernel ----------------------------------------------------
+
+
+def _form(coeffs, d: int, z0, z1):
+    """sum_j coeffs[j] z0^j z1^(d-j), by Horner in z0."""
+    acc = coeffs[d]
+    power = 1
+    for j in range(d - 1, -1, -1):
+        power = power * z1
+        acc = acc * z0
+        if coeffs[j]:
+            acc = acc + coeffs[j] * power
+    return acc
+
+
+def _arch_step(coeffs, d: int, eps: float, z0, z1):
+    """One step of the renormalized orbit at an archimedean place.
+
+    Takes a lift (z0, z1) of max norm 1 and the lift's complex coefficients;
+    returns g = eps (log||F(zhat)|| - d log||zhat||) = eps log||F(zhat)||
+    followed by the next point F(zhat) / ||F(zhat)||.  The operations work
+    on complex scalars and ndarrays alike.
+    """
+    w0 = _form(coeffs[0], d, z0, z1)
+    w1 = _form(coeffs[1], d, z0, z1)
+    norm = np.maximum(abs(w0), abs(w1))
+    return eps * np.log(norm), w0 / norm, w1 / norm
+
+
+def _arch_orbit(place: Place, lift: HomogeneousLift, zhat, n: int) -> list:
+    """[g(zhat), g(F zhat), ..., g(F^{n-1} zhat)] for a lift of max norm 1."""
+    coeffs, d, eps = lift.complex_coeffs, lift.d, float(place.eps)
+    z0, z1 = zhat
+    gs = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n):
+            g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1)
+            gs.append(g)
+    if not np.isfinite(gs).all():
+        raise GreenError("lift vanishes at a projective point; Res = 0")
+    return [float(g) for g in gs] if np.ndim(z0) == 0 else gs  # one point: plain floats
+
+
+def _normalized(z0, z1):
+    norm = np.maximum(abs(z0), abs(z1))
+    return z0 / norm, z1 / norm
+
+
+def _arch_lift(x):
+    """Lift of max norm 1 of a point at an archimedean place: a BerkPoint,
+    or a complex ndarray of points with complex inf for infinity."""
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=complex)
+        at_inf = np.isinf(x)
+        return _normalized(np.where(at_inf, 1.0, x), np.where(at_inf, 0.0, 1.0))
+    if x.t == INF:
+        return 1.0 + 0j, 0j
+    if x.t != CLS:
+        raise PlaceError("disk points live in ultrametric fibers only")
+    return _normalized(complex(x.z), 1.0)
 
 
 # -- lifted evaluation ---------------------------------------------------------
@@ -68,32 +146,25 @@ def _lift_of(x: BerkPoint):
     return ("disk", x)
 
 
-def _pair_logs(place: Place, z0, z1):
-    if place.is_exact:
-        return abs_log_value(place, z0), abs_log_value(place, z1)
-    a0 = abs(complex(z0))
-    a1 = abs(complex(z1))
-    e = float(place.eps)
-    return (e * math.log(a0) if a0 else NEG_INF), (e * math.log(a1) if a1 else NEG_INF)
-
-
 def deviation_g(place: Place, lift: HomogeneousLift, zhat) -> LogValue:
     """g at an explicit lift (z0, z1) != (0,0): log||F(zhat)|| - d log||zhat||."""
     z0, z1 = zhat
-    w0 = poly_part_eval(place, lift.f0, z0, z1, lift.d)
-    w1 = poly_part_eval(place, lift.f1, z0, z1, lift.d)
-    l0, l1 = _pair_logs(place, z0, z1)
-    n_in = vmax(l0, l1)
+    if not place.is_exact:
+        if z0 == 0 and z1 == 0:
+            raise GreenError("(0,0) is not a lift")
+        return _arch_orbit(place, lift, _normalized(complex(z0), complex(z1)), 1)[0]
+    w0 = poly_part_eval(lift.f0, z0, z1, lift.d)
+    w1 = poly_part_eval(lift.f1, z0, z1, lift.d)
+    n_in = vmax(abs_log_value(place, z0), abs_log_value(place, z1))
     if is_neg_inf(n_in):
         raise GreenError("(0,0) is not a lift")
-    m0, m1 = _pair_logs(place, w0, w1)
-    n_out = vmax(m0, m1)
+    n_out = vmax(abs_log_value(place, w0), abs_log_value(place, w1))
     if is_neg_inf(n_out):
         raise GreenError("lift vanishes at a projective point; Res = 0")
     return vplus(n_out, vscale(-1, vscale(lift.d, n_in))) if n_in != 0 else n_out
 
 
-def poly_part_eval(place: Place, coeffs, z0, z1, d: int):
+def poly_part_eval(coeffs, z0, z1, d: int):
     """F(z0, z1) for the degree-d homogenization of the coefficient list."""
     total = 0
     for j, c in enumerate(coeffs):
@@ -121,20 +192,18 @@ def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> Log
 
 
 def _renormalize_pair(place: Place, z0, z1):
-    if place.is_exact:
-        l0, l1 = abs_log_value(place, z0), abs_log_value(place, z1)
-        pivot = z0 if (not is_neg_inf(l0) and (is_neg_inf(l1) or l0 >= l1)) else z1
-    else:
-        pivot = z0 if abs(complex(z0)) >= abs(complex(z1)) else z1
+    l0, l1 = abs_log_value(place, z0), abs_log_value(place, z1)
+    pivot = z0 if (not is_neg_inf(l0) and (is_neg_inf(l1) or l0 >= l1)) else z1
     return z0 / pivot, z1 / pivot
 
 
 def _orbit_step(place: Place, lift: HomogeneousLift, state):
+    """Next state of an orbit at an exact place."""
     kind, data = state
     if kind == "pair":
         z0, z1 = data
-        w0 = poly_part_eval(place, lift.f0, z0, z1, lift.d)
-        w1 = poly_part_eval(place, lift.f1, z0, z1, lift.d)
+        w0 = poly_part_eval(lift.f0, z0, z1, lift.d)
+        w1 = poly_part_eval(lift.f1, z0, z1, lift.d)
         return ("pair", _renormalize_pair(place, w0, w1))
     return ("disk", apply_point(place, lift, data))
 
@@ -146,8 +215,14 @@ def _state_g(place: Place, lift: HomogeneousLift, state) -> LogValue:
     return deviation_at_point(place, lift, data)
 
 
-def deviation_sequence(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int):
-    """[g(x), g(phi x), ..., g(phi^{n-1} x)] along the renormalized orbit."""
+def deviation_sequence(place: Place, lift: HomogeneousLift, x, n: int):
+    """[g(x), g(phi x), ..., g(phi^{n-1} x)] along the renormalized orbit.
+
+    At an archimedean place x may be a point array; each entry is then an
+    array (see the module docstring).
+    """
+    if not place.is_exact:
+        return _arch_orbit(place, lift, _arch_lift(x), n)
     state = _lift_of(x)
     out = []
     for _ in range(n):
@@ -156,22 +231,25 @@ def deviation_sequence(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int
     return out
 
 
-def lambda_n(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int) -> LogValue:
+def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     """n-th potential deviation from the standard metric at x.
 
     lambda_0 = 0 and lambda_{n+1}(x) = (1/d) lambda_n(phi(x)) - (1/d) g(xhat).
-    Exact rational at ultrametric places.
+    Exact rational at ultrametric places; an array for a point array at an
+    archimedean place.
     """
-    gs = deviation_sequence(place, lift, x, n)
-    return _weighted_tail(place, lift.d, gs)
-
-
-def _weighted_tail(place: Place, d: int, gs) -> LogValue:
-    total = Fraction(0) if place.is_exact else 0.0
-    for k, g in enumerate(gs):
-        w = Fraction(1, d ** (k + 1))
+    total = _zero(place, x)
+    for k, g in enumerate(deviation_sequence(place, lift, x, n)):
+        w = Fraction(1, lift.d ** (k + 1))
         total = total - (w * g if place.is_exact else float(w) * g)
     return total
+
+
+def _zero(place: Place, x):
+    """The potential 0 in the form a value at x takes."""
+    if place.is_exact:
+        return Fraction(0)
+    return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
 
 
 # -- deviation bounds ----------------------------------------------------------
@@ -259,6 +337,8 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
         if place.is_exact:
             coeff_logs = [abs_log_value(place, c) for c in lift.coeff_list() if c != 0]
             upper = vmax(*coeff_logs)
+            if upper == POS_INF:
+                raise GreenError(_INFINITE_BOUND)
             cof_logs = [abs_log_value(place, c) for c in cof.coeff_list() if c != 0]
             res_log = abs_log_value(place, Fraction(lift.resultant))
             lower = vplus(res_log, vscale(-1, vmax(*cof_logs)))
@@ -273,19 +353,16 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
         return DeviationBound(lower, upper, True)
     if place.is_exact:
         raise PlaceError("complex-coefficient lifts are archimedean-only")
-    # heuristic: sampled range of g over the unit sphere with a x2 safety factor
-    rng = np.random.default_rng(0)
-    lo, hi = math.inf, -math.inf
-    for _ in range(2048):
-        theta = rng.uniform(0, 2 * math.pi, size=2)
-        r = rng.uniform(0, 1)
-        z0, z1 = complex(np.exp(1j * theta[0])), r * complex(np.exp(1j * theta[1]))
-        if rng.uniform() < 0.5:
-            z0, z1 = z1, z0
-            z1 = complex(np.exp(1j * theta[1]))
-        g = float(deviation_g(place, lift, (z0, z1)))
-        lo, hi = min(lo, g), max(hi, g)
-    return DeviationBound(2 * lo, 2 * hi, False)
+    # heuristic: sampled range of g over the unit sphere with a x2 safety
+    # factor; sample k draws (theta0, theta1, r, swap) in that order, uniform
+    # on [0, 2 pi)^2 x [0, 1)^2, and is (e^{i theta0}, r e^{i theta1}), or
+    # (r e^{i theta1}, e^{i theta1}) when swap < 1/2
+    draws = np.random.default_rng(0).random((2048, 4))
+    e0, e1 = np.exp(1j * (2 * math.pi * draws[:, :2])).T
+    r, swap = draws[:, 2], draws[:, 3] < 0.5
+    zhat = _normalized(np.where(swap, r * e1, e0), np.where(swap, e1, r * e1))
+    g = _arch_orbit(place, lift, zhat, 1)[0]
+    return DeviationBound(2 * float(g.min()), 2 * float(g.max()), False)
 
 
 def gmax(place: Place, lift: HomogeneousLift) -> float:
@@ -343,27 +420,29 @@ def _state_t_log(place: Place, lift: HomogeneousLift, state):
     z0, z1 = data
     if z1 == 0:
         return float("inf")
-    l0, l1 = _pair_logs(place, z0, z1)
+    l0, l1 = abs_log_value(place, z0), abs_log_value(place, z1)
     if is_neg_inf(l0):
         return NEG_INF
     return vplus(l0, vscale(-1, l1)) if l1 != 0 else l0
 
 
-def lambda_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, tol: float) -> PotentialState:
+def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> PotentialState:
     """Canonical potential at x with a certified tail.
 
     Chooses n with G_max/(d^n (d-1)) <= tol; stops early with a zero-error
     certificate when the deviation bound vanishes or the orbit enters the
-    strict-escape region of a polynomial map (exact geometric tail).
+    strict-escape region of a polynomial map (exact geometric tail).  At an
+    archimedean place x may be a point array: one n serves every point, and
+    ``value`` is an array (see the module docstring).
     """
     if tol <= 0:
         raise GreenError("tolerance must be positive")
     bound = deviation_bound(place, lift)
     d = lift.d
     if not math.isfinite(bound.gmax):
-        raise GreenError("deviation bound is infinite at this place (coefficients blow up)")
+        raise GreenError(_INFINITE_BOUND)
     if bound.certified and bound.gmax == 0.0:
-        return PotentialState(Fraction(0) if place.is_exact else 0.0, 0, 0.0, "exact", 0.0)
+        return PotentialState(_zero(place, x), 0, 0.0, "exact", 0.0)
     n = 0
     err = bound.gmax / (d - 1)
     while err > tol:
@@ -371,9 +450,12 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, tol: float) 
         err /= d
         if n > 10_000:
             raise GreenError("tolerance unreachable")
+    cert = "certified" if bound.certified else "heuristic"
+    if not place.is_exact:
+        return PotentialState(lambda_n(place, lift, x, n), n, err, cert, bound.gmax)
     esc = _escape_threshold(place, lift)
     state = _lift_of(x)
-    total = Fraction(0) if place.is_exact else 0.0
+    total = Fraction(0)
     for k in range(n):
         if esc is not None:
             tstar, tail_g = esc
@@ -382,11 +464,8 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, tol: float) 
                 # exact geometric tail: g stays at tail_g from step k on
                 tail = Fraction(1, d**k * (d - 1)) * tail_g
                 return PotentialState(total - tail, k, 0.0, "exact", bound.gmax)
-        g = _state_g(place, lift, state)
-        w = Fraction(1, d ** (k + 1))
-        total = total - (w * g if place.is_exact else float(w) * g)
+        total = total - Fraction(1, d ** (k + 1)) * _state_g(place, lift, state)
         state = _orbit_step(place, lift, state)
-    cert = "certified" if bound.certified else "heuristic"
     return PotentialState(total, n, err, cert, bound.gmax)
 
 
@@ -413,13 +492,14 @@ def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):
         raise GreenError("need n_max >= 3")
     d = lift.d
     depth = n_max + 1
-    tables = [deviation_sequence(place, lift, x, depth) for x in sample]
-    level_sup = []
-    for m in range(depth):
-        sup = max(abs(row[m]) for row in tables)
-        if not place.is_exact and float(sup) < 1e-12:
-            sup = 0.0  # machine-zero deviation: the iteration sits at its fixed point
-        level_sup.append(sup)
+    if place.is_exact:
+        tables = [deviation_sequence(place, lift, x, depth) for x in sample]
+        level_sup = [max(abs(row[m]) for row in tables) for m in range(depth)]
+    else:
+        zhat = np.array([_arch_lift(x) for x in sample]).T  # one orbit for the whole sample
+        gs = _arch_orbit(place, lift, zhat, depth)
+        # machine-zero deviation: the iteration sits at its fixed point
+        level_sup = [0.0 if sup < 1e-12 else sup for sup in (float(abs(g).max()) for g in gs)]
     suffix = list(level_sup)
     for m in range(depth - 2, -1, -1):
         suffix[m] = max(suffix[m], suffix[m + 1])

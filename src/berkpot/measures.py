@@ -349,7 +349,9 @@ def energy_pairing(place: Place, lift_f: HomogeneousLift, lift_g: HomogeneousLif
     Vanishes when the maps coincide and behaves like a squared distance
     between the two equilibrium measures; with the Laplacian oriented
     positive at zeros this orientation of the integrand is the nonnegative
-    one (it is the Dirichlet energy of the potential difference).
+    one (it is the Dirichlet energy of the potential difference).  At an
+    archimedean place each integral evaluates both potentials once, on the
+    whole atom array.
     """
     if place.is_ultrametric:
         if skeleton is None:
@@ -361,13 +363,8 @@ def energy_pairing(place: Place, lift_f: HomogeneousLift, lift_g: HomogeneousLif
         mu_g = equilibrium_arch(place, lift_g, seed, n)
     unit = place.log_unit
 
-    def integrand(x: BerkPoint) -> float:
-        lf = lambda_limit(place, lift_f, x, tol).value
-        lg = lambda_limit(place, lift_g, x, tol).value
-        return (float(lf) - float(lg)) * unit
+    def integrand(x):
+        diff = lambda_limit(place, lift_f, x, tol).value - lambda_limit(place, lift_g, x, tol).value
+        return (float(diff) if place.is_exact else diff) * unit
 
-    total = 0.0
-    for mu, sign in ((mu_f, 1), (mu_g, -1)):
-        for x, w in mu.atoms:
-            total += sign * float(w) * integrand(x)
-    return total
+    return integrate(place, mu_f, integrand)[0] - integrate(place, mu_g, integrand)[0]

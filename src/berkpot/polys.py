@@ -17,25 +17,11 @@ def trim(coeffs):
     return c
 
 
-def degree(coeffs) -> int:
-    """Degree, with deg 0 = -1."""
-    return len(trim(coeffs)) - 1
-
-
 def poly_eval(coeffs, x):
     out = 0 * x
     for c in reversed(list(coeffs)):
         out = out * x + c
     return out
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def poly_scale(c, a):
-    return [c * x for x in a]
 
 
 def poly_mul(a, b):
@@ -72,17 +58,6 @@ def taylor_shift(coeffs, z):
         if n == 0:
             break
     return out
-
-
-def reversed_coeffs(coeffs, formal_degree=None):
-    """Coefficients of T^m * P(1/T) with m = formal_degree (default deg P)."""
-    c = list(coeffs)
-    if formal_degree is None:
-        formal_degree = len(trim(c)) - 1
-    if formal_degree + 1 < len(trim(c)):
-        raise ValueError("formal degree below actual degree")
-    c = c + [0] * (formal_degree + 1 - len(c))
-    return list(reversed(c[: formal_degree + 1]))
 
 
 def sylvester_matrix(f, g, m: int, n: int):

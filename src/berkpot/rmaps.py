@@ -72,6 +72,14 @@ class HomogeneousLift:
     def resultant(self):
         return sylvester_resultant(list(self.f0), list(self.f1), self.d, self.d)
 
+    @cached_property
+    def complex_coeffs(self) -> np.ndarray:
+        """(F0, F1) coefficients as a read-only 2 x (d+1) complex array, the
+        form every archimedean evaluation reads."""
+        out = np.array([self.f0, self.f1], dtype=complex)
+        out.setflags(write=False)
+        return out
+
     @property
     def is_rational(self) -> bool:
         return all(isinstance(c, (Fraction, int)) for c in self.f0 + self.f1)
@@ -183,8 +191,7 @@ def preimages_arch(lift: HomogeneousLift, a) -> PreimageSet:
     roots of F0(t,1) - a F1(t,1) are the eigenvalues of stacked companion
     matrices plus one Newton polish; infinity accounts for any degree drop.
     """
-    f0 = np.array([complex(c) for c in lift.f0])
-    f1 = np.array([complex(c) for c in lift.f1])
+    f0, f1 = lift.complex_coeffs
     if isinstance(a, np.ndarray):
         rows = f0 - a.astype(complex)[:, None] * f1
     elif isinstance(a, str) and a == INF_POINT or isinstance(a, BerkPoint) and a.t == INF:

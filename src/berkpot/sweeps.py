@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .affable import affable_real, mass_bound
 from .battery import load_battery, standard_battery
-from .green import contraction_ratios, deviation_bound
+from .green import deviation_bound
 from .measures import (
     Measure,
     chi_measure,
@@ -224,8 +224,8 @@ def _eq_measure_at(place: Place, config: SweepConfig):
         return _chi_at(place, Fraction(0), RadiusSpec("const", Fraction(1))), 0, 0.0
     if place.is_ultrametric:
         skel = default_skeleton(place, config.skeleton_span)
-        mu, _report = equilibrium_nonarch(place, lift, skel, config.tol)
-        return mu, 0, config.tol
+        mu, report = equilibrium_nonarch(place, lift, skel, config.tol)
+        return mu, 0, max(st.certified_error for st in report.states)
     d = lift.d
     n = 1
     tail = bound.gmax / (d - 1) / d
@@ -261,11 +261,6 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
                 table.rows.append(SweepRow(kind, param, fn.fn_id, float("nan"), float("nan"), n_used, error=str(exc)))
     table.compute_modulus([f.fn_id for f in config.battery], len(config.grid))
     return table
-
-
-def report_contraction(lift: HomogeneousLift, place: Place, sample, n_max: int):
-    """Ratio rows for the metric iteration; None ratio means exact zero."""
-    return contraction_ratios(place, lift, sample, n_max)
 
 
 def circle_sample(n: int = 64, radius: float = 1.0):

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from berkpot.green import (
+    GreenError,
     contraction_ratios,
     deviation_at_point,
     deviation_bound,
@@ -17,7 +19,7 @@ from berkpot.green import (
     standard_potential,
 )
 from berkpot.places import Place, flow_place
-from berkpot.points import GAUSS, classical, disk, flow_point
+from berkpot.points import GAUSS, classical, disk, flow_point, infinity
 from berkpot.polys import poly_eval
 from berkpot.rmaps import HomogeneousLift
 from berkpot.sweeps import circle_sample
@@ -191,8 +193,8 @@ def test_deviation_bound_cached_for_complex_lift(monkeypatch):
     rabbit = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
     first = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
     calls = []
-    original = green.deviation_g
-    monkeypatch.setattr(green, "deviation_g", lambda *a: calls.append(a) or original(*a))
+    original = green._arch_step
+    monkeypatch.setattr(green, "_arch_step", lambda *a: calls.append(a) or original(*a))
     second = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
     assert len(calls) == second.n_used  # the orbit only, no new sample
     assert second.gmax == first.gmax and second.value == first.value
@@ -231,3 +233,40 @@ def test_contraction_exact_zero_rows():
 
     rows_p = contraction_ratios(p3, z2p, unit_sphere_sample_padic(p3, 6), 5)
     assert all(r is None for _, r in rows_p)
+
+
+RABBIT = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
+
+
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 1024)])
+@pytest.mark.parametrize("lift", [
+    HomogeneousLift.polynomial([-2, 0, 1]),
+    RABBIT,
+    HomogeneousLift.from_coeffs(2, [1, 0, 1], [0, 1]),  # (T0^2 + T1^2, T0 T1)
+], ids=["cheb", "rabbit", "nonpoly"])
+def test_lambda_limit_array_matches_scalar(lift, eps):
+    place = Place.archimedean(eps)
+    rng = np.random.default_rng(3)
+    z = np.concatenate([rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40), [0, complex("inf")]])
+    batch = lambda_limit(place, lift, z, 1e-10)
+    assert batch.value.shape == z.shape
+    for k, zk in enumerate(z):
+        st = lambda_limit(place, lift, infinity() if np.isinf(zk) else classical(complex(zk)), 1e-10)
+        assert type(st.value) is float
+        assert abs(batch.value[k] - st.value) <= 1e-13
+        assert (batch.n_used, batch.certified_error, batch.certificate, batch.gmax) == (
+            st.n_used, st.certified_error, st.certificate, st.gmax)
+    assert lambda_n(place, lift, z, 0).shape == z.shape
+
+
+def test_rabbit_deviation_bound_unchanged():
+    # the sampled bound of the scalar per-sample loop this library used before
+    b = deviation_bound(ARC, RABBIT)
+    assert abs(b.lower - -1.08471945106443) <= 1e-12
+    assert abs(b.upper - 1.1187123974030901) <= 1e-12
+
+
+def test_deviation_bound_infinite_at_residue_place():
+    t2p = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 2)], [1])  # T^2/2
+    with pytest.raises(GreenError, match="deviation bound is infinite at this place"):
+        deviation_bound(Place.residue(2), t2p)

@@ -276,6 +276,24 @@ def test_energy_pairing_basics():
     assert val == pytest.approx(swapped, abs=1e-9)
 
 
+@pytest.mark.parametrize("k, seed_value", [
+    (1, 0.18414401220221424), (4, 0.020114133416617212), (8, 0.0007477066066629343)])
+def test_energy_pairing_matches_pointwise_values(k, seed_value):
+    # values of the per-atom scalar pairing this library used before
+    lift = HomogeneousLift.polynomial([F(1, 2**k), 0, 1])
+    assert abs(energy_pairing(ARC, Z2, lift, n=10, tol=1e-7) - seed_value) <= 1e-12
+
+
+def test_energy_pairing_evaluates_potentials_per_measure(monkeypatch):
+    import berkpot.measures as measures
+
+    calls = []
+    original = measures.lambda_limit
+    monkeypatch.setattr(measures, "lambda_limit", lambda *a: calls.append(a) or original(*a))
+    energy_pairing(ARC, Z2, HomogeneousLift.polynomial([F(1, 4), 0, 1]), n=8)
+    assert len(calls) == 4  # two potentials on each of the two atom arrays
+
+
 def test_energy_pairing_nonarch():
     p5 = Place.padic(5)
     t25 = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 5)], [1])

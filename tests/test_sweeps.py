@@ -8,15 +8,18 @@ import pytest
 
 from berkpot.battery import standard_battery
 from berkpot.cli import main
+from berkpot.green import contraction_ratios
+from berkpot.measures import equilibrium_nonarch
 from berkpot.places import Place
 from berkpot.rmaps import HomogeneousLift, lift_to_json
 from berkpot.sweeps import (
     SweepConfig,
     SweepError,
+    _eq_measure_at,
     circle_sample,
     default_grid,
+    default_skeleton,
     padic_branch_grid,
-    report_contraction,
     sweep_chi,
     sweep_equilibrium,
     validate_grid,
@@ -101,7 +104,7 @@ def test_sweep_config_from_json():
 
 
 def test_report_contraction_rows():
-    rows = report_contraction(Z2, Place.archimedean(), circle_sample(8), 4)
+    rows = contraction_ratios(Place.archimedean(), Z2, circle_sample(8), 4)
     assert [n for n, _ in rows] == [1, 2, 3]
     assert all(r is None for _, r in rows)
 
@@ -303,3 +306,24 @@ def test_cli_equilibrium_matches_reference_rows(tmp_path):
         assert g[0] == r[0] == "atom" and g[2] == r[2] == ""
         assert abs(complex(g[1]) - complex(r[1])) <= 1e-12
         assert abs(float(g[3]) - float(r[3])) <= 1e-12
+
+
+def test_residue_rows_fail_with_typed_bound_error():
+    t2p = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 2)], [1])  # T^2/2
+    table = sweep_equilibrium(SweepConfig(grid=padic_branch_grid(2, 10), battery=BAT, lift=t2p))
+    failed = [r for r in table.rows if r.error]
+    assert [r.place_kind for r in failed] == ["res"] * len(BAT)
+    assert all(r.error == "deviation bound is infinite at this place (coefficients blow up)"
+               for r in failed)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ultrametric_tail_is_largest_vertex_error(p):
+    place = Place.padic(p)
+    t2p = HomogeneousLift.from_coeffs(2, [0, 0, F(1, p)], [1])
+    cfg = SweepConfig(grid=[place], battery=BAT, lift=t2p)
+    _mu, _n, tail = _eq_measure_at(place, cfg)
+    _mu, report = equilibrium_nonarch(place, t2p, default_skeleton(place, cfg.skeleton_span), cfg.tol)
+    kinds = [st.certificate for st in report.states]
+    assert (kinds.count("certified"), kinds.count("exact")) == (3, 6)
+    assert tail == max(st.certified_error for st in report.states) <= cfg.tol
