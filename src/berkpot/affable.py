@@ -6,9 +6,8 @@ rational constant plus a nonnegative-rational combination of log|g| terms
 function carries one (plus, minus) pair of pieces per standard chart of
 P^1; chart0 terms are polynomials in T, chartInf terms polynomials in
 S = 1/T, and the two descriptions must agree on the overlap ring.
-
-Minus-infinity constants are kept symbolic (None); where a finite stand-in
-is needed (sup-norm nets) they clamp at -10^6.
+Minus-infinity constants are kept symbolic (None).  Branch weights are
+nonnegative, so each piece is subharmonic: ``mass_bound`` is a slope sum.
 
 Evaluation follows the place: at ultrametric places one point at a time in
 exact arithmetic; at archimedean places on numpy arrays of points, with
@@ -26,20 +25,12 @@ import numpy as np
 
 from .graphs import MetricGraph, PLFunction, subdivide_edge
 from .places import NEG_INF, Place, PlaceError, abs_log_value, is_neg_inf, vmax, vplus, vscale
-from .points import ARCH_INF, BerkPoint, arch_point, classical, disk, eval_log_abs, infinity
+from .points import ARCH_INF, BerkPoint, arch_point, classical, disk, eval_log_abs
 from .polys import taylor_shift
-
-SENTINEL = -(10**6)  # finite stand-in for -inf constants on numeric nets
 
 
 class AffableError(ValueError):
     pass
-
-
-def _q(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -98,16 +89,16 @@ def piece_vmax(a: Piece, b: Piece) -> Piece:
 
 
 def piece_const(c) -> Piece:
-    return Piece((Branch(_q(c), ()),))
+    return Piece((Branch(Fraction(c), ()),))
 
 
 def piece_max_log(q0, terms) -> Piece:
     """max(q0, q_1 log|g_1|, ..., q_n log|g_n|); q0 None means -inf."""
     branches = []
     if q0 is not None:
-        branches.append(Branch(_q(q0), ()))
+        branches.append(Branch(Fraction(q0), ()))
     for q, coeffs in terms:
-        branches.append(Branch(Fraction(0), ((_q(q), tuple(_q(c) for c in coeffs)),)))
+        branches.append(Branch(Fraction(0), ((Fraction(q), tuple(Fraction(c) for c in coeffs)),)))
     if not branches:
         raise AffableError("empty piece")
     return Piece(tuple(branches))
@@ -265,7 +256,7 @@ def affable_combine(op: str, f: AffableFn, g=None, q=None) -> AffableFn:
     swap the plus and minus pieces.
     """
     if op == "scale_q":
-        q = _q(q)
+        q = Fraction(q)
         if q >= 0:
             pieces = [p.scaled(q) for p in (f.chart0_plus, f.chart0_minus,
                                             f.chartinf_plus, f.chartinf_minus)]
@@ -304,7 +295,7 @@ def affable_combine(op: str, f: AffableFn, g=None, q=None) -> AffableFn:
 
 def scale_constants(fn: AffableFn, eps) -> AffableFn:
     """The flow-rescaled companion: every branch constant multiplied by eps."""
-    eps = _q(eps)
+    eps = Fraction(eps)
     return AffableFn(
         fn.chart0_plus.consts_scaled(eps),
         fn.chart0_minus.consts_scaled(eps),
@@ -314,69 +305,23 @@ def scale_constants(fn: AffableFn, eps) -> AffableFn:
     )
 
 
-# -- sup norms and the Laplacian-mass bound -----------------------------------
+# -- the Laplacian-mass bound --------------------------------------------------
 
 
-def _piece_sup_net(place: Place, piece: Piece, chart: str, radius: float = 4.0) -> float:
-    """Net-estimated sup of |piece| over the chart disk of the given radius.
-
-    The chart-0 disk is |T| <= radius; the chart-inf disk is |S| <= radius.
-    Archimedean places use a 4-ring x 64-angle net plus the centre, in the
-    chart coordinate; ultrametric ones the disk points eta_{0,q} of a small
-    radius ladder plus rational points.
-    """
-    if not place.is_ultrametric:
-        rings = radius * np.arange(1, 5) / 4.0
-        angles = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
-        v = _arch_piece(place, piece, np.append(np.outer(rings, angles).ravel(), 0j))
-        v = np.abs(v[v > NEG_INF])  # exact poles of the piece are skipped
-        return max(0.0, float(v.max())) if v.size else abs(float(SENTINEL))
-    pts = []
-    unit = place.log_unit
-    qtop = int(math.floor(math.log(radius) / unit))
-    signs = 1 if chart == "0" else -1
-    for qq in range(-4, max(qtop, 0) + 1):
-        pts.append(disk(0, Fraction(signs * qq)))
-    if chart == "0":
-        for z in (0, 1, -1, 2, -2, 3):
-            pts.append(classical(Fraction(z)))
-    else:
-        pts.append(infinity())
-        for z in (1, -1, 2, -2, 3):
-            pts.append(classical(Fraction(1, 1) / z))
-    best = None
-    for x in pts:
-        t_log = _t_log(place, x)
-        if chart == "inf" and x.t != "inf" and is_neg_inf(t_log):
-            continue
-        v = _piece_value(place, piece, x, chart, t_log)
-        if is_neg_inf(v):
-            continue  # exact pole of the piece; the net estimate skips it
-        best = max(best if best is not None else 0.0, abs(float(v)))
-    if best is None:
-        return abs(float(SENTINEL))  # piece is -inf on the whole net
-    return best
+def _piece_slope(piece: Piece) -> Fraction:
+    """Top slope max over finite branches of sum q_i deg g_i (0 if none)."""
+    return max((sum((q * (len(g) - 1) for q, g in b.terms), Fraction(0))
+                for b in piece.branches if b.const is not None), default=Fraction(0))
 
 
 def mass_bound(place: Place, fn: AffableFn) -> float:
-    """Uniform bound for the total variation of the fiber Laplacian.
-
-    Per chart, (2/log(R/r)) (||f+|| + ||f-||) over the radius-4 chart disk,
-    charts summed; the disk bound with R = 4, r = 2 drives the constant.
-    Sup norms are on the place's coefficient scale, so log(R/r) is taken on
-    it too: eps log 2 at an archimedean place |.|^eps, log 2 at ultrametric
-    places, and the bound does not carry eps.  Sup norms are net estimates;
-    pole points of a single piece are skipped (a piece that is -inf on the
-    whole net falls back to the sentinel).
-    """
-    unit = place.log_unit
-    log_ratio = math.log(2.0) * (1.0 if place.is_ultrametric else float(place.eps))
-    total = 0.0
-    for chart, plus, minus in fn.charts():
-        sup_p = _piece_sup_net(place, plus, chart)
-        sup_m = _piece_sup_net(place, minus, chart)
-        total += (2.0 / log_ratio) * (sup_p + sup_m) * unit
-    return total
+    """Bound for |Delta f|(P^1) in real units: the slope sum over the charts
+    of s(plus) + s(minus), the same rational at every place, times
+    ``place.log_unit``.  A piece's Riesz mass is at most its top slope s;
+    the ``sweeps`` docstring derives the scale."""
+    slopes = sum((_piece_slope(plus) + _piece_slope(minus) for _, plus, minus in fn.charts()),
+                 Fraction(0))
+    return float(slopes) * place.log_unit
 
 
 # -- exact PL restriction to skeleta -------------------------------------------

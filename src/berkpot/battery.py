@@ -11,13 +11,11 @@ measures supported away from it.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .affable import (
     AffableFn,
     affable_combine,
     affable_from_json,
-    affable_to_json,
     piece_const,
     piece_max_log,
     PIECE_ZERO,
@@ -102,16 +100,8 @@ def standard_battery() -> list[AffableFn]:
     return list(_BATTERY)
 
 
-def battery_json() -> dict:
-    return {"functions": [affable_to_json(f) for f in standard_battery()]}
-
-
-def load_battery(path=None) -> list[AffableFn]:
-    """Battery from a JSON file, or the packaged standard battery."""
-    if path is None:
-        text = resources.files("berkpot").joinpath("data/affable_battery.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    obj = json.loads(text)
+def load_battery(path) -> list[AffableFn]:
+    """Battery from a JSON file: {"functions": [affable JSON, ...]}."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
     return [affable_from_json(f) for f in obj["functions"]]

@@ -106,8 +106,6 @@ def _sweep_rows(table):
 
 def _cmd_sweep(args, which: str) -> int:
     cfg = SweepConfig.from_json(_load_json(args.config))
-    if args.seed is not None:
-        cfg.rng_seed = args.seed
     table = sweep_chi(cfg) if which == "chi" else sweep_equilibrium(cfg)
     _emit(_sweep_rows(table), ["place_kind", "place_param", "fn_id", "value", "cert_err", "n_used"],
           args.out, args.quiet)
@@ -171,9 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (.csv or .json)")
-        p.add_argument("--seed", type=int, default=None, help="probe-set RNG seed")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("green", help="canonical potentials at points")
@@ -193,23 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed point for the preimage tree, e.g. 2+0i")
     p.add_argument("--skeleton")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output path (.csv or .json)")
-    p.add_argument("--quiet", action="store_true")
+    common(p)
     p.set_defaults(fn=_cmd_equilibrium)
 
     p = sub.add_parser("sweep-chi", help="circle-family sweep over the base")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--config", required=True, help="JSON sweep config file")
+    common(p)
     p.set_defaults(fn=lambda a: _cmd_sweep(a, "chi"))
 
     p = sub.add_parser("sweep-eq", help="equilibrium-family sweep over the base")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--config", required=True, help="JSON sweep config file")
+    common(p)
     p.set_defaults(fn=lambda a: _cmd_sweep(a, "eq"))
 
     p = sub.add_parser("contraction", help="metric-iteration contraction report")

@@ -65,7 +65,7 @@ _INFINITE_BOUND = "deviation bound is infinite at this place (coefficients blow 
 def standard_potential(place: Place, x: BerkPoint) -> LogValue:
     """-log of the standard norm of T0 at x: max(-log|T|, 0), coefficient units."""
     if x.t == INF:
-        return 0 if place.is_exact else 0.0
+        return 0 if place.is_ultrametric else 0.0
     t = eval_log_abs(place, x, [0, 1])
     if is_neg_inf(t):
         return float("inf")
@@ -149,7 +149,7 @@ def _lift_of(x: BerkPoint):
 def deviation_g(place: Place, lift: HomogeneousLift, zhat) -> LogValue:
     """g at an explicit lift (z0, z1) != (0,0): log||F(zhat)|| - d log||zhat||."""
     z0, z1 = zhat
-    if not place.is_exact:
+    if not place.is_ultrametric:
         if z0 == 0 and z1 == 0:
             raise GreenError("(0,0) is not a lift")
         return _arch_orbit(place, lift, _normalized(complex(z0), complex(z1)), 1)[0]
@@ -221,7 +221,7 @@ def deviation_sequence(place: Place, lift: HomogeneousLift, x, n: int):
     At an archimedean place x may be a point array; each entry is then an
     array (see the module docstring).
     """
-    if not place.is_exact:
+    if not place.is_ultrametric:
         return _arch_orbit(place, lift, _arch_lift(x), n)
     state = _lift_of(x)
     out = []
@@ -241,13 +241,13 @@ def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     total = _zero(place, x)
     for k, g in enumerate(deviation_sequence(place, lift, x, n)):
         w = Fraction(1, lift.d ** (k + 1))
-        total = total - (w * g if place.is_exact else float(w) * g)
+        total = total - (w * g if place.is_ultrametric else float(w) * g)
     return total
 
 
 def _zero(place: Place, x):
     """The potential 0 in the form a value at x takes."""
-    if place.is_exact:
+    if place.is_ultrametric:
         return Fraction(0)
     return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
 
@@ -334,7 +334,7 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
     d = lift.d
     if lift.is_rational:
         cof = resultant_cofactors(lift)
-        if place.is_exact:
+        if place.is_ultrametric:
             coeff_logs = [abs_log_value(place, c) for c in lift.coeff_list() if c != 0]
             upper = vmax(*coeff_logs)
             if upper == POS_INF:
@@ -351,7 +351,7 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
         res = abs(float(Fraction(lift.resultant)))
         lower = eps * (math.log(res) - math.log(2 * d * maxcof))
         return DeviationBound(lower, upper, True)
-    if place.is_exact:
+    if place.is_ultrametric:
         raise PlaceError("complex-coefficient lifts are archimedean-only")
     # heuristic: sampled range of g over the unit sphere with a x2 safety
     # factor; sample k draws (theta0, theta1, r, swap) in that order, uniform
@@ -395,7 +395,7 @@ def _escape_threshold(place: Place, lift: HomogeneousLift):
     ultrametric equality g equals log|f0[d]| at every later step and the
     remaining series sums exactly.  Returns (t*, tail constant).
     """
-    if not (place.is_exact and lift.is_polynomial):
+    if not (place.is_ultrametric and lift.is_polynomial):
         return None
     d = lift.d
     a_top = abs_log_value(place, lift.f0[d])
@@ -451,7 +451,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         if n > 10_000:
             raise GreenError("tolerance unreachable")
     cert = "certified" if bound.certified else "heuristic"
-    if not place.is_exact:
+    if not place.is_ultrametric:
         return PotentialState(lambda_n(place, lift, x, n), n, err, cert, bound.gmax)
     esc = _escape_threshold(place, lift)
     state = _lift_of(x)
@@ -492,7 +492,7 @@ def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):
         raise GreenError("need n_max >= 3")
     d = lift.d
     depth = n_max + 1
-    if place.is_exact:
+    if place.is_ultrametric:
         tables = [deviation_sequence(place, lift, x, depth) for x in sample]
         level_sup = [max(abs(row[m]) for row in tables) for m in range(depth)]
     else:

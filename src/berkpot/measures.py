@@ -193,19 +193,15 @@ def pushforward_measure(map_fn, mu: Measure, circle_image=None, haar_samples: in
     """
     atoms = [(map_fn(x), w) for x, w in mu.atoms]
     haars = []
-    sampled = False
     for z, r, w in mu.haars:
         if circle_image is not None:
             zc, rc = circle_image(z, r)
             haars.append((complex(zc), float(rc), w))
         else:
-            sampled = True
             for k in range(haar_samples):
                 pt = classical(z + r * cmath.exp(2j * math.pi * (k + 0.5) / haar_samples))
                 atoms.append((map_fn(pt), w / haar_samples))
-    out = Measure(atoms, haars)
-    out.sampled_haar = sampled
-    return out
+    return Measure(atoms, haars)
 
 
 def pullback_measure(place: Place, lift: HomogeneousLift, mu) -> ArchMeasure:
@@ -365,6 +361,6 @@ def energy_pairing(place: Place, lift_f: HomogeneousLift, lift_g: HomogeneousLif
 
     def integrand(x):
         diff = lambda_limit(place, lift_f, x, tol).value - lambda_limit(place, lift_g, x, tol).value
-        return (float(diff) if place.is_exact else diff) * unit
+        return (float(diff) if place.is_ultrametric else diff) * unit
 
     return integrate(place, mu_f, integrand)[0] - integrate(place, mu_g, integrand)[0]

@@ -91,11 +91,7 @@ class Place:
 
     @property
     def is_ultrametric(self) -> bool:
-        return self.kind != ARCH
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether log-magnitudes at this place are exact rationals."""
+        """Ultrametric, which is also when log-magnitudes are exact rationals."""
         return self.kind != ARCH
 
     @property
@@ -181,7 +177,7 @@ def abs_log_value(place: Place, q) -> LogValue:
 
 def abs_log(place: Place, q) -> LogMag:
     """log|q| at the place; -inf iff q = 0 (or the residue seminorm kills q)."""
-    return LogMag(abs_log_value(place, q), place.is_exact, place.log_unit)
+    return LogMag(abs_log_value(place, q), place.is_ultrametric, place.log_unit)
 
 
 def epsilon_of(place: Place) -> Fraction:

@@ -105,7 +105,7 @@ GAUSS = disk(0, 0)
 
 
 def _coerce_poly(place: Place, coeffs):
-    if place.is_exact:
+    if place.is_ultrametric:
         return [_as_fraction(c) for c in coeffs]
     return [complex(c) for c in coeffs]
 
@@ -122,12 +122,12 @@ def eval_log_abs(place: Place, point: BerkPoint, coeffs) -> LogValue:
     if point.t == INF:
         if any(c != 0 for c in coeffs[1:]):
             return float("inf")
-        return abs_log_value(place, coeffs[0]) if place.is_exact else _arch_log(place, coeffs[0])
+        return abs_log_value(place, coeffs[0]) if place.is_ultrametric else _arch_log(place, coeffs[0])
     if point.t == CLS:
         val = 0
         for c in reversed(coeffs):
             val = val * point.z + c
-        if place.is_exact:
+        if place.is_ultrametric:
             return abs_log_value(place, val)
         return _arch_log(place, val)
     # disk point
@@ -212,7 +212,7 @@ def same_point(place: Place, a: BerkPoint, b: BerkPoint) -> bool:
     if a.t == INF:
         return True
     if a.t == CLS:
-        if place.is_exact:
+        if place.is_ultrametric:
             return a.z == b.z
         return abs(complex(a.z) - complex(b.z)) <= 1e-9
     if a.logr != b.logr:

@@ -24,18 +24,6 @@ def poly_eval(coeffs, x):
     return out
 
 
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def taylor_shift(coeffs, z):
     """Coefficients of P(z + T) given those of P(T); exact for Fractions.
 

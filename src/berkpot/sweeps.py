@@ -6,10 +6,19 @@ test functions, and reports the modulus sequence (successive differences
 along the tail of the grid).  Continuity of the measure family is reported,
 never asserted: the tables are the witness.
 
-Certified row errors combine quadrature-doubling estimates with the
-potential-tail bound multiplied by the test function's Laplacian-mass bound
-(the pairing |int f dmu_n - int f dmu_phi| <= ||lambda_phi - lambda_n|| *
-mass(|Delta f|)).
+Equilibrium row errors are the quadrature error plus the potential tail
+times ``affable.mass_bound``.  The scale, derived once:
+
+- Values of f and of the potentials live on the place's coefficient scale,
+  and the fiber Laplacian on that scale sends the potential to mu.  So the
+  pairing gives |int f dmu_n - int f dmu| <= ||lambda - lambda_n|| *
+  |Delta f|(P^1), all on the coefficient scale.
+- |Delta f|(P^1) is at most the slope sum of f's pieces (each piece is
+  subharmonic on its chart, with Riesz mass at most its top slope).  The
+  charts agree on the overlap ring, so the unit circle or the Gauss point
+  adds no mass.  The slope sum does not depend on the place.
+- ``place.log_unit`` converts the product to the real scale of the rows;
+  ``mass_bound`` carries that factor.
 """
 
 from __future__ import annotations
@@ -148,7 +157,6 @@ class SweepConfig:
     atom_budget: int = 1 << 14
     skeleton_span: int = 2
     seed_point: complex = 2 + 0j
-    rng_seed: int = 0
 
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":
@@ -172,7 +180,7 @@ class SweepConfig:
                 cfg.center = Fraction(str(obj["center"]))
             if "radius" in obj:
                 cfg.radius = RadiusSpec.parse(obj["radius"])
-            for k in ("tol", "quad_n", "atom_budget", "skeleton_span", "rng_seed"):
+            for k in ("tol", "quad_n", "atom_budget", "skeleton_span"):
                 if k in obj:
                     setattr(cfg, k, type(getattr(cfg, k))(obj[k]))
             if "seed_point" in obj:

@@ -2,7 +2,6 @@ import json
 import math
 import random
 from fractions import Fraction as F
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from berkpot.affable import (
     scale_constants,
     validate_charts,
 )
-from berkpot.battery import battery_json, load_battery, standard_battery
+from berkpot.battery import load_battery, standard_battery
 from berkpot.graphs import graph_laplacian
 from berkpot.places import Place, flow_place
 from berkpot.points import GAUSS, build_skeleton, classical, disk, flow_point
@@ -125,18 +124,39 @@ def test_add_identity():
         assert affable_eval(ARC, h, x) == pytest.approx(affable_eval(ARC, F1, x), abs=1e-12)
 
 
+SLOPE_SUMS = {
+    "clip_log_T_minus_2": 3,
+    "one": 0,
+    "log_plus_T": 3,
+    "log_ratio_3_2": 4,
+    "clip_log_T2_minus_2": 8,
+    "half_clip_log_T_minus_1": F(3, 2),
+    "min_clip_half": 4,
+    "standard_potential": 3,
+}
+
+
+@pytest.mark.parametrize("place", [ARC, Place.archimedean(F(1, 2**10)), Place.padic(3)],
+                         ids=["arch-1", "arch-2^-10", "padic-3"])
+def test_mass_bound_is_the_slope_sum(place):
+    # the same rational at every place, in real units
+    assert {f.fn_id: mass_bound(place, f) for f in BAT} == {
+        fid: float(s) * place.log_unit for fid, s in SLOPE_SUMS.items()
+    }
+
+
 def test_mass_bound_clipped_log():
-    # f+ = max(0, log|T|), f- = 0: sup over the radius-4 chart disk is log 4
+    # Delta max(0, log|T|) on P^1 is Haar on |T| = 1 minus delta_inf: total
+    # variation 2; the slope sum is 1 (chart 0) + 1 + 1 (chart inf)
     fn = next(f for f in BAT if f.fn_id == "log_plus_T")
     bound = mass_bound(ARC, fn)
-    assert bound >= (2 / math.log(2)) * math.log(4)
-    assert bound < 60  # stays a desk-scale constant
+    assert bound == 3
+    assert bound >= 2
 
 
 def test_mass_bound_constant():
     one = next(f for f in BAT if f.fn_id == "one")
-    bound = mass_bound(ARC, one)
-    assert bound >= 0  # true Laplacian mass 0 <= bound
+    assert mass_bound(ARC, one) == 0
 
 
 def test_mass_bound_dominates_skeleton_laplacian():
@@ -235,13 +255,10 @@ def test_flow_rescaled_evaluation():
                 assert lhs == eps * affable_eval(p3, fn, x)
 
 
-def test_battery_json_round_trip_and_shipped_file():
-    shipped = load_battery()
-    assert len(shipped) == 8
-    for built, loaded in zip(standard_battery(), shipped):
-        assert affable_to_json(built) == affable_to_json(loaded)
-    text = resources.files("berkpot").joinpath("data/affable_battery.json").read_text()
-    assert json.loads(text) == battery_json()
+def test_load_battery_from_file(tmp_path):
+    path = tmp_path / "battery.json"
+    path.write_text(json.dumps({"functions": [affable_to_json(f) for f in BAT]}))
+    assert [affable_to_json(f) for f in load_battery(str(path))] == [affable_to_json(f) for f in BAT]
 
 
 def test_affable_json_round_trip():

@@ -19,10 +19,19 @@ from berkpot.points import (
     retract,
     same_point,
 )
-from berkpot.polys import poly_mul
 
 P2 = Place.padic(2)
 P3 = Place.padic(3)
+
+
+def poly_mul(a, b):
+    """Product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
 
 small_polys = st.lists(
     st.fractions(min_value=-50, max_value=50, max_denominator=8), min_size=1, max_size=5

@@ -289,6 +289,17 @@ def test_squaring_map_rows_within_summed_certificates():
         assert abs(a.value - b.value) <= a.cert_err + b.cert_err, (a, b)
 
 
+def test_constant_rows_are_exact_along_the_grid():
+    # Delta 1 = 0, so the tail adds nothing to the total-mass rows of z^2 - 1
+    one = [f for f in BAT if f.fn_id == "one"]
+    lift = HomogeneousLift.polynomial([-1, 0, 1])
+    table = sweep_equilibrium(SweepConfig(grid=default_grid(10), battery=one, lift=lift,
+                                          atom_budget=1 << 13))
+    assert len(table.rows) == 12
+    for row in table.rows:
+        assert not row.error and row.cert_err == 0.0 and abs(row.value - 1.0) <= 1e-12, row
+
+
 def test_cli_equilibrium_matches_reference_rows(tmp_path):
     # rows of `equilibrium --mode arch --n 8` for z^2 - 1, as written by the
     # scalar preimage solver this library used before its batched one
