@@ -20,7 +20,6 @@ from .green import (
     contraction_ratios,
     deviation_g,
     ecart_dK,
-    gmax,
     lambda_limit,
     lambda_n,
     standard_potential,

@@ -11,11 +11,15 @@ a scale-invariant deviation.  |g| <= G_max gives the a priori tail bound
 ||lambda_phi - lambda_n|| <= G_max / (d^n (d-1)), the contraction constant
 being 1/d.
 
-G_max certification: the upper branch is a coefficient bound; the lower
-branch divides the resultant by a cofactor bound, using the exact identities
-Res * t^{2d-1} = A0 f0 + B0 f1 and Res = A1 f0 + B1 f1 with deg A_i, B_i < d
-(solved once over Q from the Sylvester system).  When the lift has complex
-coefficients the bound falls back to a sampled infimum marked "heuristic".
+G_max certification, the same for every lift: the upper branch is a
+coefficient bound; the lower branch is a cofactor bound, from the exact
+identities t^{2d-1} = A0 f0 + B0 f1 and 1 = A1 f0 + B1 f1 with
+deg A_i, B_i < d.  On a lift of max norm 1 they give ||F|| >= 1 / (2d max|x_j|)
+at an archimedean place and ||F|| >= 1 / max|x_j| at an ultrametric one,
+x_j running over the cofactor coefficients.  The cofactors solve the
+transposed Sylvester system M = R + iJ once, exactly over Q: float
+coefficients are dyadic rationals, so the realified system
+[[R, -J], [J, R]] is rational, and a rational lift is the case J = 0.
 
 Archimedean places run every orbit through one kernel, ``_arch_step``, which
 reads the lift's complex coefficients (``HomogeneousLift.complex_coeffs``)
@@ -32,6 +36,7 @@ exact disk transport and the closed escape tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +56,8 @@ from .places import (
     vscale,
 )
 from .points import CLS, INF, BerkPoint, eval_log_abs
-from .polys import exact_solve
-from .rmaps import HomogeneousLift, MapError, apply_point
+from .polys import exact_solve, sylvester_matrix
+from .rmaps import HomogeneousLift, apply_point
 
 
 class GreenError(RuntimeError):
@@ -257,7 +262,11 @@ def _zero(place: Place, x):
 
 @dataclass(frozen=True)
 class ResultantCofactors:
-    """Exact cofactors: Res t^{2d-1} = a0 f0 + b0 f1, Res = a1 f0 + b1 f1."""
+    """Cofactors of degree < d with t^{2d-1} = a0 f0 + b0 f1 and 1 = a1 f0 + b1 f1.
+
+    Ascending coefficient tuples: Fractions, or complex where the exact
+    solution has a nonzero imaginary part.
+    """
 
     a0: tuple
     b0: tuple
@@ -268,37 +277,25 @@ class ResultantCofactors:
         return list(self.a0) + list(self.b0) + list(self.a1) + list(self.b1)
 
 
-_COFACTOR_CACHE: dict = {}
-
-
+@functools.cache
 def resultant_cofactors(lift: HomogeneousLift) -> ResultantCofactors:
-    if not lift.is_rational:
-        raise MapError("exact cofactors need rational coefficients")
-    key = (lift.d, lift.f0, lift.f1)
-    if key in _COFACTOR_CACHE:
-        return _COFACTOR_CACHE[key]
+    """Exact cofactors from the realified Sylvester system (module docstring)."""
     d = lift.d
     size = 2 * d
-    # columns of M: coefficient vectors of t^i f0 (i < d) and t^i f1 (i < d),
-    # in the degree <= 2d-1 coefficient basis
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(d):
-        for j, c in enumerate(lift.f0):
-            m[i + j][i] += Fraction(c)
-        for j, c in enumerate(lift.f1):
-            m[i + j][d + i] += Fraction(c)
-    res = Fraction(lift.resultant)
-    sols = []
-    for k in (2 * d - 1, 0):
-        rhs = [Fraction(0)] * size
-        rhs[k] = res
-        sols.append(exact_solve(m, rhs))
-    top, bottom = sols
-    out = ResultantCofactors(
-        a0=tuple(top[:d]), b0=tuple(top[d:]), a1=tuple(bottom[:d]), b1=tuple(bottom[d:])
-    )
-    _COFACTOR_CACHE[key] = out
-    return out
+    # columns of M: t^{d-1-i} f0 and t^{d-1-i} f1 (i < d) in the descending
+    # basis t^{2d-1}, ..., 1; M = R + iJ is solved as [[R, -J], [J, R]]
+    m = list(zip(*sylvester_matrix(lift.f0, lift.f1, d, d)))
+    real = [[Fraction(c.real) for c in row] for row in m]
+    imag = [[Fraction(c.imag) for c in row] for row in m]
+    system = [r + [-x for x in j] for r, j in zip(real, imag)] + [j + r for r, j in zip(real, imag)]
+    cofactors = []
+    for k in (0, size - 1):  # right-hand sides t^{2d-1} and 1
+        rhs = [0] * (2 * size)
+        rhs[k] = 1
+        u = exact_solve(system, rhs)
+        x = [complex(a, b) if b else a for a, b in zip(u[:size], u[size:])]
+        cofactors += [tuple(reversed(x[:d])), tuple(reversed(x[d:]))]
+    return ResultantCofactors(*cofactors)
 
 
 @dataclass(frozen=True)
@@ -307,66 +304,35 @@ class DeviationBound:
 
     lower: float
     upper: float
-    certified: bool
 
     @property
     def gmax(self) -> float:
         return max(self.upper, -self.lower, 0.0)
 
 
-_DEVIATION_CACHE: dict = {}
-
-
 def deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
-    """Certified G_max when coefficients are rational, sampled otherwise.
-
-    Computed once per (place, lift); the sample of a complex lift is seeded,
-    so the cached bound is the one every call would compute.
-    """
-    # a complex lift can equal a rational one (2 == 2+0j) but gets a sampled bound
-    key = (place, lift, lift.is_rational)
-    if key not in _DEVIATION_CACHE:
-        _DEVIATION_CACHE[key] = _deviation_bound(place, lift)
-    return _DEVIATION_CACHE[key]
-
-
-def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
-    d = lift.d
-    if lift.is_rational:
-        cof = resultant_cofactors(lift)
-        if place.is_ultrametric:
-            coeff_logs = [abs_log_value(place, c) for c in lift.coeff_list() if c != 0]
-            upper = vmax(*coeff_logs)
-            if upper == POS_INF:
-                raise GreenError(_INFINITE_BOUND)
-            cof_logs = [abs_log_value(place, c) for c in cof.coeff_list() if c != 0]
-            res_log = abs_log_value(place, Fraction(lift.resultant))
-            lower = vplus(res_log, vscale(-1, vmax(*cof_logs)))
-            unit = place.log_unit
-            return DeviationBound(float(lower) * unit, float(upper) * unit, True)
-        eps = float(place.eps)
-        maxc = max(abs(float(Fraction(c))) for c in lift.coeff_list())
-        upper = eps * (math.log(maxc) + math.log(d + 1))
-        maxcof = max(abs(float(Fraction(c))) for c in cof.coeff_list() if c != 0)
-        res = abs(float(Fraction(lift.resultant)))
-        lower = eps * (math.log(res) - math.log(2 * d * maxcof))
-        return DeviationBound(lower, upper, True)
-    if place.is_ultrametric:
+    """Certified G_max from the coefficients and the cofactors, once per
+    (place, lift)."""
+    if place.is_ultrametric and not lift.is_rational:
+        # checked before the cache: 2 + 0j == 2, so equal lifts share entries
         raise PlaceError("complex-coefficient lifts are archimedean-only")
-    # heuristic: sampled range of g over the unit sphere with a x2 safety
-    # factor; sample k draws (theta0, theta1, r, swap) in that order, uniform
-    # on [0, 2 pi)^2 x [0, 1)^2, and is (e^{i theta0}, r e^{i theta1}), or
-    # (r e^{i theta1}, e^{i theta1}) when swap < 1/2
-    draws = np.random.default_rng(0).random((2048, 4))
-    e0, e1 = np.exp(1j * (2 * math.pi * draws[:, :2])).T
-    r, swap = draws[:, 2], draws[:, 3] < 0.5
-    zhat = _normalized(np.where(swap, r * e1, e0), np.where(swap, e1, r * e1))
-    g = _arch_orbit(place, lift, zhat, 1)[0]
-    return DeviationBound(2 * float(g.min()), 2 * float(g.max()), False)
+    return _deviation_bound(place, lift)
 
 
-def gmax(place: Place, lift: HomogeneousLift) -> float:
-    return deviation_bound(place, lift).gmax
+@functools.cache
+def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
+    if place.is_ultrametric:
+        upper = vmax(*[abs_log_value(place, c) for c in lift.coeff_list() if c != 0])
+        if upper == POS_INF:
+            raise GreenError(_INFINITE_BOUND)
+        cof = resultant_cofactors(lift).coeff_list()
+        lower = vscale(-1, vmax(*[abs_log_value(place, c) for c in cof if c != 0]))
+        unit = place.log_unit
+        return DeviationBound(float(lower) * unit, float(upper) * unit)
+    eps, d = float(place.eps), lift.d
+    maxc = max(abs(complex(c)) for c in lift.coeff_list())
+    maxcof = max(abs(complex(c)) for c in resultant_cofactors(lift).coeff_list())
+    return DeviationBound(-eps * math.log(2 * d * maxcof), eps * (math.log(maxc) + math.log(d + 1)))
 
 
 # -- limit with certificate ----------------------------------------------------
@@ -384,7 +350,7 @@ class PotentialState:
     value: LogValue
     n_used: int
     certified_error: float
-    certificate: str  # "exact" | "certified" | "heuristic"
+    certificate: str  # "exact" | "certified"
     gmax: float = 0.0
 
 
@@ -441,7 +407,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     d = lift.d
     if not math.isfinite(bound.gmax):
         raise GreenError(_INFINITE_BOUND)
-    if bound.certified and bound.gmax == 0.0:
+    if bound.gmax == 0.0:
         return PotentialState(_zero(place, x), 0, 0.0, "exact", 0.0)
     n = 0
     err = bound.gmax / (d - 1)
@@ -450,9 +416,8 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         err /= d
         if n > 10_000:
             raise GreenError("tolerance unreachable")
-    cert = "certified" if bound.certified else "heuristic"
     if not place.is_ultrametric:
-        return PotentialState(lambda_n(place, lift, x, n), n, err, cert, bound.gmax)
+        return PotentialState(lambda_n(place, lift, x, n), n, err, "certified", bound.gmax)
     esc = _escape_threshold(place, lift)
     state = _lift_of(x)
     total = Fraction(0)
@@ -466,7 +431,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
                 return PotentialState(total - tail, k, 0.0, "exact", bound.gmax)
         total = total - Fraction(1, d ** (k + 1)) * _state_g(place, lift, state)
         state = _orbit_step(place, lift, state)
-    return PotentialState(total, n, err, cert, bound.gmax)
+    return PotentialState(total, n, err, "certified", bound.gmax)
 
 
 def ecart_dK(u, v, sample) -> float:

@@ -72,50 +72,48 @@ def sylvester_matrix(f, g, m: int, n: int):
     return rows
 
 
-def exact_det(matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n = len(a)
+def _eliminate(matrix, rhs=()):
+    """Forward elimination of [A | rhs] over Q with exact pivoting.
+
+    The one elimination loop behind ``exact_det`` and ``exact_solve``.
+    ``rhs`` is a sequence of right-hand columns, possibly empty.  Returns
+    (det A, upper triangular rows), or (0, None) when A is singular.
+    """
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(col[r]) for col in rhs] for r, row in enumerate(matrix)]
+    width = n + len(rhs)
     det = Fraction(1)
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = -det
         det *= a[col][col]
         inv = 1 / a[col][col]
+        support = [c for c in range(col, width) if a[col][c] != 0]  # sparse pivot rows are common
         for r in range(col + 1, n):
             if a[r][col] == 0:
                 continue
             factor = a[r][col] * inv
-            for c in range(col, n):
+            for c in support:
                 a[r][c] -= factor * a[col][c]
-    return det
+    return det, a
+
+
+def exact_det(matrix) -> Fraction:
+    """Determinant over Q, the product of the elimination pivots."""
+    return _eliminate(matrix)[0]
 
 
 def exact_solve(matrix, rhs):
-    """Solve A x = b over Q by Gaussian elimination with exact pivoting."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular exact system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    """Solve A x = b over Q: elimination, then back substitution."""
+    det, a = _eliminate(matrix, [rhs])
+    if det == 0:
+        raise ZeroDivisionError("singular exact system")
+    n = len(a)
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n) if a[r][c] != 0)) / a[r][r]
+    return x

@@ -27,23 +27,31 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affable import affable_real, mass_bound
+from .affable import AffableError, affable_real, mass_bound
 from .battery import load_battery, standard_battery
-from .green import deviation_bound
+from .graphs import GraphError
+from .green import GreenError, deviation_bound
 from .measures import (
     Measure,
+    MeasureError,
     chi_measure,
     equilibrium_arch,
     equilibrium_nonarch,
     integrate,
 )
-from .places import Place, snap_rational
+from .places import Place, PlaceError, snap_rational
 from .points import GAUSS, MetricGraph, disk
-from .rmaps import HomogeneousLift, lift_from_json
+from .rmaps import HomogeneousLift, MapError, lift_from_json
 
 
 class SweepError(ValueError):
     pass
+
+
+# the failures a sweep records per row and steps past; anything else is a
+# bug and propagates
+ROW_ERRORS = (AffableError, GraphError, GreenError, MapError, MeasureError, PlaceError, SweepError,
+              ArithmeticError)
 
 
 def default_grid(depth: int = 10) -> list[Place]:
@@ -139,10 +147,14 @@ class RadiusSpec:
     @staticmethod
     def parse(obj) -> "RadiusSpec":
         if isinstance(obj, dict):
-            if "pow_eps" in obj:
-                return RadiusSpec("pow_eps", Fraction(str(obj["pow_eps"])))
-            raise SweepError(f"unknown radius form {obj!r}")
-        return RadiusSpec("const", Fraction(str(obj)))
+            if "pow_eps" not in obj:
+                raise SweepError(f"unknown radius form {obj!r}")
+            spec = RadiusSpec("pow_eps", Fraction(str(obj["pow_eps"])))
+        else:
+            spec = RadiusSpec("const", Fraction(str(obj)))
+        if spec.value <= 0:
+            raise SweepError(f"radius must be positive, got {obj!r}")
+        return spec
 
 
 @dataclass
@@ -216,7 +228,7 @@ def sweep_chi(config: SweepConfig) -> SweepTable:
             try:
                 val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n)
                 table.rows.append(SweepRow(kind, param, fn.fn_id, val, qerr, 0))
-            except Exception as exc:  # per-row failures recorded, sweep continues
+            except ROW_ERRORS as exc:
                 table.rows.append(SweepRow(kind, param, fn.fn_id, float("nan"), float("nan"), 0, error=str(exc)))
     table.compute_modulus([f.fn_id for f in config.battery], len(config.grid))
     return table
@@ -226,7 +238,7 @@ def _eq_measure_at(place: Place, config: SweepConfig):
     """Equilibrium measure at one place: (measure, n_used, potential tail bound)."""
     lift = config.lift
     bound = deviation_bound(place, lift)
-    if bound.certified and bound.gmax == 0.0:
+    if bound.gmax == 0.0:
         # canonical potential is identically zero: the measure is the circle
         # family member itself, exactly
         return _chi_at(place, Fraction(0), RadiusSpec("const", Fraction(1))), 0, 0.0
@@ -256,7 +268,7 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
         kind, param = place.describe()
         try:
             mu, n_used, tail = _eq_measure_at(place, config)
-        except Exception as exc:
+        except ROW_ERRORS as exc:
             for fn in config.battery:
                 table.rows.append(SweepRow(kind, param, fn.fn_id, float("nan"), float("nan"), 0, error=str(exc)))
             continue
@@ -265,7 +277,7 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
                 val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n)
                 cert = qerr + (tail * mass_bound(place, fn) if tail else 0.0)
                 table.rows.append(SweepRow(kind, param, fn.fn_id, val, cert, n_used))
-            except Exception as exc:
+            except ROW_ERRORS as exc:
                 table.rows.append(SweepRow(kind, param, fn.fn_id, float("nan"), float("nan"), n_used, error=str(exc)))
     table.compute_modulus([f.fn_id for f in config.battery], len(config.grid))
     return table

@@ -12,7 +12,6 @@ from berkpot.green import (
     deviation_bound,
     deviation_g,
     ecart_dK,
-    gmax,
     lambda_limit,
     lambda_n,
     resultant_cofactors,
@@ -28,6 +27,8 @@ ARC = Place.archimedean()
 Z2 = HomogeneousLift.polynomial([0, 0, 1])
 Z2P1 = HomogeneousLift.polynomial([1, 0, 1])
 F11 = HomogeneousLift.from_coeffs(2, [1, 0, 1], [1])  # (T0^2 + T1^2, T1^2)
+RABBIT = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
+Z2I = HomogeneousLift.from_coeffs(2, [complex(0, 1), 0, 1], [1])  # T^2 + i
 
 
 def test_standard_potential_examples():
@@ -139,7 +140,7 @@ def test_lambda_limit_good_reduction_gauss():
     p7 = Place.padic(7)
     tp = HomogeneousLift.from_coeffs(2, [7, 0, 1], [1])
     bound = deviation_bound(p7, tp)
-    assert bound.certified and bound.gmax == 0.0
+    assert bound.gmax == 0.0
     st = lambda_limit(p7, tp, GAUSS, 1e-12)
     assert st.value == 0 and st.certified_error == 0.0 and st.n_used == 0
 
@@ -153,24 +154,32 @@ def test_lambda_limit_escape_closure_exact():
         assert st.value == lam or abs(float(st.value) - float(lam)) <= st.certified_error
 
 
-def test_cofactor_identities():
-    lift = HomogeneousLift.from_coeffs(2, [F(2), F(1), F(3)], [F(1), F(0), F(-1)])
+def _cofactor_sums(lift, t):
     cof = resultant_cofactors(lift)
-    res = lift.resultant
-    d = lift.d
-    # check Res * t^(2d-1) = a0 f0 + b0 f1 and Res = a1 f0 + b1 f1 at sample t
+    f0, f1 = poly_eval(list(lift.f0), t), poly_eval(list(lift.f1), t)
+    a0, b0 = poly_eval(list(cof.a0), t), poly_eval(list(cof.b0), t)
+    a1, b1 = poly_eval(list(cof.a1), t), poly_eval(list(cof.b1), t)
+    return a0 * f0 + b0 * f1, a1 * f0 + b1 * f1
+
+
+def test_cofactor_identities():
+    # t^(2d-1) = a0 f0 + b0 f1 and 1 = a1 f0 + b1 f1: exactly for a rational
+    # lift, up to float evaluation for a complex one
+    lift = HomogeneousLift.from_coeffs(2, [F(2), F(1), F(3)], [F(1), F(0), F(-1)])
+    assert all(isinstance(c, F) for c in resultant_cofactors(lift).coeff_list())
     for t in (F(2), F(-3), F(1, 2)):
-        f0, f1 = poly_eval(list(lift.f0), t), poly_eval(list(lift.f1), t)
-        a0, b0 = poly_eval(list(cof.a0), t), poly_eval(list(cof.b0), t)
-        a1, b1 = poly_eval(list(cof.a1), t), poly_eval(list(cof.b1), t)
-        assert a0 * f0 + b0 * f1 == res * t ** (2 * d - 1)
-        assert a1 * f0 + b1 * f1 == res
+        assert _cofactor_sums(lift, t) == (t**3, 1)
+    assert any(isinstance(c, complex) for c in resultant_cofactors(RABBIT).coeff_list())
+    for t in (0.5 + 0.25j, -1.5 + 0j, 0.3 - 1j):
+        top, bottom = _cofactor_sums(RABBIT, t)
+        assert abs(top - t**3) <= 1e-12 and abs(bottom - 1) <= 1e-12
 
 
 def test_gmax_is_actually_a_bound():
     rng = random.Random(4)
-    for lift in (Z2P1, F11, HomogeneousLift.from_coeffs(2, [F(1, 3), 2, 1], [1])):
-        g = gmax(ARC, lift)
+    lifts = (Z2P1, F11, HomogeneousLift.from_coeffs(2, [F(1, 3), 2, 1], [1]), RABBIT, Z2I)
+    for lift in lifts:
+        g = deviation_bound(ARC, lift).gmax
         for _ in range(200):
             z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             w = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
@@ -180,11 +189,10 @@ def test_gmax_is_actually_a_bound():
 
 
 def test_heuristic_bound_for_complex_lifts():
-    lift = HomogeneousLift.from_coeffs(2, [complex(0, 1), 0, 1], [1])
-    b = deviation_bound(ARC, lift)
-    assert not b.certified
-    st = lambda_limit(ARC, lift, classical(1 + 1j), 1e-5)
-    assert st.certificate == "heuristic"
+    # complex lifts take the exact cofactor path of rational ones
+    st = lambda_limit(ARC, Z2I, classical(1 + 1j), 1e-5)
+    assert st.certificate == "certified"
+    assert st.gmax == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_deviation_bound_cached_for_complex_lift(monkeypatch):
@@ -196,7 +204,7 @@ def test_deviation_bound_cached_for_complex_lift(monkeypatch):
     original = green._arch_step
     monkeypatch.setattr(green, "_arch_step", lambda *a: calls.append(a) or original(*a))
     second = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
-    assert len(calls) == second.n_used  # the orbit only, no new sample
+    assert len(calls) == second.n_used  # the orbit only: the bound is cached
     assert second.gmax == first.gmax and second.value == first.value
 
 
@@ -235,9 +243,6 @@ def test_contraction_exact_zero_rows():
     assert all(r is None for _, r in rows_p)
 
 
-RABBIT = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
-
-
 @pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 1024)])
 @pytest.mark.parametrize("lift", [
     HomogeneousLift.polynomial([-2, 0, 1]),
@@ -260,10 +265,12 @@ def test_lambda_limit_array_matches_scalar(lift, eps):
 
 
 def test_rabbit_deviation_bound_unchanged():
-    # the sampled bound of the scalar per-sample loop this library used before
+    # cofactors t, -c t, 0, 1 (max modulus 1) and coefficients 1, c (|c| < 1)
     b = deviation_bound(ARC, RABBIT)
-    assert abs(b.lower - -1.08471945106443) <= 1e-12
-    assert abs(b.upper - 1.1187123974030901) <= 1e-12
+    assert abs(b.lower - -math.log(4)) <= 1e-12
+    assert abs(b.upper - math.log(3)) <= 1e-12
+    st = lambda_limit(ARC, RABBIT, classical(0.3 + 0.2j), 1e-8)
+    assert st.certificate == "certified" and abs(st.gmax - math.log(4)) <= 1e-12
 
 
 def test_deviation_bound_infinite_at_residue_place():

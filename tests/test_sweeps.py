@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from berkpot.affable import AffableError
 from berkpot.battery import standard_battery
 from berkpot.cli import main
 from berkpot.green import contraction_ratios
@@ -13,6 +14,7 @@ from berkpot.measures import equilibrium_nonarch
 from berkpot.places import Place
 from berkpot.rmaps import HomogeneousLift, lift_to_json
 from berkpot.sweeps import (
+    RadiusSpec,
     SweepConfig,
     SweepError,
     _eq_measure_at,
@@ -246,12 +248,54 @@ def test_sweep_chi_pow_eps_radius_family():
 
 
 def test_sweep_config_radius_json():
-    from berkpot.sweeps import RadiusSpec
-
     assert RadiusSpec.parse("2/3").kind == "const"
     assert RadiusSpec.parse({"pow_eps": "2"}).kind == "pow_eps"
     with pytest.raises(SweepError):
         RadiusSpec.parse({"nope": 1})
+
+
+@pytest.mark.parametrize("radius", [0, "-1/2", {"pow_eps": 0}, {"pow_eps": "-2"}],
+                         ids=["zero", "negative", "pow_eps-zero", "pow_eps-negative"])
+@pytest.mark.parametrize("base", ["hybrid", {"branch": "padic", "p": 3}], ids=["hybrid", "padic"])
+def test_nonpositive_radius_rejected(tmp_path, capsys, radius, base):
+    with pytest.raises(SweepError, match="radius must be positive"):
+        RadiusSpec.parse(radius)
+    with pytest.raises(SweepError, match="radius must be positive"):
+        SweepConfig.from_json({"base": base, "depth": 2, "radius": radius})
+    cfg = _write(tmp_path, "cfg.json", {"base": base, "depth": 2, "radius": radius})
+    assert main(["sweep-chi", "--config", cfg, "--quiet"]) == 2  # a config error, not a crash
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["affable_real", "_eq_measure_at"])
+def test_typed_row_failure_is_recorded(monkeypatch, target):
+    import berkpot.sweeps as sweeps
+
+    def fail(*args):
+        raise AffableError("typed failure")
+
+    monkeypatch.setattr(sweeps, target, fail)
+    cfg = SweepConfig(grid=default_grid(2), battery=F1, lift=Z2)
+    tables = [sweep_equilibrium(cfg)] + ([sweep_chi(cfg)] if target == "affable_real" else [])
+    for table in tables:
+        assert len(table.rows) == 4
+        assert all(r.error == "typed failure" and math.isnan(r.value) for r in table.rows)
+
+
+@pytest.mark.parametrize("target", ["affable_real", "_eq_measure_at"])
+def test_untyped_row_failure_propagates(monkeypatch, target):
+    import berkpot.sweeps as sweeps
+
+    def bug(*args):
+        raise RuntimeError("a bug, not a row failure")
+
+    monkeypatch.setattr(sweeps, target, bug)
+    cfg = SweepConfig(grid=default_grid(2), battery=F1, lift=Z2)
+    with pytest.raises(RuntimeError, match="a bug"):
+        sweep_equilibrium(cfg)
+    if target == "affable_real":
+        with pytest.raises(RuntimeError, match="a bug"):
+            sweep_chi(cfg)
 
 
 def test_sweep_chi_padic_branch_with_residue_endpoint():
