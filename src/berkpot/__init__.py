@@ -1,7 +1,7 @@
 """Canonical potentials and equilibrium measures on the Berkovich projective
 line, fiberwise over hybrid base spectra, with degeneration sweeps."""
 
-from .places import LogMag, Place, PlaceError, abs_log, epsilon_of, flow_place
+from .places import Place, PlaceError, epsilon_of, flow_place
 from .points import (
     GAUSS,
     BerkPoint,

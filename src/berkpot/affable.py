@@ -124,12 +124,6 @@ class AffableFn:
         )
 
 
-def _t_log(place: Place, x: BerkPoint):
-    if x.t == "inf":
-        return float("inf")
-    return eval_log_abs(place, x, [0, 1])
-
-
 def _branch_value(place: Place, branch: Branch, x: BerkPoint, chart: str, t_log):
     if branch.const is None:
         return NEG_INF
@@ -221,14 +215,11 @@ def affable_eval(place: Place, fn: AffableFn, x):
                 raise AffableError(f"affable value is -inf at {arch_point(z[sel][poles][0])!r}")
             out[sel] = vals
         return out
-    t_log = _t_log(place, x)
-    use_inf = (x.t == "inf") or (not is_neg_inf(t_log) and t_log > 0)
-    if use_inf:
-        plus, minus = fn.chartinf_plus, fn.chartinf_minus
-        chart = "inf"
+    t_log = eval_log_abs(place, x, [0, 1])  # +inf at infinity
+    if t_log > 0:
+        plus, minus, chart = fn.chartinf_plus, fn.chartinf_minus, "inf"
     else:
-        plus, minus = fn.chart0_plus, fn.chart0_minus
-        chart = "0"
+        plus, minus, chart = fn.chart0_plus, fn.chart0_minus, "0"
     p = _piece_value(place, plus, x, chart, t_log)
     m = _piece_value(place, minus, x, chart, t_log)
     if is_neg_inf(p) or is_neg_inf(m):
@@ -430,8 +421,8 @@ def _edge_kinks(place: Place, fn: AffableFn, z, lo, hi):
 
 def _all_branch_values(place: Place, fn: AffableFn, z, rho):
     x = disk(z, rho)
-    t_log = _t_log(place, x)
-    chart = "inf" if (not is_neg_inf(t_log) and t_log > 0) else "0"
+    t_log = eval_log_abs(place, x, [0, 1])
+    chart = "inf" if t_log > 0 else "0"
     out = []
     for sign, piece in ((1, fn.chart0_plus if chart == "0" else fn.chartinf_plus),
                         (-1, fn.chart0_minus if chart == "0" else fn.chartinf_minus)):
@@ -483,7 +474,7 @@ def validate_charts(place: Place, fn: AffableFn, tol: float = 1e-9) -> bool:
         if abs(float(abs_log_value(place, Fraction(z))) * unit) < math.log(2):
             probes.append(classical(Fraction(z)))
     for x in probes:
-        t_log = _t_log(place, x)
+        t_log = eval_log_abs(place, x, [0, 1])
         vals = []
         for plus, minus, chart in ((fn.chart0_plus, fn.chart0_minus, "0"),
                                    (fn.chartinf_plus, fn.chartinf_minus, "inf")):

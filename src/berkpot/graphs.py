@@ -51,10 +51,6 @@ class GraphMeasure:
     def weight_at(self, v: int):
         return sum(w for i, w in self.atoms if i == v)
 
-    def restricted(self, vertices) -> "GraphMeasure":
-        vs = set(vertices)
-        return GraphMeasure([(i, w) for i, w in self.atoms if i in vs])
-
 
 def vertex_laplacian_weight(u: PLFunction, v: int):
     adj = u.graph.adjacency()

@@ -30,8 +30,15 @@ infinity as in ``preimages_arch``.  An array gives one ``PotentialState``
 whose ``value`` is an array of the same shape; ``n_used``,
 ``certified_error``, ``certificate`` and ``gmax`` stay scalars, because the
 tail bound does not depend on the point, so every point runs the same n
-steps.  Ultrametric places keep the exact scalar path: Fraction arithmetic,
-exact disk transport and the closed escape tail.
+steps.
+
+Ultrametric places run an exact orbit of BerkPoints: ``rmaps.apply_point``
+is the one step, for classical points, infinity and disks alike, and g is
+the seminorm formula log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x) of
+``deviation_at_point``, read with ``eval_log_abs`` in the chart (T, 1) for
+disks and |z| <= 1, and in the chart (1, S = 1/T) for |z| > 1 and infinity.
+The n terms of a sum take n - 1 steps; polynomial maps add the closed
+escape tail.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from fractions import Fraction
 import numpy as np
 
 from .places import (
-    NEG_INF,
     POS_INF,
     LogValue,
     Place,
@@ -55,7 +61,7 @@ from .places import (
     vplus,
     vscale,
 )
-from .points import CLS, INF, BerkPoint, eval_log_abs
+from .points import CLS, DISK, INF, BerkPoint, classical, classical_pair, eval_log_abs
 from .polys import exact_solve, sylvester_matrix
 from .rmaps import HomogeneousLift, apply_point
 
@@ -65,6 +71,7 @@ class GreenError(RuntimeError):
 
 
 _INFINITE_BOUND = "deviation bound is infinite at this place (coefficients blow up)"
+_VANISHING_RES = "deviation bound is infinite at this place (the resultant vanishes in the residue field)"
 
 
 def standard_potential(place: Place, x: BerkPoint) -> LogValue:
@@ -139,101 +146,59 @@ def _arch_lift(x):
     return _normalized(complex(x.z), 1.0)
 
 
-# -- lifted evaluation ---------------------------------------------------------
-
-
-def _lift_of(x: BerkPoint):
-    """A lift of x: classical pair, or the tautological (T, 1) over a disk."""
-    if x.t == INF:
-        return ("pair", (1, 0))
-    if x.t == CLS:
-        return ("pair", (x.z, 1))
-    return ("disk", x)
+# -- exact orbits ------------------------------------------------------------
 
 
 def deviation_g(place: Place, lift: HomogeneousLift, zhat) -> LogValue:
     """g at an explicit lift (z0, z1) != (0,0): log||F(zhat)|| - d log||zhat||."""
     z0, z1 = zhat
-    if not place.is_ultrametric:
-        if z0 == 0 and z1 == 0:
-            raise GreenError("(0,0) is not a lift")
-        return _arch_orbit(place, lift, _normalized(complex(z0), complex(z1)), 1)[0]
-    w0 = poly_part_eval(lift.f0, z0, z1, lift.d)
-    w1 = poly_part_eval(lift.f1, z0, z1, lift.d)
-    n_in = vmax(abs_log_value(place, z0), abs_log_value(place, z1))
-    if is_neg_inf(n_in):
+    if z0 == 0 and z1 == 0:
         raise GreenError("(0,0) is not a lift")
-    n_out = vmax(abs_log_value(place, w0), abs_log_value(place, w1))
-    if is_neg_inf(n_out):
-        raise GreenError("lift vanishes at a projective point; Res = 0")
-    return vplus(n_out, vscale(-1, vscale(lift.d, n_in))) if n_in != 0 else n_out
-
-
-def poly_part_eval(coeffs, z0, z1, d: int):
-    """F(z0, z1) for the degree-d homogenization of the coefficient list."""
-    total = 0
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        total += c * z0**j * z1 ** (d - j)
-    return total
+    if place.is_ultrametric:
+        return deviation_at_point(place, lift, classical_pair(z0, z1))
+    return _arch_orbit(place, lift, _normalized(complex(z0), complex(z1)), 1)[0]
 
 
 def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> LogValue:
-    """g evaluated on the canonical lift of a point (scale invariance)."""
-    kind, data = _lift_of(x)
-    if kind == "pair":
-        return deviation_g(place, lift, data)
-    # disk point: coordinates (T, 1); seminorm evaluation per coordinate
+    """g(x) = log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x), from the seminorm of x.
+
+    Exact places read a disk, or a classical point with log|z| <= 0, in the
+    chart (T, 1); a classical point with log|z| > 0 and infinity in the
+    chart (1, S), S = 1/T, where F_i(1, S) has the reversed coefficient
+    list and max(|S|, 1) = 1.
+    """
+    if not place.is_ultrametric:
+        return _arch_orbit(place, lift, _arch_lift(x), 1)[0]
     t_log = eval_log_abs(place, x, [0, 1])
-    f0_log = eval_log_abs(place, x, list(lift.f0))
-    f1_log = eval_log_abs(place, x, list(lift.f1))
-    n_in = vmax(t_log, 0)
-    n_out = vmax(f0_log, f1_log)
-    return vplus(n_out, vscale(-1, vscale(lift.d, n_in)))
+    f0, f1 = list(lift.f0), list(lift.f1)
+    if x.t != DISK and t_log > 0:
+        x = classical(0 if x.t == INF else 1 / x.z)
+        f0.reverse()
+        f1.reverse()
+        t_log = 0
+    n_out = vmax(eval_log_abs(place, x, f0), eval_log_abs(place, x, f1))
+    if is_neg_inf(n_out):
+        raise GreenError("lift vanishes at a projective point; Res = 0")
+    return vplus(n_out, vscale(-lift.d, vmax(t_log, 0)))
 
 
-# -- orbits --------------------------------------------------------------------
-
-
-def _renormalize_pair(place: Place, z0, z1):
-    l0, l1 = abs_log_value(place, z0), abs_log_value(place, z1)
-    pivot = z0 if (not is_neg_inf(l0) and (is_neg_inf(l1) or l0 >= l1)) else z1
-    return z0 / pivot, z1 / pivot
-
-
-def _orbit_step(place: Place, lift: HomogeneousLift, state):
-    """Next state of an orbit at an exact place."""
-    kind, data = state
-    if kind == "pair":
-        z0, z1 = data
-        w0 = poly_part_eval(lift.f0, z0, z1, lift.d)
-        w1 = poly_part_eval(lift.f1, z0, z1, lift.d)
-        return ("pair", _renormalize_pair(place, w0, w1))
-    return ("disk", apply_point(place, lift, data))
-
-
-def _state_g(place: Place, lift: HomogeneousLift, state) -> LogValue:
-    kind, data = state
-    if kind == "pair":
-        return deviation_g(place, lift, data)
-    return deviation_at_point(place, lift, data)
+def _exact_orbit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int):
+    """x, phi(x), ..., phi^{n-1}(x): n points from n - 1 steps."""
+    for k in range(n):
+        if k:
+            x = apply_point(place, lift, x)
+        yield x
 
 
 def deviation_sequence(place: Place, lift: HomogeneousLift, x, n: int):
-    """[g(x), g(phi x), ..., g(phi^{n-1} x)] along the renormalized orbit.
+    """[g(x), g(phi x), ..., g(phi^{n-1} x)] along the orbit.
 
     At an archimedean place x may be a point array; each entry is then an
     array (see the module docstring).
     """
     if not place.is_ultrametric:
         return _arch_orbit(place, lift, _arch_lift(x), n)
-    state = _lift_of(x)
-    out = []
-    for _ in range(n):
-        out.append(_state_g(place, lift, state))
-        state = _orbit_step(place, lift, state)
-    return out
+    return [deviation_at_point(place, lift, y) for y in _exact_orbit(place, lift, x, n)]
 
 
 def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
@@ -378,20 +343,6 @@ def _escape_threshold(place: Place, lift: HomogeneousLift):
     return vmax(*bounds), a_top
 
 
-def _state_t_log(place: Place, lift: HomogeneousLift, state):
-    """log|T| of the current orbit point, or None when not available exactly."""
-    kind, data = state
-    if kind == "disk":
-        return eval_log_abs(place, data, [0, 1])
-    z0, z1 = data
-    if z1 == 0:
-        return float("inf")
-    l0, l1 = abs_log_value(place, z0), abs_log_value(place, z1)
-    if is_neg_inf(l0):
-        return NEG_INF
-    return vplus(l0, vscale(-1, l1)) if l1 != 0 else l0
-
-
 def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> PotentialState:
     """Canonical potential at x with a certified tail.
 
@@ -406,7 +357,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     bound = deviation_bound(place, lift)
     d = lift.d
     if not math.isfinite(bound.gmax):
-        raise GreenError(_INFINITE_BOUND)
+        raise GreenError(_VANISHING_RES if bound.lower == -math.inf else _INFINITE_BOUND)
     if bound.gmax == 0.0:
         return PotentialState(_zero(place, x), 0, 0.0, "exact", 0.0)
     n = 0
@@ -419,18 +370,13 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     if not place.is_ultrametric:
         return PotentialState(lambda_n(place, lift, x, n), n, err, "certified", bound.gmax)
     esc = _escape_threshold(place, lift)
-    state = _lift_of(x)
     total = Fraction(0)
-    for k in range(n):
-        if esc is not None:
-            tstar, tail_g = esc
-            t = _state_t_log(place, lift, state)
-            if not is_neg_inf(t) and (t == float("inf") or t > tstar):
-                # exact geometric tail: g stays at tail_g from step k on
-                tail = Fraction(1, d**k * (d - 1)) * tail_g
-                return PotentialState(total - tail, k, 0.0, "exact", bound.gmax)
-        total = total - Fraction(1, d ** (k + 1)) * _state_g(place, lift, state)
-        state = _orbit_step(place, lift, state)
+    for k, y in enumerate(_exact_orbit(place, lift, x, n)):
+        if esc is not None and eval_log_abs(place, y, [0, 1]) > esc[0]:
+            # exact geometric tail: g stays at esc[1] from step k on
+            tail = Fraction(1, d**k * (d - 1)) * esc[1]
+            return PotentialState(total - tail, k, 0.0, "exact", bound.gmax)
+        total = total - Fraction(1, d ** (k + 1)) * deviation_at_point(place, lift, y)
     return PotentialState(total, n, err, "certified", bound.gmax)
 
 

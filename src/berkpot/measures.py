@@ -41,6 +41,11 @@ from .points import ARCH_INF, GAUSS, BerkPoint, MetricGraph, arch_point, classic
 from .rmaps import HomogeneousLift, MapError, preimages_arch
 
 
+QUAD_TOL = 1e-9  # circle quadrature stops when two levels agree this well
+QUAD_CAP = 1 << 16  # ... or at this many nodes
+PAIRING_SEED = 2  # preimage-tree seed of the archimedean energy pairing
+
+
 class MeasureError(RuntimeError):
     pass
 
@@ -122,8 +127,7 @@ def chi_measure(place: Place, center, radius_log, euclid_radius=None):
     return haar_circle(complex(Fraction(center)), euclid_radius)
 
 
-def integrate(place: Place, mu, f, quad_n: int = 64, quad_tol: float = 1e-9,
-              quad_cap: int = 1 << 16):
+def integrate(place: Place, mu, f, quad_n: int = 64):
     """Integral of f against mu: (value, quad_error).
 
     At an archimedean place f maps a complex ndarray of points to real
@@ -149,7 +153,7 @@ def integrate(place: Place, mu, f, quad_n: int = 64, quad_tol: float = 1e-9,
     total = float(w @ _values(f, z)) if len(z) else 0.0
     err = 0.0
     for c, r, wt in mu.haars:
-        val, e = _circle_quadrature(f, c, r, quad_n, quad_tol, quad_cap)
+        val, e = _circle_quadrature(f, c, r, quad_n, QUAD_TOL, QUAD_CAP)
         total += float(wt) * val
         err += abs(float(wt)) * e
     return total, err
@@ -338,7 +342,7 @@ def measure_to_rows(place: Place, mu):
 
 
 def energy_pairing(place: Place, lift_f: HomogeneousLift, lift_g: HomogeneousLift,
-                   n: int = 10, seed=2, tol: float = 1e-8,
+                   n: int = 10, tol: float = 1e-8,
                    skeleton: MetricGraph = None) -> float:
     """Mutual energy <mu_f, mu_g> = int (lambda_f - lambda_g) d(mu_f - mu_g).
 
@@ -355,8 +359,8 @@ def energy_pairing(place: Place, lift_f: HomogeneousLift, lift_g: HomogeneousLif
         mu_f, _ = equilibrium_nonarch(place, lift_f, skeleton, tol)
         mu_g, _ = equilibrium_nonarch(place, lift_g, skeleton, tol)
     else:
-        mu_f = equilibrium_arch(place, lift_f, seed, n)
-        mu_g = equilibrium_arch(place, lift_g, seed, n)
+        mu_f = equilibrium_arch(place, lift_f, PAIRING_SEED, n)
+        mu_g = equilibrium_arch(place, lift_g, PAIRING_SEED, n)
     unit = place.log_unit
 
     def integrand(x):

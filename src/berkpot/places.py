@@ -134,25 +134,6 @@ def _padic_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class LogMag:
-    """log|q| at a place, tagged with exactness and the place's log scale."""
-
-    value: LogValue
-    exact: bool
-    unit: float = 1.0
-
-    @property
-    def real(self) -> float:
-        """Value as a plain real number."""
-        if isinstance(self.value, float):
-            return self.value * (self.unit if math.isfinite(self.value) else 1.0)
-        return float(self.value) * self.unit
-
-    def __float__(self) -> float:
-        return self.real
-
-
 def abs_log_value(place: Place, q) -> LogValue:
     """Raw log|q| at the place, in coefficient units (see module docstring)."""
     q = _as_fraction(q)
@@ -173,11 +154,6 @@ def abs_log_value(place: Place, q) -> LogValue:
         return Fraction(0)
     # trivial and t-adic: rational constants have trivial valuation
     return Fraction(0)
-
-
-def abs_log(place: Place, q) -> LogMag:
-    """log|q| at the place; -inf iff q = 0 (or the residue seminorm kills q)."""
-    return LogMag(abs_log_value(place, q), place.is_ultrametric, place.log_unit)
 
 
 def epsilon_of(place: Place) -> Fraction:
@@ -272,7 +248,7 @@ def place_from_json(obj: dict) -> Place:
     raise PlaceError(f"bad place JSON {obj!r}")
 
 
-def snap_rational(x, max_denominator: int = 10**6) -> Fraction:
+def snap_rational(x) -> Fraction:
     """Snap a CLI-supplied real to a rational with denominator <= 10^6.
 
     Keeps the flow identities exact; exact fraction strings pass through
@@ -282,4 +258,4 @@ def snap_rational(x, max_denominator: int = 10**6) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    return Fraction(x).limit_denominator(max_denominator)
+    return Fraction(x).limit_denominator(10**6)

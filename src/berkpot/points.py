@@ -52,10 +52,6 @@ class BerkPoint:
         if self.t == CLS and self.z is None:
             raise ValueError("classical point needs a coordinate")
 
-    @property
-    def is_disk(self) -> bool:
-        return self.t == DISK
-
     def __repr__(self):
         if self.t == CLS:
             return f"Pt({self.z})"

@@ -29,8 +29,6 @@ class MapError(ValueError):
 
 def sylvester_resultant(f, g, m: int, n: int):
     """Resultant of f, g at formal degrees (m, n) via the Sylvester matrix."""
-    if m == 0 and n == 0:
-        return Fraction(1)
     mat = sylvester_matrix(f, g, m, n)
     if all(isinstance(x, (Fraction, int)) for row in mat for x in row):
         return exact_det(mat)
@@ -255,14 +253,14 @@ def _solve_rows(rows, d: int) -> PreimageSet:
     return PreimageSet(roots[keep], mult[keep], np.nonzero(keep)[0], d - deg, flagged)
 
 
-def _cluster(roots, rel=CLUSTER_REL):
+def _cluster(roots):
     """Greedy clustering; cluster sizes become multiplicities."""
     clusters = []  # (representative, members)
     flagged = False
     for r in roots:
         placed = False
         for k, (rep, members) in enumerate(clusters):
-            tol = rel * (1.0 + abs(rep))
+            tol = CLUSTER_REL * (1.0 + abs(rep))
             dist = abs(r - rep)
             if dist <= tol:
                 members.append(r)

@@ -277,3 +277,85 @@ def test_deviation_bound_infinite_at_residue_place():
     t2p = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 2)], [1])  # T^2/2
     with pytest.raises(GreenError, match="deviation bound is infinite at this place"):
         deviation_bound(Place.residue(2), t2p)
+
+
+def test_vanishing_resultant_bound_message():
+    # Res = 4: the coefficients are integral, the cofactor branch is -inf
+    lift = HomogeneousLift.from_coeffs(2, [1, 0, 1], [3, 0, 1])  # (T^2 + 1, T^2 + 3)
+    with pytest.raises(GreenError, match="the resultant vanishes in the residue field"):
+        lambda_limit(Place.residue(2), lift, GAUSS, 1e-3)
+
+
+def _cubic(p):
+    return HomogeneousLift.from_coeffs(3, [0, F(-1, p), 0, F(1, p)], [1])  # (T^3 - T)/p
+
+
+def _nonpoly(p):
+    return HomogeneousLift.from_coeffs(2, [1, 0, F(1, p)], [0, 1])  # (T^2/p + 1, T)
+
+
+# (lift, point) -> (lambda_n at n = 5, then lambda_limit at tol 1e-4 as value,
+# n_used, certified_error), the same at p = 3 and p = 5 unless keyed by p;
+# an error of 0.0 goes with the "exact" certificate
+_CERT = {3: 6.705397269702818e-05, 5: 9.823229446008913e-05}  # G_max/(2^14) at d = 2
+_PINNED = [
+    (_cubic, lambda p: classical(p), {3: (F(0), F(0), 8, 8.372293009206753e-05),
+                                      5: (F(-4, 243), F(-1, 54), 4, 0.0)}),
+    (_cubic, lambda p: classical(F(p + 1, p)), (F(-121, 243), F(-1, 2), 0, 0.0)),
+    (_cubic, lambda p: infinity(), (F(-121, 243), F(-1, 2), 0, 0.0)),
+    (_cubic, lambda p: GAUSS, (F(-121, 243), F(-1, 2), 1, 0.0)),
+    (_cubic, lambda p: disk(0, -1), (F(-40, 243), F(-1, 6), 2, 0.0)),
+    (_cubic, lambda p: disk(1, -2), (F(-13, 243), F(-1, 18), 3, 0.0)),
+    (_cubic, lambda p: disk(p * p, -4), (F(-1, 243), F(-1, 162), 5, 0.0)),
+    (_nonpoly, lambda p: classical(p), {p: (F(-15, 32), F(-8191, 16384), 14, _CERT[p]) for p in _CERT}),
+    (_nonpoly, lambda p: classical(F(p + 1, p)),
+     {p: (F(-31, 32), F(-16383, 16384), 14, _CERT[p]) for p in _CERT}),
+    (_nonpoly, lambda p: infinity(), {p: (F(-31, 32), F(-16383, 16384), 14, _CERT[p]) for p in _CERT}),
+]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("make_lift, make_point, expected", _PINNED)
+def test_exact_orbit_values_pinned(p, make_lift, make_point, expected):
+    place, lift, x = Place.padic(p), make_lift(p), make_point(p)
+    lam, value, n_used, err = expected[p] if isinstance(expected, dict) else expected
+    assert lambda_n(place, lift, x, 5) == lam
+    st = lambda_limit(place, lift, x, 1e-4)
+    assert (st.value, st.n_used, st.certified_error) == (value, n_used, err)
+    assert st.certificate == ("exact" if err == 0.0 else "certified")
+
+
+def test_exact_orbit_steps_once_per_extra_term(monkeypatch):
+    import berkpot.green as green
+
+    p3 = Place.padic(3)
+    steps = []
+    original = green.apply_point
+    monkeypatch.setattr(green, "apply_point", lambda *a: steps.append(a) or original(*a))
+    t23 = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 3)], [1])  # T^2/3
+    for x in (classical(3), disk(9, -4), disk(1, -2)):
+        for n in (1, 2, 5):
+            steps.clear()
+            lambda_n(p3, t23, x, n)
+            assert len(steps) == n - 1
+    steps.clear()
+    st = lambda_limit(p3, t23, disk(9, -4), 1e-2)
+    assert st.certificate == "certified" and len(steps) == st.n_used - 1
+    steps.clear()
+    st = lambda_limit(p3, _cubic(3), disk(1, -2), 1e-4)
+    assert st.certificate == "exact" and len(steps) == st.n_used  # the tail test reads x_n
+
+
+def test_one_term_on_a_disk_under_a_nonpolynomial_lift():
+    # lambda_1 = -g(x)/d needs no disk transport
+    for p in (3, 5):
+        place, lift = Place.padic(p), _nonpoly(p)
+        for x in (GAUSS, disk(0, -1), disk(1, F(1, 2))):
+            assert lambda_n(place, lift, x, 1) == -deviation_at_point(place, lift, x) / 2
+
+
+def test_lambda_n_at_a_residue_place_beyond_the_unit_disk():
+    # |1/3| = +inf at the residue place: read in the chart (1, S), S = 3
+    res = Place.residue(3)
+    assert lambda_n(res, Z2P1, classical(F(1, 3)), 4) == 0
+    assert deviation_at_point(res, _cubic(5), classical(F(1, 3))) == 0

@@ -8,7 +8,6 @@ from berkpot.places import (
     NEG_INF,
     Place,
     PlaceError,
-    abs_log,
     abs_log_value,
     epsilon_of,
     flow_place,
@@ -26,22 +25,25 @@ flow_eps = st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 5), F(3, 4)])
 
 
 def test_abs_log_examples():
-    assert abs_log(Place.archimedean(F(1, 2)), 4).real == pytest.approx(math.log(2))
-    assert abs_log(Place.padic(3), 12).value == -1  # v_3(12) = 1
-    assert abs_log(Place.trivial(), 7).value == 0
-    assert abs_log(Place.padic(3), 0).value == NEG_INF
+    half = Place.archimedean(F(1, 2))
+    assert abs_log_value(half, 4) * half.log_unit == pytest.approx(math.log(2))
+    assert abs_log_value(Place.padic(3), 12) == -1  # v_3(12) = 1
+    assert Place.padic(3).log_unit == pytest.approx(math.log(3))
+    assert abs_log_value(Place.trivial(), 7) == 0
+    assert abs_log_value(Place.padic(3), 0) == NEG_INF
 
 
 def test_residue_place_kills_p():
     res = Place.residue(3)
-    assert abs_log(res, 6).value == NEG_INF
-    assert abs_log(res, 7).value == 0
-    assert abs_log(res, F(1, 3)).value == float("inf")
+    assert abs_log_value(res, 6) == NEG_INF
+    assert abs_log_value(res, 7) == 0
+    assert abs_log_value(res, F(1, 3)) == float("inf")
 
 
 def test_abs_log_exactness_flag():
-    assert abs_log(Place.padic(2), 8).exact
-    assert not abs_log(Place.archimedean(), 8).exact
+    # exact rationals at ultrametric places, floats at archimedean ones
+    assert isinstance(abs_log_value(Place.padic(2), 8), F)
+    assert isinstance(abs_log_value(Place.archimedean(), 8), float)
 
 
 def test_epsilon_of():
@@ -53,7 +55,7 @@ def test_epsilon_of():
 
 def test_epsilon_matches_log2_formula():
     place = Place.archimedean(F(3, 7))
-    measured = abs_log(place, 2).real / math.log(2)
+    measured = abs_log_value(place, 2) * place.log_unit / math.log(2)
     assert measured == pytest.approx(float(F(3, 7)), abs=1e-12)
 
 
