@@ -37,8 +37,23 @@ is the one step, for classical points, infinity and disks alike, and g is
 the seminorm formula log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x) of
 ``deviation_at_point``, read with ``eval_log_abs`` in the chart (T, 1) for
 disks and |z| <= 1, and in the chart (1, S = 1/T) for |z| > 1 and infinity.
-The n terms of a sum take n - 1 steps; polynomial maps add the closed
-escape tail.
+The n terms of a sum take n - 1 steps.
+
+A polynomial map phi = F0 / f1[0] has two closed tails, where g is constant
+on the rest of the orbit and the series sums to g / (d^k (d-1)) from step k
+on, with error 0 (certificate ``exact``):
+
+- escape: once log|T| passes the threshold of ``_tail_constants``, the top
+  monomial of F0 dominates and g = log|f0[d]|;
+- trap: let x_{k-1} be an orbit point in the closed unit disk and x_k its
+  image.  If B = join(x_{k-1}, x_k) lies in the closed unit disk and
+  phi(B) is in B, every later orbit point lies in B (a Fatou component
+  mapped into itself, or a fixed point such as eta_{0,1/p} of T^2/p).
+  There |phi| <= 1 gives |F0| <= |f1[0]| = |F1|, so g = log|f1[0]|.
+
+Both tests read only orbit points the sum computes anyway.  The trap adds
+one disk transport of B per step, and none where a disk orbit grows: if the
+radius of x_k exceeds that of x_{k-1}, phi(B) is larger than B.
 """
 
 from __future__ import annotations
@@ -61,7 +76,18 @@ from .places import (
     vplus,
     vscale,
 )
-from .points import CLS, DISK, INF, BerkPoint, classical, classical_pair, eval_log_abs
+from .points import (
+    CLS,
+    DISK,
+    GAUSS,
+    INF,
+    BerkPoint,
+    classical,
+    classical_pair,
+    contains,
+    eval_log_abs,
+    join_points,
+)
 from .polys import exact_solve, sylvester_matrix
 from .rmaps import HomogeneousLift, apply_point
 
@@ -165,11 +191,16 @@ def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> Log
     Exact places read a disk, or a classical point with log|z| <= 0, in the
     chart (T, 1); a classical point with log|z| > 0 and infinity in the
     chart (1, S), S = 1/T, where F_i(1, S) has the reversed coefficient
-    list and max(|S|, 1) = 1.
+    list and max(|S|, 1) = 1.  Raises GreenError where the map is not
+    defined on the fiber: |F| = +inf at a residue place.
     """
     if not place.is_ultrametric:
         return _arch_orbit(place, lift, _arch_lift(x), 1)[0]
-    t_log = eval_log_abs(place, x, [0, 1])
+    return _exact_g(place, lift, x, eval_log_abs(place, x, [0, 1]))
+
+
+def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log) -> LogValue:
+    """g(x) at an exact place, given t_log = log|T|(x) (``deviation_at_point``)."""
     f0, f1 = list(lift.f0), list(lift.f1)
     if x.t != DISK and t_log > 0:
         x = classical(0 if x.t == INF else 1 / x.z)
@@ -179,6 +210,8 @@ def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> Log
     n_out = vmax(eval_log_abs(place, x, f0), eval_log_abs(place, x, f1))
     if is_neg_inf(n_out):
         raise GreenError("lift vanishes at a projective point; Res = 0")
+    if n_out == POS_INF:  # a residue place where the map is not defined
+        raise GreenError(_INFINITE_BOUND)
     return vplus(n_out, vscale(-lift.d, vmax(t_log, 0)))
 
 
@@ -319,20 +352,21 @@ class PotentialState:
     gmax: float = 0.0
 
 
-def _escape_threshold(place: Place, lift: HomogeneousLift):
-    """Threshold t* for the closed tail of a polynomial map at an exact place.
+def _tail_constants(place: Place, lift: HomogeneousLift):
+    """(t*, log|f0[d]|, log|f1[0]|) for the closed tails of a polynomial map
+    at an exact place (module docstring); None for a tail that does not apply.
 
     For log|T| > t* the top monomial of F0 strictly dominates, so by the
-    ultrametric equality g equals log|f0[d]| at every later step and the
-    remaining series sums exactly.  Returns (t*, tail constant).
+    ultrametric equality g equals log|f0[d]| at every later step.  t* is None
+    when f0[d] vanishes at the place; the trap constant log|f1[0]| is None
+    when f1[0] does.
     """
-    if not (place.is_ultrametric and lift.is_polynomial):
-        return None
     d = lift.d
     a_top = abs_log_value(place, lift.f0[d])
     c_bot = abs_log_value(place, lift.f1[0])
+    trap = None if is_neg_inf(c_bot) else c_bot
     if is_neg_inf(a_top):
-        return None
+        return None, None, trap
     bounds = [Fraction(0)]
     for i in range(d):
         ai = abs_log_value(place, lift.f0[i])
@@ -340,17 +374,39 @@ def _escape_threshold(place: Place, lift: HomogeneousLift):
             bounds.append(Fraction(ai - a_top, d - i))
     bounds.append(Fraction(c_bot - a_top, d))      # ||F|| carried by F0
     bounds.append(Fraction(c_bot - a_top, d - 1))  # orbit log|T| grows
-    return vmax(*bounds), a_top
+    return vmax(*bounds), a_top, trap
+
+
+def _closed_tail(place: Place, lift: HomogeneousLift, tails, prev, y: BerkPoint, t_log):
+    """The constant value of g at y and at every later orbit point, or None.
+
+    y is an orbit point of a polynomial map at an exact place with
+    t_log = log|T|(y), and tails its ``_tail_constants``; prev is the orbit
+    point before y when that one lies in the closed unit disk, else None.
+    Tests the escape tail on y, then the trap on B = join(prev, y) (module
+    docstring).
+    """
+    t_esc, g_esc, g_trap = tails
+    if t_esc is not None and t_log > t_esc:
+        return g_esc
+    # log r(phi(B)) >= log r(y) + log r(B) - log r(prev): a growing disk is not trapped
+    if g_trap is not None and prev is not None and not (y.t == DISK and y.logr > prev.logr):
+        b = join_points(place, prev, y)
+        if contains(place, GAUSS, b) and contains(place, b, apply_point(place, lift, b)):
+            return g_trap
+    return None
 
 
 def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> PotentialState:
     """Canonical potential at x with a certified tail.
 
     Chooses n with G_max/(d^n (d-1)) <= tol; stops early with a zero-error
-    certificate when the deviation bound vanishes or the orbit enters the
-    strict-escape region of a polynomial map (exact geometric tail).  At an
-    archimedean place x may be a point array: one n serves every point, and
-    ``value`` is an array (see the module docstring).
+    certificate when the deviation bound vanishes, or when the orbit of a
+    polynomial map at an exact place enters the strict-escape region or a
+    disk of the closed unit disk that the map sends into itself (exact
+    geometric tails, module docstring).  At an archimedean place x may be a
+    point array: one n serves every point, and ``value`` is an array (see
+    the module docstring).
     """
     if tol <= 0:
         raise GreenError("tolerance must be positive")
@@ -369,14 +425,19 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
             raise GreenError("tolerance unreachable")
     if not place.is_ultrametric:
         return PotentialState(lambda_n(place, lift, x, n), n, err, "certified", bound.gmax)
-    esc = _escape_threshold(place, lift)
+    tails = _tail_constants(place, lift) if lift.is_polynomial else None
     total = Fraction(0)
+    prev = None  # the previous orbit point while it lies in the closed unit disk
     for k, y in enumerate(_exact_orbit(place, lift, x, n)):
-        if esc is not None and eval_log_abs(place, y, [0, 1]) > esc[0]:
-            # exact geometric tail: g stays at esc[1] from step k on
-            tail = Fraction(1, d**k * (d - 1)) * esc[1]
-            return PotentialState(total - tail, k, 0.0, "exact", bound.gmax)
-        total = total - Fraction(1, d ** (k + 1)) * deviation_at_point(place, lift, y)
+        t_log = eval_log_abs(place, y, [0, 1])
+        if tails is not None:
+            g_tail = _closed_tail(place, lift, tails, prev, y, t_log)
+            if g_tail is not None:
+                # exact geometric tail: g stays at g_tail from step k on
+                tail = Fraction(1, d**k * (d - 1)) * g_tail
+                return PotentialState(total - tail, k, 0.0, "exact", bound.gmax)
+        total = total - Fraction(1, d ** (k + 1)) * _exact_g(place, lift, y, t_log)
+        prev = y if t_log <= 0 else None
     return PotentialState(total, n, err, "certified", bound.gmax)
 
 

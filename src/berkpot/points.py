@@ -166,8 +166,9 @@ def reduce_center(place: Place, center: Fraction, logr) -> Fraction:
     """A bounded-height representative of the disk center.
 
     eta_{z,r} only depends on z modulo the radius, so any z' with
-    |z - z'| <= r names the same point.  Keeps iterated orbits of disk
-    points from accumulating astronomical rational heights.
+    |z - z'| <= r names the same point.  The height of the representative
+    grows with -logr, so an orbit whose radii shrink (a disk attracted to a
+    fixed point) still gains digits at every step.
     """
     import math
 

@@ -11,6 +11,7 @@ from berkpot.green import (
     deviation_at_point,
     deviation_bound,
     deviation_g,
+    deviation_sequence,
     ecart_dK,
     lambda_limit,
     lambda_n,
@@ -326,24 +327,37 @@ def test_exact_orbit_values_pinned(p, make_lift, make_point, expected):
 
 
 def test_exact_orbit_steps_once_per_extra_term(monkeypatch):
+    import sys
+
     import berkpot.green as green
 
     p3 = Place.padic(3)
-    steps = []
+    callers = []  # who asked for each disk transport: the orbit or the trap test
     original = green.apply_point
-    monkeypatch.setattr(green, "apply_point", lambda *a: steps.append(a) or original(*a))
+
+    def counted(*a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*a)
+
+    monkeypatch.setattr(green, "apply_point", counted)
     t23 = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 3)], [1])  # T^2/3
     for x in (classical(3), disk(9, -4), disk(1, -2)):
         for n in (1, 2, 5):
-            steps.clear()
+            callers.clear()
             lambda_n(p3, t23, x, n)
-            assert len(steps) == n - 1
-    steps.clear()
+            assert callers == ["_exact_orbit"] * (n - 1)
+    # the basin disk is trapped once its first image is known: one orbit step,
+    # one transport of the trapping disk
+    callers.clear()
     st = lambda_limit(p3, t23, disk(9, -4), 1e-2)
-    assert st.certificate == "certified" and len(steps) == st.n_used - 1
-    steps.clear()
+    assert (st.value, st.n_used, st.certified_error, st.certificate) == (0, 1, 0.0, "exact")
+    assert callers == ["_exact_orbit", "_closed_tail"]
+    callers.clear()
     st = lambda_limit(p3, _cubic(3), disk(1, -2), 1e-4)
-    assert st.certificate == "exact" and len(steps) == st.n_used  # the tail test reads x_n
+    assert st.certificate == "exact"
+    # the tail tests read x_n; this orbit's radii grow, so the trap test
+    # transports nothing
+    assert callers == ["_exact_orbit"] * st.n_used
 
 
 def test_one_term_on_a_disk_under_a_nonpolynomial_lift():
@@ -359,3 +373,67 @@ def test_lambda_n_at_a_residue_place_beyond_the_unit_disk():
     res = Place.residue(3)
     assert lambda_n(res, Z2P1, classical(F(1, 3)), 4) == 0
     assert deviation_at_point(res, _cubic(5), classical(F(1, 3))) == 0
+
+
+def test_undefined_map_at_a_residue_place_raises():
+    # T^2/2 is not defined on the fiber over the residue place at 2
+    res, t22 = Place.residue(2), HomogeneousLift.from_coeffs(2, [0, 0, F(1, 2)], [1])
+    for x in (classical(1), classical(F(1, 2)), GAUSS):
+        for call in (lambda: deviation_at_point(res, t22, x), lambda: lambda_n(res, t22, x, 1),
+                     lambda: deviation_sequence(res, t22, x, 3)):
+            with pytest.raises(GreenError, match="coefficients blow up"):
+                call()
+
+
+def _t2p(p):
+    return HomogeneousLift.from_coeffs(2, [0, 0, F(1, p)], [1])  # T^2/p
+
+
+@pytest.mark.parametrize("p, x", [(2, disk(4, -4)), (3, disk(9, -4))])
+def test_basin_disk_is_exact_at_default_tol(p, x):
+    st = lambda_limit(Place.padic(p), _t2p(p), x, 1e-9)
+    assert (st.value, st.certified_error, st.certificate) == (0, 0.0, "exact")
+
+
+def _basin_battery(p, rng):
+    """Seeded points of D(0, 1/p), the closed disk T^2/p maps onto itself
+    (the basin of 0 and the fixed point eta_{0,1/p} on its boundary), and
+    seeded points outside it, which escape."""
+    def unit():
+        a, b = rng.randrange(1, 5 * p), rng.randrange(1, 5 * p)
+        return F(rng.choice([1, -1]) * (a + (a % p == 0)), b + (b % p == 0))
+
+    inside = [disk(0, -1)]
+    outside = []
+    for _ in range(4):
+        inside.append(classical(p ** rng.randrange(1, 4) * unit()))
+        inside.append(disk(p ** rng.randrange(1, 4) * unit(), -rng.randrange(1, 7)))
+        outside.append(classical(unit() / p ** rng.randrange(0, 3)))
+        outside.append(disk(unit(), -rng.randrange(0, 4)))
+    return inside, outside
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_trapped_orbits_agree_with_truncated_series(p):
+    place, lift, N = Place.padic(p), _t2p(p), 10
+    gmax = deviation_bound(place, lift).gmax
+    inside, outside = _basin_battery(p, random.Random(p))
+    for x in inside + outside:
+        st = lambda_limit(place, lift, x, 1e-4)
+        assert (st.certified_error, st.certificate) == (0.0, "exact"), x
+        gap = abs(float(st.value - lambda_n(place, lift, x, N))) * place.log_unit
+        assert gap <= gmax / 2**N + 1e-12, x
+        assert x not in inside or st.value == 0, x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("eps", [F(1), F(1, 2)])
+def test_trapped_tail_of_a_nonmonic_lift(p, eps):
+    # (T^2, p): phi = T^2/p again, but g = log|f1[0]| = -eps on the trapping disk
+    place, lift, d = Place.padic(p, eps), HomogeneousLift.from_coeffs(2, [0, 0, 1], [p]), 2
+    inside, _ = _basin_battery(p, random.Random(10 + p))
+    for x in inside:
+        st = lambda_limit(place, lift, x, 1e-6)
+        assert (st.certified_error, st.certificate) == (0.0, "exact"), x
+        for n in range(st.n_used, 11):
+            assert lambda_n(place, lift, x, n) == st.value + F(-eps, d**n * (d - 1)), (x, n)
