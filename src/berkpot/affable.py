@@ -13,6 +13,12 @@ Evaluation follows the place: at ultrametric places one point at a time in
 exact arithmetic; at archimedean places on numpy arrays of points, with
 the chart picked per point by |T| > 1 and the chart-inf pieces evaluated at
 S = 1/T (S = 0 at infinity).
+
+Restriction to a skeleton takes each edge once.  Along eta_{z,rho} each
+log|g| is the upper envelope of the Newton lines of g(z + T), so the exact
+evaluator reads the function there from those lines, and a vertex is
+inserted at each exact kink: a candidate radius where the slopes on its two
+sides differ.  The result is exactly affine on every edge.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import MetricGraph, PLFunction, subdivide_edge
-from .places import NEG_INF, Place, PlaceError, abs_log_value, is_neg_inf, vmax, vplus, vscale
-from .points import ARCH_INF, BerkPoint, arch_point, classical, disk, eval_log_abs
+from .graphs import MetricGraph, PLFunction
+from .places import (NEG_INF, Place, PlaceError, _as_fraction, abs_log_value, is_inf, is_neg_inf,
+                     vmax, vplus, vscale)
+from .points import ARCH_INF, DISK, INF, BerkPoint, arch_point, classical, disk, eval_log_abs
 from .polys import taylor_shift
 
 
@@ -61,14 +68,6 @@ class Piece:
         for b in self.branches:
             const = None if b.const is None else b.const * q
             out.append(Branch(const, tuple((qi * q, g) for qi, g in b.terms)))
-        return Piece(tuple(out))
-
-    def consts_scaled(self, eps: Fraction) -> "Piece":
-        """Scale only the constants (the flow-compatible rescaling)."""
-        out = []
-        for b in self.branches:
-            const = None if b.const is None else b.const * eps
-            out.append(Branch(const, b.terms))
         return Piece(tuple(out))
 
 
@@ -117,51 +116,76 @@ class AffableFn:
     chartinf_minus: Piece
     fn_id: str = ""
 
-    def charts(self):
-        return (
-            ("0", self.chart0_plus, self.chart0_minus),
-            ("inf", self.chartinf_plus, self.chartinf_minus),
-        )
+    def pieces(self, chart: str):
+        """(plus, minus) of the chart "0" or "inf"."""
+        if chart == "0":
+            return self.chart0_plus, self.chart0_minus
+        return self.chartinf_plus, self.chartinf_minus
 
 
-def _branch_value(place: Place, branch: Branch, x: BerkPoint, chart: str, t_log):
+# -- the exact evaluator -------------------------------------------------------
+#
+# One evaluator serves points and skeleton edges.  They differ only in
+# ``log_abs(g, rev)``, which gives log|g(T)|, or log|ghat(T)| for the reversed
+# coefficient list ghat when rev is set: through ``eval_log_abs`` at a point,
+# through the Newton lines of the edge at a log-radius (``_edge_vertices``).
+
+
+def _chart_of(t_log) -> str:
+    """The chart read at a point with log|T| = t_log."""
+    return "inf" if t_log > 0 else "0"
+
+
+def _reader(log_abs, chart: str, t_log):
+    """log|g| for a term g of the chart's pieces.  Chart-inf terms are
+    polynomials in S = 1/T, read through the reversed list:
+    |g(S)| = |ghat(T)| / |T|^m with m = len(g) - 1 and t_log = log|T|."""
+    if chart == "0":
+        return lambda g: log_abs(g, False)
+
+    def read(g):
+        v = log_abs(g, True)
+        m = len(g) - 1
+        if m == 0 or is_neg_inf(v):
+            return v
+        return vplus(v, vscale(-m, t_log))
+
+    return read
+
+
+_S_ZERO = classical(0)
+
+
+def _point_reader(place: Place, x: BerkPoint, chart: str, t_log):
+    if chart == "inf" and x.t == INF:
+        return lambda g: eval_log_abs(place, _S_ZERO, g)
+    return _reader(lambda g, rev: eval_log_abs(place, x, g[::-1] if rev else g), chart, t_log)
+
+
+def _branch_value(branch: Branch, read):
     if branch.const is None:
         return NEG_INF
     total = branch.const
     for q, coeffs in branch.terms:
         if q == 0:
             continue
-        if chart == "0":
-            v = eval_log_abs(place, x, list(coeffs))
-        else:
-            v = _log_abs_in_s(place, x, list(coeffs), t_log)
+        v = read(coeffs)
         if is_neg_inf(v):
             return NEG_INF
         total = vplus(total, vscale(q, v))
     return total
 
 
-def _log_abs_in_s(place: Place, x: BerkPoint, coeffs, t_log):
-    """log|g(1/T)|(x) via the reversed polynomial: |g(S)| = |ghat(T)| / |T|^m."""
-    if x.t == "inf":
-        c0 = coeffs[0] if coeffs else 0
-        return NEG_INF if c0 == 0 else abs_log_value(place, c0)
-    m = len(coeffs) - 1
-    rev = list(reversed(coeffs))
-    v = eval_log_abs(place, x, rev)
-    if is_neg_inf(v):
-        return NEG_INF
-    if m == 0:
-        return v
-    return vplus(v, vscale(-m, t_log))
+def _piece_value(piece: Piece, read):
+    return vmax(*(_branch_value(b, read) for b in piece.branches))
 
 
-def _piece_value(place: Place, piece: Piece, x: BerkPoint, chart: str, t_log):
-    best = NEG_INF
-    for b in piece.branches:
-        v = _branch_value(place, b, x, chart, t_log)
-        best = vmax(best, v)
-    return best
+def _chart_value(fn: AffableFn, chart: str, read):
+    """plus - minus on the chart, or None where either piece is -inf."""
+    p, m = (_piece_value(piece, read) for piece in fn.pieces(chart))
+    if is_neg_inf(p) or is_neg_inf(m):
+        return None
+    return p - m
 
 
 def _arch_piece(place: Place, piece: Piece, u):
@@ -189,7 +213,7 @@ def _arch_chart(place: Place, plus: Piece, minus: Piece, u):
     """plus - minus at chart coordinates u, and the mask where either is -inf."""
     p = _arch_piece(place, plus, u)
     m = _arch_piece(place, minus, u)
-    poles = (p == NEG_INF) | (m == NEG_INF)
+    poles = np.isneginf(p) | np.isneginf(m)
     return np.subtract(p, m, out=np.zeros_like(p), where=~poles), poles
 
 
@@ -208,23 +232,18 @@ def affable_eval(place: Place, fn: AffableFn, x):
         z = np.asarray(x, dtype=complex)
         big = np.abs(z) > 1
         out = np.empty(z.shape)
-        for sel, plus, minus, u in ((~big, fn.chart0_plus, fn.chart0_minus, z[~big]),
-                                    (big, fn.chartinf_plus, fn.chartinf_minus, 1 / z[big])):
-            vals, poles = _arch_chart(place, plus, minus, u)
+        for sel, chart, u in ((~big, "0", z[~big]), (big, "inf", 1 / z[big])):
+            vals, poles = _arch_chart(place, *fn.pieces(chart), u)
             if poles.any():
                 raise AffableError(f"affable value is -inf at {arch_point(z[sel][poles][0])!r}")
             out[sel] = vals
         return out
     t_log = eval_log_abs(place, x, [0, 1])  # +inf at infinity
-    if t_log > 0:
-        plus, minus, chart = fn.chartinf_plus, fn.chartinf_minus, "inf"
-    else:
-        plus, minus, chart = fn.chart0_plus, fn.chart0_minus, "0"
-    p = _piece_value(place, plus, x, chart, t_log)
-    m = _piece_value(place, minus, x, chart, t_log)
-    if is_neg_inf(p) or is_neg_inf(m):
+    chart = _chart_of(t_log)
+    v = _chart_value(fn, chart, _point_reader(place, x, chart, t_log))
+    if v is None:
         raise AffableError(f"affable value is -inf at {x!r}")
-    return p - m
+    return v
 
 
 def affable_real(place: Place, fn: AffableFn):
@@ -284,18 +303,6 @@ def affable_combine(op: str, f: AffableFn, g=None, q=None) -> AffableFn:
     raise AffableError(f"unknown combine op {op!r}")
 
 
-def scale_constants(fn: AffableFn, eps) -> AffableFn:
-    """The flow-rescaled companion: every branch constant multiplied by eps."""
-    eps = Fraction(eps)
-    return AffableFn(
-        fn.chart0_plus.consts_scaled(eps),
-        fn.chart0_minus.consts_scaled(eps),
-        fn.chartinf_plus.consts_scaled(eps),
-        fn.chartinf_minus.consts_scaled(eps),
-        fn_id=fn.fn_id,
-    )
-
-
 # -- the Laplacian-mass bound --------------------------------------------------
 
 
@@ -310,7 +317,7 @@ def mass_bound(place: Place, fn: AffableFn) -> float:
     of s(plus) + s(minus), the same rational at every place, times
     ``place.log_unit``.  A piece's Riesz mass is at most its top slope s;
     the ``sweeps`` docstring derives the scale."""
-    slopes = sum((_piece_slope(plus) + _piece_slope(minus) for _, plus, minus in fn.charts()),
+    slopes = sum((_piece_slope(piece) for chart in ("0", "inf") for piece in fn.pieces(chart)),
                  Fraction(0))
     return float(slopes) * place.log_unit
 
@@ -319,135 +326,112 @@ def mass_bound(place: Place, fn: AffableFn) -> float:
 
 
 def restrict_to_skeleton(place: Place, fn: AffableFn, skeleton: MetricGraph):
-    """Exact PL restriction: vertex values plus kink vertices inserted where
-    the function bends inside an edge.
+    """Exact PL restriction: the values at the skeleton's vertices, plus a
+    vertex at every kink of the function inside an edge.
 
-    Every edge of the result passes the exact midpoint-affineness check.
-    Returns (PLFunction, inserted_vertex_indices).
+    Each edge is taken once (``_edge_vertices``), and the result is exactly
+    affine on every edge of the returned graph.  The skeleton's vertices keep
+    their indices; inserted ones follow.  Returns (PLFunction,
+    inserted_vertex_indices).
     """
     if not place.is_ultrametric:
         raise PlaceError("skeleton restriction is ultrametric")
-    graph = skeleton
-    inserted = []
-    for _round in range(1024):
-        bad = _first_bent_edge(place, fn, graph)
-        if bad is None:
-            break
-        e, z, lo, hi = bad
-        kinks = _edge_kinks(place, fn, z, lo, hi)
-        if not kinks:
-            raise AffableError(f"midpoint check fails on edge {e} but no kink candidate found")
-        rho = kinks[0]
-        i, j, _ln = graph.edges[e]
-        lower_is_i = graph.labels[i].logr <= graph.labels[j].logr
-        off = (rho - lo) if lower_is_i else (hi - rho)
-        graph, v = subdivide_edge(graph, e, off, label=disk(z, rho))
-        inserted.append(v)
-    else:
-        raise AffableError("kink insertion did not converge")
-    values = [affable_eval(place, fn, lbl) for lbl in graph.labels]
+    labels = list(skeleton.labels)
+    values = [None] * skeleton.n
+    edges, inserted = [], []
+    for i, j, _ln in skeleton.edges:
+        a, b = labels[i], labels[j]
+        if a is None or b is None or a.t != DISK or b.t != DISK:
+            raise AffableError("skeleton edges must join labeled disk points")
+        if a.logr > b.logr:
+            i, j, a, b = j, i, b, a
+        pts = _edge_vertices(place, fn, a.center, a.logr, b.logr)
+        chain = [i]
+        for rho, v in pts[1:-1]:
+            labels.append(disk(a.center, rho))
+            values.append(v)
+            inserted.append(len(labels) - 1)
+            chain.append(len(labels) - 1)
+        chain.append(j)
+        values[i], values[j] = pts[0][1], pts[-1][1]
+        edges.extend((u, w, rw - ru) for u, w, (ru, _), (rw, _) in zip(chain, chain[1:], pts, pts[1:]))
+    for v, lbl in enumerate(skeleton.labels):
+        if values[v] is None:  # a skeleton without edges
+            values[v] = affable_eval(place, fn, lbl)
+    graph = MetricGraph(labels=labels, edges=edges, boundary=list(skeleton.boundary))
     return PLFunction(graph, values), inserted
 
 
-def _edge_geometry(graph: MetricGraph, e: int):
-    i, j, _ = graph.edges[e]
-    li, lj = graph.labels[i], graph.labels[j]
-    if li is None or lj is None or li.t != "disk" or lj.t != "disk":
-        raise AffableError("skeleton edges must join labeled disk points")
-    if li.logr <= lj.logr:
-        return li.center, li.logr, lj.logr
-    return lj.center, lj.logr, li.logr
+def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
+    """[(rho, f(eta_{z,rho}))] at lo, at every kink in (lo, hi), and at hi.
 
-
-def _first_bent_edge(place: Place, fn: AffableFn, graph: MetricGraph):
-    for e, (i, j, ln) in enumerate(graph.edges):
-        z, lo, hi = _edge_geometry(graph, e)
-        mid = disk(z, (lo + hi) / 2)
-        vi = affable_eval(place, fn, graph.labels[i])
-        vj = affable_eval(place, fn, graph.labels[j])
-        vm = affable_eval(place, fn, mid)
-        if 2 * vm != vi + vj:
-            return e, z, lo, hi
-    return None
-
-
-def _edge_kinks(place: Place, fn: AffableFn, z, lo, hi):
-    """Exact kink radii of the function along eta_{z, rho}, rho in (lo, hi).
-
-    Candidates: crossings of the monomial lines of every term polynomial
-    (Newton-polygon bends), the |T| bend at rho = log|z|, the chart switch
-    at rho = 0, and crossings of competing affine branches on the remaining
-    subintervals.
+    Along eta_{z,rho} each log|g| is the upper envelope of the Newton lines
+    log|c_i| + i rho, c_i the coefficients of g(z + T); they are computed
+    once per term polynomial and read by the exact evaluator.  Kink
+    candidates: crossings of each polynomial's lines, the bend of
+    log|T| = max(log|z|, rho) at rho = log|z|, the chart switch at rho = 0,
+    and, between those, crossings of the branches of a piece, read in that
+    stretch's chart.  f is affine between consecutive candidates, so a
+    candidate is a kink exactly where the slopes on its two sides differ.
     """
-    cands = set()
-    zl = abs_log_value(place, z) if z != 0 else NEG_INF
+    zl = abs_log_value(place, z)
+    memo = {}
 
-    def add(rho):
-        if lo < rho < hi:
-            cands.add(Fraction(rho))
+    def lines(g, rev):
+        key = (id(g), rev)  # g is held by fn for the whole call
+        if key not in memo:
+            shifted = taylor_shift([_as_fraction(c) for c in (g[::-1] if rev else g)], z)
+            logs = ((abs_log_value(place, c), i) for i, c in enumerate(shifted))
+            memo[key] = [(a, i) for a, i in logs if not is_neg_inf(a)]
+        return memo[key]
 
-    for piece in (fn.chart0_plus, fn.chart0_minus, fn.chartinf_plus, fn.chartinf_minus):
-        for b in piece.branches:
-            for _, coeffs in b.terms:
-                for poly in (list(coeffs), list(reversed(coeffs))):
-                    shifted = taylor_shift([Fraction(c) for c in poly], z)
-                    lines = [
-                        (abs_log_value(place, c), i)
-                        for i, c in enumerate(shifted)
-                        if c != 0
-                    ]
-                    for a in range(len(lines)):
-                        for bb in range(a + 1, len(lines)):
-                            (ca, ia), (cb, ib) = lines[a], lines[bb]
-                            if ia != ib:
-                                add(Fraction(ca - cb, ib - ia))
-    add(Fraction(0))
-    if not is_neg_inf(zl):
-        add(zl)
-    # refine with branch-vs-branch crossings on the monomial-free subintervals
-    grid = [Fraction(lo)] + sorted(cands) + [Fraction(hi)]
-    extra = set()
-    for a, b in zip(grid, grid[1:]):
-        if b - a <= 0:
-            continue
-        vals_a = _all_branch_values(place, fn, z, a)
-        vals_b = _all_branch_values(place, fn, z, b)
-        for rho in _affine_crossings(vals_a, vals_b, a, b):
-            if lo < rho < hi:
-                extra.add(rho)
-    cands |= extra
-    return sorted(cands)
+    def reader(rho, chart):
+        return _reader(lambda g, rev: max((a + i * rho for a, i in lines(g, rev)), default=NEG_INF),
+                       chart, vmax(zl, rho))
 
+    def value(rho):
+        chart = _chart_of(vmax(zl, rho))
+        v = _chart_value(fn, chart, reader(rho, chart))
+        if v is None:
+            raise AffableError(f"affable value is -inf at {disk(z, rho)!r}")
+        return v
 
-def _all_branch_values(place: Place, fn: AffableFn, z, rho):
-    x = disk(z, rho)
-    t_log = eval_log_abs(place, x, [0, 1])
-    chart = "inf" if t_log > 0 else "0"
-    out = []
-    for sign, piece in ((1, fn.chart0_plus if chart == "0" else fn.chartinf_plus),
-                        (-1, fn.chart0_minus if chart == "0" else fn.chartinf_minus)):
-        for b in piece.branches:
-            v = _branch_value(place, b, x, chart, t_log)
-            out.append((sign, v))
+    cands = {r for r in (Fraction(0), zl) if not is_inf(r) and lo < r < hi}
+    cuts = [lo] + sorted(cands) + [hi]
+    for a, b in zip(cuts, cuts[1:]):
+        chart = _chart_of(vmax(zl, (a + b) / 2))
+        polys = {id(g): g for piece in fn.pieces(chart) for br in piece.branches for _, g in br.terms}
+        bends = set()
+        for g in polys.values():
+            bends |= _crossings([ln for ln in lines(g, chart == "inf") if not is_inf(ln[0])], a, b)
+        grid = [a] + sorted(bends) + [b]
+        ends = [[[_branch_value(br, read) for br in piece.branches] for piece in fn.pieces(chart)]
+                for read in (reader(rho, chart) for rho in grid)]
+        for (u, vals_u), (w, vals_w) in zip(zip(grid, ends), zip(grid[1:], ends[1:])):
+            for pu, pw in zip(vals_u, vals_w):
+                branch_lines = [(vu - u * (vw - vu) / (w - u), (vw - vu) / (w - u))
+                                for vu, vw in zip(pu, pw) if not (is_inf(vu) or is_inf(vw))]
+                bends |= _crossings(branch_lines, u, w)
+        cands |= bends
+    pts = [lo] + sorted(cands) + [hi]
+    vals = [value(rho) for rho in pts]
+    out = [(lo, vals[0])]
+    for k in range(1, len(pts) - 1):
+        if (vals[k] - vals[k - 1]) * (pts[k + 1] - pts[k]) != (vals[k + 1] - vals[k]) * (pts[k] - pts[k - 1]):
+            out.append((pts[k], vals[k]))
+    out.append((hi, vals[-1]))
     return out
 
 
-def _affine_crossings(vals_a, vals_b, a, b):
-    """Crossing abscissae of affine branch graphs given endpoint values."""
-    lines = []
-    for (sa, va), (sb, vb) in zip(vals_a, vals_b):
-        if is_neg_inf(va) or is_neg_inf(vb):
-            continue
-        slope = Fraction(vb - va, b - a)
-        lines.append((va - slope * a, slope))
-    out = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            (ci, si), (cj, sj) = lines[i], lines[j]
-            if si != sj:
-                rho = Fraction(cj - ci, si - sj)
-                if a < rho < b:
-                    out.append(rho)
+def _crossings(lines, a, b):
+    """Abscissae in (a, b) where two of the lines (intercept, slope) cross."""
+    out = set()
+    for k, (c1, s1) in enumerate(lines):
+        for c2, s2 in lines[k + 1:]:
+            if s1 != s2:
+                x = (c2 - c1) / (s1 - s2)
+                if a < x < b:
+                    out.add(x)
     return out
 
 
@@ -456,8 +440,8 @@ def validate_charts(place: Place, fn: AffableFn, tol: float = 1e-9) -> bool:
     if not place.is_ultrametric:
         k = np.arange(16)
         z = (0.6 + 0.3 * (k % 4)) * np.exp(2j * np.pi * k / 16)
-        v0, poles0 = _arch_chart(place, fn.chart0_plus, fn.chart0_minus, z)
-        vi, polesi = _arch_chart(place, fn.chartinf_plus, fn.chartinf_minus, 1 / z)
+        v0, poles0 = _arch_chart(place, *fn.pieces("0"), z)
+        vi, polesi = _arch_chart(place, *fn.pieces("inf"), 1 / z)
         return bool((poles0 == polesi).all() and (np.abs(v0 - vi) <= tol).all())
     probes = []
     unit = place.log_unit
@@ -475,13 +459,7 @@ def validate_charts(place: Place, fn: AffableFn, tol: float = 1e-9) -> bool:
             probes.append(classical(Fraction(z)))
     for x in probes:
         t_log = eval_log_abs(place, x, [0, 1])
-        vals = []
-        for plus, minus, chart in ((fn.chart0_plus, fn.chart0_minus, "0"),
-                                   (fn.chartinf_plus, fn.chartinf_minus, "inf")):
-            p = _piece_value(place, plus, x, chart, t_log)
-            m = _piece_value(place, minus, x, chart, t_log)
-            vals.append(None if (is_neg_inf(p) or is_neg_inf(m)) else p - m)
-        v0, vi = vals
+        v0, vi = (_chart_value(fn, chart, _point_reader(place, x, chart, t_log)) for chart in ("0", "inf"))
         if v0 is None or vi is None:
             if (v0 is None) != (vi is None):
                 return False

@@ -165,24 +165,6 @@ def measure_pairing(u: PLFunction, mu: GraphMeasure):
     return sum(w * u.values[v] for v, w in mu.atoms)
 
 
-def subdivide_edge(graph: MetricGraph, edge_index: int, offset, label=None):
-    """Insert a vertex inside an edge at the given distance from endpoint i.
-
-    Returns (new_graph, new_vertex_index).  Vertex labels are carried over;
-    the new vertex takes the supplied label (callers interpolate points).
-    """
-    i, j, ln = graph.edges[edge_index]
-    if not (0 < offset < ln):
-        raise GraphError(f"offset {offset} outside edge of length {ln}")
-    labels = list(graph.labels) + [label]
-    new_v = len(labels)
-    new_v -= 1
-    edges = [e for k, e in enumerate(graph.edges) if k != edge_index]
-    edges.append((i, new_v, offset))
-    edges.append((new_v, j, ln - offset))
-    return MetricGraph(labels=labels, edges=edges, boundary=list(graph.boundary)), new_v
-
-
 # -- (de)serialization --------------------------------------------------------
 
 def graph_to_json(graph: MetricGraph) -> dict:

@@ -72,6 +72,7 @@ from .places import (
     PlaceError,
     abs_log_value,
     is_neg_inf,
+    is_pos_inf,
     vmax,
     vplus,
     vscale,
@@ -106,7 +107,7 @@ def standard_potential(place: Place, x: BerkPoint) -> LogValue:
         return 0 if place.is_ultrametric else 0.0
     t = eval_log_abs(place, x, [0, 1])
     if is_neg_inf(t):
-        return float("inf")
+        return POS_INF
     return vmax(vscale(-1, t), 0)
 
 
@@ -210,7 +211,7 @@ def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log) -> LogVal
     n_out = vmax(eval_log_abs(place, x, f0), eval_log_abs(place, x, f1))
     if is_neg_inf(n_out):
         raise GreenError("lift vanishes at a projective point; Res = 0")
-    if n_out == POS_INF:  # a residue place where the map is not defined
+    if is_pos_inf(n_out):  # a residue place where the map is not defined
         raise GreenError(_INFINITE_BOUND)
     return vplus(n_out, vscale(-lift.d, vmax(t_log, 0)))
 
@@ -321,7 +322,7 @@ def deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
 def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
     if place.is_ultrametric:
         upper = vmax(*[abs_log_value(place, c) for c in lift.coeff_list() if c != 0])
-        if upper == POS_INF:
+        if is_pos_inf(upper):
             raise GreenError(_INFINITE_BOUND)
         cof = resultant_cofactors(lift).coeff_list()
         lower = vscale(-1, vmax(*[abs_log_value(place, c) for c in cof if c != 0]))
@@ -413,7 +414,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     bound = deviation_bound(place, lift)
     d = lift.d
     if not math.isfinite(bound.gmax):
-        raise GreenError(_VANISHING_RES if bound.lower == -math.inf else _INFINITE_BOUND)
+        raise GreenError(_VANISHING_RES if is_neg_inf(bound.lower) else _INFINITE_BOUND)
     if bound.gmax == 0.0:
         return PotentialState(_zero(place, x), 0, 0.0, "exact", 0.0)
     n = 0

@@ -182,24 +182,43 @@ def flow_place(place: Place, eps) -> Place:
 
 
 # -- extended-value helpers (coefficient scale) ------------------------------
+#
+# The one rule for log infinities: at exact places +/-inf are the only floats
+# a log value can be, so every test below checks ``type(a) is float`` before
+# comparing.  An exact Fraction is never compared with a float, which would
+# go through the ``numbers`` ABCs.  At archimedean places every value is a
+# float and the tests are plain float comparisons.
+
+def is_neg_inf(a: LogValue) -> bool:
+    return type(a) is float and a == NEG_INF
+
+
+def is_pos_inf(a: LogValue) -> bool:
+    return type(a) is float and a == POS_INF
+
+
+def is_inf(a: LogValue) -> bool:
+    return type(a) is float and (a == NEG_INF or a == POS_INF)
+
 
 def vplus(a: LogValue, b: LogValue) -> LogValue:
     """a + b with -inf absorbing (never add opposite infinities)."""
-    if a == NEG_INF or b == NEG_INF:
+    if type(a) is float or type(b) is float:
+        if a == NEG_INF or b == NEG_INF:
+            if a == POS_INF or b == POS_INF:
+                raise ArithmeticError("adding opposite log infinities")
+            return NEG_INF
         if a == POS_INF or b == POS_INF:
-            raise ArithmeticError("adding opposite log infinities")
-        return NEG_INF
-    if a == POS_INF or b == POS_INF:
-        return POS_INF
+            return POS_INF
     return a + b
 
 
 def vscale(c, a: LogValue) -> LogValue:
     """c * a for nonzero rational c, with infinities flipped when c < 0."""
     c = _as_fraction(c)
-    if a == NEG_INF or a == POS_INF:
-        return a if c > 0 else (NEG_INF if a == POS_INF else POS_INF)
-    if isinstance(a, float):
+    if type(a) is float:
+        if a == NEG_INF or a == POS_INF:
+            return a if c > 0 else -a
         return float(c) * a
     return c * a
 
@@ -207,13 +226,9 @@ def vscale(c, a: LogValue) -> LogValue:
 def vmax(*values: LogValue) -> LogValue:
     out = NEG_INF
     for v in values:
-        if out == NEG_INF or (v != NEG_INF and v > out):
+        if is_neg_inf(out) or (not is_neg_inf(v) and v > out):
             out = v
     return out
-
-
-def is_neg_inf(a: LogValue) -> bool:
-    return a == NEG_INF
 
 
 # -- (de)serialization --------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Optional, Union
 
 from .places import (
     NEG_INF,
+    POS_INF,
     LogValue,
     Place,
     PlaceError,
@@ -87,7 +88,7 @@ def infinity() -> BerkPoint:
     return BerkPoint(INF)
 
 
-ARCH_INF = complex(float("inf"), 0.0)  # the point at infinity in archimedean point arrays
+ARCH_INF = complex(POS_INF, 0.0)  # the point at infinity in archimedean point arrays
 
 
 def arch_point(z) -> BerkPoint:
@@ -117,7 +118,7 @@ def eval_log_abs(place: Place, point: BerkPoint, coeffs) -> LogValue:
         return NEG_INF
     if point.t == INF:
         if any(c != 0 for c in coeffs[1:]):
-            return float("inf")
+            return POS_INF
         return abs_log_value(place, coeffs[0]) if place.is_ultrametric else _arch_log(place, coeffs[0])
     if point.t == CLS:
         val = 0

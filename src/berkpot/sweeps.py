@@ -77,14 +77,17 @@ def validate_grid(grid: list[Place]):
 
 
 def default_skeleton(place: Place, span: int = 2, halves: bool = True) -> MetricGraph:
-    """Segment skeleton eta_{0, p^q}, q in [-span, span], through Gauss."""
+    """Segment skeleton eta_{0, p^(q eps)}, q in [-span, span], through Gauss:
+    the flow image at the place's exponent eps of the eps = 1 segment, so
+    the flow carries a fiber's skeleton, and with it the measure, to the
+    next one along a branch."""
     from .points import build_skeleton
 
     step = Fraction(1, 2) if halves else Fraction(1)
     pts = []
     q = Fraction(-span)
     while q <= span:
-        pts.append(disk(0, q))
+        pts.append(disk(0, q * place.eps))
         q += step
     return build_skeleton(place, pts)
 

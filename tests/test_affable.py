@@ -18,13 +18,12 @@ from berkpot.affable import (
     piece_const,
     piece_max_log,
     restrict_to_skeleton,
-    scale_constants,
     validate_charts,
 )
 from berkpot.battery import load_battery, standard_battery
 from berkpot.graphs import graph_laplacian
-from berkpot.places import Place, flow_place
-from berkpot.points import GAUSS, build_skeleton, classical, disk, flow_point
+from berkpot.places import Place
+from berkpot.points import GAUSS, build_skeleton, classical, disk
 from berkpot.sweeps import default_skeleton
 
 ARC = Place.archimedean()
@@ -203,6 +202,20 @@ def test_restrict_examples():
     u3, ins3 = restrict_to_skeleton(P2, const, seg)
     assert not ins3 and all(v == 1 for v in u3.values)
 
+    # min(max(0, log|T-2|), 1/2) over Q_3 is min(max(0, rho), 1/2) along
+    # eta_{2,rho}: two kinks placed symmetrically about the edge's midpoint
+    p3 = Place.padic(3)
+    clip = next(f for f in BAT if f.fn_id == "min_clip_half")
+    u4, ins4 = restrict_to_skeleton(p3, clip, build_skeleton(p3, [disk(2, F(-1, 4)), disk(2, F(3, 4))]))
+    assert [u4.graph.labels[v] for v in ins4] == [disk(2, 0), disk(2, F(1, 2))]
+    assert [u4.values[v] for v in ins4] == [0, F(1, 2)]
+
+    # log|T-3| - log|T-2| over Q_2 is max(0, rho) - max(-1, rho) along
+    # eta_{4,rho}: one kink, at rho = -1, and no vertex where the slopes agree
+    ratio = next(f for f in BAT if f.fn_id == "log_ratio_3_2")
+    u5, ins5 = restrict_to_skeleton(P2, ratio, build_skeleton(P2, [GAUSS, disk(4, -4)]))
+    assert [u5.graph.labels[v] for v in ins5] == [disk(4, -1)]
+
 
 def test_restrict_midpoint_exactness():
     p3 = Place.padic(3)
@@ -218,7 +231,7 @@ def test_restrict_midpoint_exactness():
 
 def test_restrict_matches_pointwise_oracle_randomized():
     # PL interpolation of the restriction must equal direct evaluation at
-    # arbitrary edge points, exactly
+    # arbitrary edge points, exactly, with no vertex inserted off a kink
     rng = random.Random(424242)
     for _ in range(15):
         p = rng.choice([2, 3, 5])
@@ -229,7 +242,12 @@ def test_restrict_matches_pointwise_oracle_randomized():
         pts = [disk(F(rng.randint(-6, 6)), F(rng.randint(-8, 8), rng.choice([1, 2, 4])))
                for _ in range(rng.randint(1, 4))]
         skel = build_skeleton(place, pts)
-        u, _ = restrict_to_skeleton(place, fn, skel)
+        u, inserted = restrict_to_skeleton(place, fn, skel)
+        adj = u.graph.adjacency()
+        for v in inserted:
+            # an inserted vertex is a kink: the slopes on its two sides differ
+            (w1, l1, _), (w2, l2, _) = adj[v]
+            assert (u.values[v] - u.values[w1]) / l1 != (u.values[w2] - u.values[v]) / l2
         for i, j, _ln in u.graph.edges:
             a, b = u.graph.labels[i], u.graph.labels[j]
             lo, hi, vlo, vhi = (
@@ -241,18 +259,6 @@ def test_restrict_matches_pointwise_oracle_randomized():
                 t = F(rng.randint(1, 15), 16)
                 rho = lo.logr + (hi.logr - lo.logr) * t
                 assert affable_eval(place, fn, disk(lo.center, rho)) == vlo + (vhi - vlo) * t
-
-
-def test_flow_rescaled_evaluation():
-    rng = random.Random(31)
-    p3 = Place.padic(3)
-    pts = [GAUSS, disk(0, F(-2)), disk(1, F(1, 2)), classical(F(7))]
-    for fn in BAT[:6]:
-        for eps in (F(1, 2), F(2, 5)):
-            rescaled = scale_constants(fn, eps)
-            for x in pts:
-                lhs = affable_eval(flow_place(p3, eps), rescaled, flow_point(x, eps))
-                assert lhs == eps * affable_eval(p3, fn, x)
 
 
 def test_load_battery_from_file(tmp_path):

@@ -13,7 +13,6 @@ from berkpot.graphs import (
     graph_to_json,
     mass_in,
     measure_pairing,
-    subdivide_edge,
 )
 from berkpot.points import MetricGraph
 
@@ -166,13 +165,6 @@ def test_subharmonic_iff_nonnegative_interior_laplacian():
     assert graph_laplacian(convex).weight_at(0) >= 0
     concave = PLFunction(g, [F(1), F(0), F(0), F(0)])
     assert graph_laplacian(concave).weight_at(0) < 0
-
-
-def test_subdivide_edge():
-    g, v = subdivide_edge(segment(F(2)), 0, F(1, 2))
-    assert g.n == 3 and len(g.edges) == 2
-    assert sorted(ln for _, _, ln in g.edges) == [F(1, 2), F(3, 2)]
-    assert v == 2
 
 
 def test_graph_json_round_trip():

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from berkpot.affable import AffableError
+from berkpot.affable import AffableError, affable_real
 from berkpot.battery import standard_battery
 from berkpot.cli import main
 from berkpot.green import contraction_ratios
 from berkpot.measures import equilibrium_nonarch
 from berkpot.places import Place
+from berkpot.points import disk
 from berkpot.rmaps import HomogeneousLift, lift_to_json
 from berkpot.sweeps import (
     RadiusSpec,
@@ -370,6 +371,21 @@ def test_residue_rows_fail_with_typed_bound_error():
     assert [r.place_kind for r in failed] == ["res"] * len(BAT)
     assert all(r.error == "deviation bound is infinite at this place (coefficients blow up)"
                for r in failed)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_padic_branch_rows_follow_the_flow(p):
+    # the Julia set of T^2/p at |.|_p^eps is the point eta_{0,-eps} (coefficient
+    # units), so every row is f there; it lies on the flowed default skeleton
+    t2p = HomogeneousLift.from_coeffs(2, [0, 0, F(1, p)], [1])
+    grid = padic_branch_grid(p, 10)
+    table = sweep_equilibrium(SweepConfig(grid=grid, battery=BAT, lift=t2p))
+    for place in grid[:-1]:
+        julia = disk(0, -place.eps)
+        for fn in BAT:
+            row = next(r for r in table.rows
+                       if (r.place_kind, r.place_param, r.fn_id) == (*place.describe(), fn.fn_id))
+            assert abs(row.value - affable_real(place, fn)(julia)) <= row.cert_err, (place, fn.fn_id)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
