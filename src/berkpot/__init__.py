@@ -1,7 +1,7 @@
 """Canonical potentials and equilibrium measures on the Berkovich projective
 line, fiberwise over hybrid base spectra, with degeneration sweeps."""
 
-from .places import Place, PlaceError, epsilon_of, flow_place
+from .places import Place, PlaceError, flow_place
 from .points import (
     GAUSS,
     BerkPoint,
@@ -19,7 +19,6 @@ from .rmaps import HomogeneousLift, preimages_arch, pushforward_values, apply_po
 from .green import (
     contraction_ratios,
     deviation_g,
-    ecart_dK,
     lambda_limit,
     lambda_n,
     standard_potential,

@@ -16,10 +16,9 @@ coefficient bound; the lower branch is a cofactor bound, from the exact
 identities t^{2d-1} = A0 f0 + B0 f1 and 1 = A1 f0 + B1 f1 with
 deg A_i, B_i < d.  On a lift of max norm 1 they give ||F|| >= 1 / (2d max|x_j|)
 at an archimedean place and ||F|| >= 1 / max|x_j| at an ultrametric one,
-x_j running over the cofactor coefficients.  The cofactors solve the
-transposed Sylvester system M = R + iJ once, exactly over Q: float
-coefficients are dyadic rationals, so the realified system
-[[R, -J], [J, R]] is rational, and a rational lift is the case J = 0.
+x_j running over the cofactor coefficients.  The cofactors are
+``HomogeneousLift.cofactors``: the one exact elimination that also decides
+Res(F0, F1) != 0 when the lift is built (``rmaps.resultant_cofactors``).
 
 Archimedean places run every orbit through one kernel, ``_arch_step``, which
 reads the lift's complex coefficients (``HomogeneousLift.complex_coeffs``)
@@ -89,7 +88,6 @@ from .points import (
     eval_log_abs,
     join_points,
 )
-from .polys import exact_solve, sylvester_matrix
 from .rmaps import HomogeneousLift, apply_point
 
 
@@ -244,8 +242,8 @@ def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     """
     total = _zero(place, x)
     for k, g in enumerate(deviation_sequence(place, lift, x, n)):
-        w = Fraction(1, lift.d ** (k + 1))
-        total = total - (w * g if place.is_ultrametric else float(w) * g)
+        w = Fraction(1, lift.d ** (k + 1)) if place.is_ultrametric else 1 / lift.d ** (k + 1)
+        total = total - w * g
     return total
 
 
@@ -257,44 +255,6 @@ def _zero(place: Place, x):
 
 
 # -- deviation bounds ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResultantCofactors:
-    """Cofactors of degree < d with t^{2d-1} = a0 f0 + b0 f1 and 1 = a1 f0 + b1 f1.
-
-    Ascending coefficient tuples: Fractions, or complex where the exact
-    solution has a nonzero imaginary part.
-    """
-
-    a0: tuple
-    b0: tuple
-    a1: tuple
-    b1: tuple
-
-    def coeff_list(self):
-        return list(self.a0) + list(self.b0) + list(self.a1) + list(self.b1)
-
-
-@functools.cache
-def resultant_cofactors(lift: HomogeneousLift) -> ResultantCofactors:
-    """Exact cofactors from the realified Sylvester system (module docstring)."""
-    d = lift.d
-    size = 2 * d
-    # columns of M: t^{d-1-i} f0 and t^{d-1-i} f1 (i < d) in the descending
-    # basis t^{2d-1}, ..., 1; M = R + iJ is solved as [[R, -J], [J, R]]
-    m = list(zip(*sylvester_matrix(lift.f0, lift.f1, d, d)))
-    real = [[Fraction(c.real) for c in row] for row in m]
-    imag = [[Fraction(c.imag) for c in row] for row in m]
-    system = [r + [-x for x in j] for r, j in zip(real, imag)] + [j + r for r, j in zip(real, imag)]
-    cofactors = []
-    for k in (0, size - 1):  # right-hand sides t^{2d-1} and 1
-        rhs = [0] * (2 * size)
-        rhs[k] = 1
-        u = exact_solve(system, rhs)
-        x = [complex(a, b) if b else a for a, b in zip(u[:size], u[size:])]
-        cofactors += [tuple(reversed(x[:d])), tuple(reversed(x[d:]))]
-    return ResultantCofactors(*cofactors)
 
 
 @dataclass(frozen=True)
@@ -324,13 +284,13 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
         upper = vmax(*[abs_log_value(place, c) for c in lift.coeff_list() if c != 0])
         if is_pos_inf(upper):
             raise GreenError(_INFINITE_BOUND)
-        cof = resultant_cofactors(lift).coeff_list()
+        cof = lift.cofactors.coeff_list()
         lower = vscale(-1, vmax(*[abs_log_value(place, c) for c in cof if c != 0]))
         unit = place.log_unit
         return DeviationBound(float(lower) * unit, float(upper) * unit)
     eps, d = float(place.eps), lift.d
     maxc = max(abs(complex(c)) for c in lift.coeff_list())
-    maxcof = max(abs(complex(c)) for c in resultant_cofactors(lift).coeff_list())
+    maxcof = max(abs(complex(c)) for c in lift.cofactors.coeff_list())
     return DeviationBound(-eps * math.log(2 * d * maxcof), eps * (math.log(maxc) + math.log(d + 1)))
 
 
@@ -440,18 +400,6 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         total = total - Fraction(1, d ** (k + 1)) * _exact_g(place, lift, y, t_log)
         prev = y if t_log <= 0 else None
     return PotentialState(total, n, err, "certified", bound.gmax)
-
-
-def ecart_dK(u, v, sample) -> float:
-    """Uniform distance max over the sample of |u - v|."""
-    if not sample:
-        raise GreenError("sample must be nonempty")
-    best = None
-    for x in sample:
-        gap = abs(u(x) - v(x))
-        if best is None or gap > best:
-            best = gap
-    return best
 
 
 def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):

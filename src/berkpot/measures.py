@@ -3,14 +3,15 @@
 Two representations, one per regime:
 
 - ``Measure``: a list of point atoms (BerkPoint, weight), exact weights
-  allowed.  Ultrametric measures are always of this kind; their circle
-  measures are Dirac masses at disk points, never Haar components.
+  allowed, and nothing else.  Ultrametric measures are always of this
+  kind; their circle measures are Dirac masses at disk points.
 - ``ArchMeasure``: an archimedean measure held as numpy arrays, finite atoms
   at the complex points ``z`` with real weights ``w``, any mass at infinity
   as its own weight ``inf_mass``, plus circle components carrying
   normalized Haar mass.  Circle components store the Euclidean radius of
   the underlying set, so the unit circle means the same set at every
-  archimedean exponent.
+  archimedean exponent.  It is the one container for circle (Haar) mass;
+  a ``Measure`` of classical atoms converts to it.
 
 Integrands follow the regime: at an archimedean place ``integrate`` calls f
 once on a complex ndarray of points (all atoms, or all nodes of one
@@ -26,7 +27,6 @@ canonical potential restricted to a skeleton).
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -56,14 +56,13 @@ class ExceptionalSeedWarning(UserWarning):
 
 @dataclass
 class Measure:
-    """Finite point atoms plus weighted unit-mass circle (Haar) components."""
+    """Finite point atoms (BerkPoint, weight), exact weights allowed."""
 
     atoms: list = field(default_factory=list)   # (BerkPoint, weight)
-    haars: list = field(default_factory=list)   # (complex center, euclidean radius, weight)
 
     @property
     def total_mass(self):
-        return sum(w for _, w in self.atoms) + sum(w for _, _, w in self.haars)
+        return sum(w for _, w in self.atoms)
 
 
 @dataclass
@@ -90,7 +89,7 @@ class ArchMeasure:
 
 
 def _as_arch(mu) -> ArchMeasure:
-    """The array form of a measure of classical points and circles."""
+    """The array form of a measure of classical points."""
     if isinstance(mu, ArchMeasure):
         return mu
     z, w, inf_mass = [], [], 0.0
@@ -102,8 +101,7 @@ def _as_arch(mu) -> ArchMeasure:
         else:
             z.append(complex(x.z))
             w.append(float(wt))
-    return ArchMeasure(np.array(z, dtype=complex), np.array(w, dtype=float), inf_mass,
-                       list(mu.haars))
+    return ArchMeasure(np.array(z, dtype=complex), np.array(w, dtype=float), inf_mass)
 
 
 def dirac(x: BerkPoint, weight=1) -> Measure:
@@ -137,8 +135,8 @@ def integrate(place: Place, mu, f, quad_n: int = 64):
     integrand value raises ``MeasureError``.
     """
     if place.is_ultrametric:
-        if mu.haars:
-            raise MeasureError("ultrametric measures carry no Haar circles")
+        if isinstance(mu, ArchMeasure):
+            raise MeasureError("ultrametric measures are Measures of point atoms")
         total = 0.0
         for x, w in mu.atoms:
             v = f(x)
@@ -190,22 +188,11 @@ def _circle_quadrature(f, center, radius, n, tol, cap):
     return cur, diff + rounding
 
 
-def pushforward_measure(map_fn, mu: Measure, circle_image=None, haar_samples: int = 256) -> Measure:
-    """Transport atoms; Haar components move exactly only under maps that
-    preserve circles (pass ``circle_image`` mapping (center, radius) to the
-    image circle), otherwise they are discretized into ``haar_samples`` atoms.
-    """
-    atoms = [(map_fn(x), w) for x, w in mu.atoms]
-    haars = []
-    for z, r, w in mu.haars:
-        if circle_image is not None:
-            zc, rc = circle_image(z, r)
-            haars.append((complex(zc), float(rc), w))
-        else:
-            for k in range(haar_samples):
-                pt = classical(z + r * cmath.exp(2j * math.pi * (k + 0.5) / haar_samples))
-                atoms.append((map_fn(pt), w / haar_samples))
-    return Measure(atoms, haars)
+def pushforward_measure(map_fn, mu: Measure) -> Measure:
+    """The image of an atomic measure: each atom moved by ``map_fn``."""
+    if isinstance(mu, ArchMeasure) and mu.haars:
+        raise MeasureError("pushforward implemented for atomic measures")
+    return Measure([(map_fn(x), w) for x, w in mu.atoms])
 
 
 def pullback_measure(place: Place, lift: HomogeneousLift, mu) -> ArchMeasure:
@@ -250,8 +237,9 @@ def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> ArchM
     collapse_streak = 0
     for level in range(n):
         mu = pullback_measure(place, lift, mu)  # weights are multiplicity products
-        re, im = _rounded(mu.z)
-        distinct = len(np.unique(re + 1j * im)) + (mu.inf_mass != 0)
+        # preimages of distinct targets are distinct, and _solve_rows merges
+        # coincident roots of one target, so the atoms are the distinct points
+        distinct = len(mu.z) + (mu.inf_mass != 0)
         if distinct <= 2:
             collapse_streak += 1
             if collapse_streak >= 3:
@@ -336,8 +324,8 @@ def measure_to_rows(place: Place, mu):
             rows.append(("atom", "inf", "", float(w)))
         else:
             rows.append(("atom", str(x.center), str(x.logr), float(w)))
-    for z, r, w in mu.haars:
-        rows.append(("haar", str(z), repr(r), float(w)))
+    if isinstance(mu, ArchMeasure):
+        rows += [("haar", str(z), repr(r), float(w)) for z, r, w in mu.haars]
     return rows
 
 

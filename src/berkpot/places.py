@@ -156,13 +156,6 @@ def abs_log_value(place: Place, q) -> LogValue:
     return Fraction(0)
 
 
-def epsilon_of(place: Place) -> Fraction:
-    """The exponent eps = log|2| / log 2 of an archimedean place."""
-    if place.kind != ARCH:
-        raise PlaceError(f"epsilon_of is defined for archimedean places only, got {place.kind}")
-    return place.eps
-
-
 def flow_place(place: Place, eps) -> Place:
     """Raise the place's absolute value to the power eps in (0,1].
 

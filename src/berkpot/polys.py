@@ -73,11 +73,13 @@ def sylvester_matrix(f, g, m: int, n: int):
 
 
 def _eliminate(matrix, rhs=()):
-    """Forward elimination of [A | rhs] over Q with exact pivoting.
+    """Elimination of [A | rhs] over Q with exact pivoting, then back
+    substitution for each right-hand column.
 
-    The one elimination loop behind ``exact_det`` and ``exact_solve``.
-    ``rhs`` is a sequence of right-hand columns, possibly empty.  Returns
-    (det A, upper triangular rows), or (0, None) when A is singular.
+    The one elimination loop behind ``exact_det``, ``exact_solve`` and the
+    resultant cofactors of ``rmaps``.  ``rhs`` is a sequence of right-hand
+    columns, possibly empty.  Returns (det A, [x per column]), or (0, None)
+    when A is singular.
     """
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(col[r]) for col in rhs] for r, row in enumerate(matrix)]
@@ -99,7 +101,13 @@ def _eliminate(matrix, rhs=()):
             factor = a[r][col] * inv
             for c in support:
                 a[r][c] -= factor * a[col][c]
-    return det, a
+    solutions = []
+    for k in range(n, width):
+        x = [Fraction(0)] * n
+        for r in range(n - 1, -1, -1):
+            x[r] = (a[r][k] - sum(a[r][c] * x[c] for c in range(r + 1, n) if a[r][c] != 0)) / a[r][r]
+        solutions.append(x)
+    return det, solutions
 
 
 def exact_det(matrix) -> Fraction:
@@ -109,11 +117,7 @@ def exact_det(matrix) -> Fraction:
 
 def exact_solve(matrix, rhs):
     """Solve A x = b over Q: elimination, then back substitution."""
-    det, a = _eliminate(matrix, [rhs])
+    det, solutions = _eliminate(matrix, [rhs])
     if det == 0:
         raise ZeroDivisionError("singular exact system")
-    n = len(a)
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n) if a[r][c] != 0)) / a[r][r]
-    return x
+    return solutions[0]

@@ -2,19 +2,22 @@
 
 A lift is a pair (F0, F1) of degree-d forms in (T0, T1), stored through the
 dehomogenized coefficient lists of F_i(t, 1).  Membership in the space of
-actual endomorphisms is Res(F0, F1) != 0 (Sylvester determinant at formal
-degrees (d, d)).  Coefficients are shared exact rationals (one lift serves
-every fiber) or complex floats (archimedean-only lifts).
+actual endomorphisms is Res(F0, F1) != 0, decided exactly for every lift by
+the one elimination that also gives the resultant cofactors
+(``resultant_cofactors``).  Coefficients are shared exact rationals (one
+lift serves every fiber) or finite complex floats (archimedean-only lifts).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from . import polys
 from .places import NEG_INF, Place, PlaceError, abs_log_value, is_neg_inf, vmax, vplus, vscale
 from .points import BerkPoint, CLS, INF, classical, classical_pair, disk, infinity
 from .polys import exact_det, poly_eval, sylvester_matrix, taylor_shift, trim
@@ -27,12 +30,59 @@ class MapError(ValueError):
     pass
 
 
-def sylvester_resultant(f, g, m: int, n: int):
-    """Resultant of f, g at formal degrees (m, n) via the Sylvester matrix."""
-    mat = sylvester_matrix(f, g, m, n)
-    if all(isinstance(x, (Fraction, int)) for row in mat for x in row):
-        return exact_det(mat)
-    return complex(np.linalg.det(np.array(mat, dtype=complex)))
+def sylvester_resultant(f, g, m: int, n: int) -> Fraction:
+    """Resultant of rational f, g at formal degrees (m, n): the exact
+    determinant of the Sylvester matrix."""
+    if not all(isinstance(c, (Fraction, int)) for c in list(f) + list(g)):
+        raise MapError("the resultant is computed for rational coefficients only")
+    return exact_det(sylvester_matrix(f, g, m, n))
+
+
+@dataclass(frozen=True)
+class ResultantCofactors:
+    """Cofactors of degree < d with t^{2d-1} = a0 f0 + b0 f1 and 1 = a1 f0 + b1 f1.
+
+    Ascending coefficient tuples: Fractions, or complex where the exact
+    solution has a nonzero imaginary part.
+    """
+
+    a0: tuple
+    b0: tuple
+    a1: tuple
+    b1: tuple
+
+    def coeff_list(self):
+        return list(self.a0) + list(self.b0) + list(self.a1) + list(self.b1)
+
+
+def resultant_cofactors(lift: "HomogeneousLift") -> ResultantCofactors:
+    """Exact cofactors of a lift, from one elimination; raises MapError when
+    Res(F0, F1) = 0.
+
+    The cofactors solve the transposed Sylvester system M = R + iJ with the
+    right-hand sides t^{2d-1} and 1.  Float coefficients are dyadic
+    rationals, so the realified system [[R, -J], [J, R]] is rational (a
+    rational lift is the case J = 0) and is eliminated once over Q for both
+    right-hand sides.  Its determinant is |det M|^2 = |Res(F0, F1)|^2.  A
+    lift caches the result as ``HomogeneousLift.cofactors``.
+    """
+    d = lift.d
+    size = 2 * d
+    # columns of M: t^{d-1-i} f0 and t^{d-1-i} f1 (i < d) in the descending
+    # basis t^{2d-1}, ..., 1
+    m = list(zip(*sylvester_matrix(lift.f0, lift.f1, d, d)))
+    real = [[Fraction(c.real) for c in row] for row in m]
+    imag = [[Fraction(c.imag) for c in row] for row in m]
+    system = [r + [-x for x in j] for r, j in zip(real, imag)] + [j + r for r, j in zip(real, imag)]
+    rhs = [[int(r == k) for r in range(2 * size)] for k in (0, size - 1)]  # t^{2d-1} and 1
+    det, solutions = polys._eliminate(system, rhs)
+    if det == 0:
+        raise MapError("degenerate pair: Res(F0, F1) = 0")
+    cofactors = []
+    for u in solutions:
+        x = [complex(a, b) if b else a for a, b in zip(u[:size], u[size:])]
+        cofactors += [tuple(reversed(x[:d])), tuple(reversed(x[d:]))]
+    return ResultantCofactors(*cofactors)
 
 
 @dataclass(frozen=True)
@@ -48,15 +98,13 @@ class HomogeneousLift:
             raise MapError("degree must be at least 2")
         if len(self.f0) != self.d + 1 or len(self.f1) != self.d + 1:
             raise MapError("coefficient lists must have length d+1")
+        self.cofactors  # the one exact elimination per lift; MapError when Res(F0, F1) = 0
 
     @staticmethod
     def from_coeffs(d: int, f0, f1) -> "HomogeneousLift":
         f0 = _pad(_coerce(f0), d)
         f1 = _pad(_coerce(f1), d)
-        lift = HomogeneousLift(d, tuple(f0), tuple(f1))
-        if lift.resultant == 0:
-            raise MapError("degenerate pair: Res(F0, F1) = 0")
-        return lift
+        return HomogeneousLift(d, tuple(f0), tuple(f1))
 
     @staticmethod
     def polynomial(coeffs) -> "HomogeneousLift":
@@ -66,8 +114,10 @@ class HomogeneousLift:
         one = Fraction(1) if isinstance(coeffs[0], (Fraction, int)) else complex(1)
         return HomogeneousLift.from_coeffs(d, coeffs, [one] + [0] * d)
 
+    cofactors = cached_property(resultant_cofactors)
+
     @cached_property
-    def resultant(self):
+    def resultant(self) -> Fraction:
         return sylvester_resultant(list(self.f0), list(self.f1), self.d, self.d)
 
     @cached_property
@@ -101,14 +151,17 @@ class HomogeneousLift:
 def _coerce(coeffs):
     out = []
     for c in coeffs:
-        if isinstance(c, (Fraction, int)):
-            out.append(Fraction(c))
-        elif isinstance(c, str):
+        if isinstance(c, (Fraction, int, str)):
             out.append(Fraction(c))
         else:
             out.append(complex(c))
     if any(isinstance(c, complex) for c in out):
-        out = [complex(c) for c in out]
+        try:
+            out = [complex(c) for c in out]
+        except OverflowError:  # a rational entry beyond the float range
+            raise MapError("map coefficients must be finite") from None
+        if not all(map(cmath.isfinite, out)):
+            raise MapError("map coefficients must be finite")
     return out
 
 def _pad(coeffs, d):
@@ -317,7 +370,6 @@ def lift_from_json(obj: dict) -> HomogeneousLift:
 
         def parse(entries):
             coeffs = [Fraction(0)] * (d + 1)
-            cplx = False
             for coeff, expo in entries:
                 j_str, k_str = str(expo).split(",")
                 j, k = int(j_str), int(k_str)
@@ -325,12 +377,9 @@ def lift_from_json(obj: dict) -> HomogeneousLift:
                     raise MapError(f"exponent {expo!r} not of total degree {d}")
                 if isinstance(coeff, dict):
                     coeffs[j] = complex(float(coeff["re"]), float(coeff.get("im", 0.0)))
-                    cplx = True
                 else:
                     coeffs[j] = Fraction(str(coeff))
-            if cplx:
-                coeffs = [complex(c) for c in coeffs]
-            return coeffs
+            return coeffs  # from_coeffs makes a list with a complex entry all complex
 
         return HomogeneousLift.from_coeffs(d, parse(obj["F0"]), parse(obj["F1"]))
     except (KeyError, ValueError, TypeError) as exc:

@@ -220,21 +220,36 @@ def _chi_at(place: Place, center: Fraction, radius: RadiusSpec) -> Measure:
     return chi_measure(place, center, None, euclid_radius=euclid)
 
 
-def sweep_chi(config: SweepConfig) -> SweepTable:
-    """Integrate the battery against the circle family along the grid."""
+def _failed_row(kind: str, param: str, fn, n_used: int, exc: Exception) -> SweepRow:
+    return SweepRow(kind, param, fn.fn_id, math.nan, math.nan, n_used, error=str(exc))
+
+
+def _sweep(config: SweepConfig, measure_at) -> SweepTable:
+    """The battery's rows along the grid, from ``measure_at(place)`` =
+    (measure, n_used, potential tail bound)."""
     validate_grid(config.grid)
     table = SweepTable()
     for place in config.grid:
-        mu = _chi_at(place, config.center, config.radius)
         kind, param = place.describe()
+        try:
+            mu, n_used, tail = measure_at(place)
+        except ROW_ERRORS as exc:
+            table.rows += [_failed_row(kind, param, fn, 0, exc) for fn in config.battery]
+            continue
         for fn in config.battery:
             try:
                 val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n)
-                table.rows.append(SweepRow(kind, param, fn.fn_id, val, qerr, 0))
+                cert = qerr + (tail * mass_bound(place, fn) if tail else 0.0)
+                table.rows.append(SweepRow(kind, param, fn.fn_id, val, cert, n_used))
             except ROW_ERRORS as exc:
-                table.rows.append(SweepRow(kind, param, fn.fn_id, float("nan"), float("nan"), 0, error=str(exc)))
+                table.rows.append(_failed_row(kind, param, fn, n_used, exc))
     table.compute_modulus([f.fn_id for f in config.battery], len(config.grid))
     return table
+
+
+def sweep_chi(config: SweepConfig) -> SweepTable:
+    """Integrate the battery against the circle family along the grid."""
+    return _sweep(config, lambda place: (_chi_at(place, config.center, config.radius), 0, 0.0))
 
 
 def _eq_measure_at(place: Place, config: SweepConfig):
@@ -261,29 +276,11 @@ def _eq_measure_at(place: Place, config: SweepConfig):
 
 def sweep_equilibrium(config: SweepConfig) -> SweepTable:
     """Equilibrium-measure rows along the grid, ultrametric endpoint last."""
-    validate_grid(config.grid)
     if config.lift is None:
         raise SweepError("equilibrium sweep needs a map")
     if not config.lift.is_rational:
         raise SweepError("sweep maps must have rational coefficients (shared across fibers)")
-    table = SweepTable()
-    for place in config.grid:
-        kind, param = place.describe()
-        try:
-            mu, n_used, tail = _eq_measure_at(place, config)
-        except ROW_ERRORS as exc:
-            for fn in config.battery:
-                table.rows.append(SweepRow(kind, param, fn.fn_id, float("nan"), float("nan"), 0, error=str(exc)))
-            continue
-        for fn in config.battery:
-            try:
-                val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n)
-                cert = qerr + (tail * mass_bound(place, fn) if tail else 0.0)
-                table.rows.append(SweepRow(kind, param, fn.fn_id, val, cert, n_used))
-            except ROW_ERRORS as exc:
-                table.rows.append(SweepRow(kind, param, fn.fn_id, float("nan"), float("nan"), n_used, error=str(exc)))
-    table.compute_modulus([f.fn_id for f in config.battery], len(config.grid))
-    return table
+    return _sweep(config, lambda place: _eq_measure_at(place, config))
 
 
 def circle_sample(n: int = 64, radius: float = 1.0):

@@ -9,7 +9,6 @@ from berkpot.places import (
     Place,
     PlaceError,
     abs_log_value,
-    epsilon_of,
     flow_place,
     place_from_json,
     place_to_json,
@@ -44,13 +43,6 @@ def test_abs_log_exactness_flag():
     # exact rationals at ultrametric places, floats at archimedean ones
     assert isinstance(abs_log_value(Place.padic(2), 8), F)
     assert isinstance(abs_log_value(Place.archimedean(), 8), float)
-
-
-def test_epsilon_of():
-    assert epsilon_of(Place.archimedean(F(1))) == 1
-    assert epsilon_of(Place.archimedean(F(1, 4))) == F(1, 4)
-    with pytest.raises(PlaceError):
-        epsilon_of(Place.padic(2))
 
 
 def test_epsilon_matches_log2_formula():

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from berkpot import polys
+from berkpot.green import deviation_bound
 from berkpot.places import Place, flow_place
 from berkpot.points import GAUSS, classical, disk, flow_point, infinity, same_point
 from berkpot.rmaps import (
@@ -40,6 +42,65 @@ def test_resultant_examples():
     assert sylvester_resultant([-1, 0, 1], [0, 2], 2, 1) == -4  # 2^2 * f(0)
     with pytest.raises(MapError):
         HomogeneousLift.from_coeffs(2, [0, 0, 1], [0, 1])  # common root at 0
+    with pytest.raises(MapError):
+        sylvester_resultant([1j, 0, 1], [1, 1], 2, 1)  # exact for rational coefficients only
+
+
+def degenerate_complex_lifts(count, seed):
+    """(F0, F1) = ((T - a)(T - b), c (T - a)), which share the root a.
+
+    a, b lie in (1/16) Z[i] with parts in [-4, 4], Re c in {1/4, ..., 9/4}
+    and Im c in (1/8) [-9, 9], so every coefficient is exact in binary floats.
+    """
+    rng = random.Random(seed)
+
+    def gaussian():
+        return complex(rng.randint(-64, 64) / 16, rng.randint(-64, 64) / 16)
+
+    for _ in range(count):
+        a, b = gaussian(), gaussian()
+        c = complex(rng.randint(1, 9) / 4, rng.randint(-9, 9) / 8)
+        yield [a * b, -(a + b), 1], [-c * a, c, 0]
+
+
+def test_degenerate_complex_lifts_rejected():
+    # Res = 0 exactly; a float determinant is rounding noise on most of them
+    for f0, f1 in degenerate_complex_lifts(200, seed=1):
+        with pytest.raises(MapError, match="Res"):
+            HomogeneousLift.from_coeffs(2, f0, f1)
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 1),
+                                 complex(1, math.nan), -math.inf])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(MapError, match="finite"):
+        HomogeneousLift.from_coeffs(2, [bad, 0, 1], [1])
+    with pytest.raises(MapError, match="finite"):
+        lift_from_json({"d": 2, "F0": [[{"re": bad.real, "im": bad.imag}, "0,2"], ["1", "2,0"]],
+                        "F1": [["1", "0,2"]]})
+
+
+def test_complex_lift_rejects_rationals_beyond_the_float_range():
+    with pytest.raises(MapError, match="finite"):
+        HomogeneousLift.from_coeffs(2, [10**400, 1j, 1], [1])
+    assert HomogeneousLift.from_coeffs(2, [10**400, 0, 1], [1]).is_rational  # exact: no limit
+
+
+def test_one_elimination_per_lift(monkeypatch):
+    # the elimination that decides Res != 0 also gives the cofactors every
+    # deviation bound reads
+    calls = []
+    eliminate = polys._eliminate
+    monkeypatch.setattr(polys, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    rational = HomogeneousLift.from_coeffs(2, [F(5, 7), F(-2), F(3)], [F(1), F(4, 3), F(-1)])
+    for place in (ARC, Place.padic(3)):
+        deviation_bound(place, rational)
+    assert len(calls) == 1
+    calls.clear()
+    rabbit = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
+    for place in (ARC, Place.archimedean(F(1, 2))):
+        deviation_bound(place, rabbit)
+    assert len(calls) == 1
 
 
 def test_resultant_against_product_formula():

@@ -141,6 +141,44 @@ def test_cli_green_ultrametric_units(tmp_path, capsys):
     assert abs(float(lam) + math.log(3)) < 1e-12 and float(err) == 0.0
 
 
+def _map_text(tmp_path, f0, f1):
+    """A degree-2 map JSON written as text, so non-finite literals survive."""
+    def form(coeffs):
+        return ", ".join(f'[{{"re": {c.real!r}, "im": {c.imag!r}}}, "{j},{2 - j}"]' for j, c in enumerate(coeffs))
+    text = '{"d": 2, "F0": [%s], "F1": [%s]}' % (form(f0), form(f1))
+    text = text.replace("inf", "1e400").replace("nan", "NaN")
+    path = os.path.join(tmp_path, "m.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path, text
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0), complex(math.nan, 0)])
+def test_cli_non_finite_map_is_a_config_error(tmp_path, capsys, bad):
+    m, text = _map_text(tmp_path, [bad, 0, 1], [1, 0, 0])
+    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    arc = '{"kind":"arch","eps":"1"}'
+    cfg = os.path.join(tmp_path, "cfg.json")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write('{"depth": 1, "map": %s}' % text)
+    for argv in (["green", "--map", m, "--place", arc, "--points", pts],
+                 ["contraction", "--map", m, "--place", arc],
+                 ["equilibrium", "--map", m, "--place", arc, "--mode", "arch", "--n", "2"],
+                 ["pairing", "--map", m, "--map2", m, "--place", arc, "--n", "2"],
+                 ["sweep-eq", "--config", cfg]):
+        assert main(argv) == 2, argv[0]
+        assert "config error" in capsys.readouterr().err
+
+
+def test_cli_green_degenerate_complex_lift(tmp_path, capsys):
+    # (T - a)(T - b) and c (T - a) share the root a: Res = 0 exactly
+    a, b, c = complex(0.5, 0.25), complex(-1.5, 2), complex(1.25, -0.375)
+    m, _ = _map_text(tmp_path, [a * b, -(a + b), 1], [-c * a, c, 0])
+    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    assert main(["green", "--map", m, "--place", '{"kind":"arch","eps":"1"}', "--points", pts]) == 2
+    assert "Res(F0, F1) = 0" in capsys.readouterr().err
+
+
 def test_cli_sweep_csv_columns(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {"depth": 2, "map": lift_to_json(Z2), "tol": 1e-3,
                                         "atom_budget": 256})

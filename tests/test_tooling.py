@@ -3,10 +3,12 @@ import glob
 import importlib
 import importlib.util
 import os
+import re
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
 SRC = os.path.join(ROOT, "src", "berkpot")
+README = os.path.join(ROOT, "README.md")
 
 
 def test_traced_functions_resolve():
@@ -76,3 +78,13 @@ def test_infinities_are_compared_only_in_places():
                         _is_infinity(operands[k]) or _is_infinity(operands[k + 1])):
                     found.append(f"{os.path.basename(path)}:{node.lineno}")
     assert not found
+
+
+def test_readme_examples_run():
+    # every python block of the README runs as shown; its asserts are the
+    # values the prose states
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.S | re.M)
+    assert len(blocks) == 3
+    for block in blocks:
+        exec(compile(block, README, "exec"), {})
