@@ -82,13 +82,13 @@ def _cmd_green(args) -> int:
 def _cmd_equilibrium(args) -> int:
     lift = lift_from_json(_load_json(args.map))
     place = _parse_place(args.place)
-    if args.mode == "arch":
+    if place.is_ultrametric:
+        skel = graph_from_json(_load_json(args.skeleton)) if args.skeleton else default_skeleton(place)
+        mu, report = equilibrium_nonarch(place, lift, skel, args.tol)
+    else:
         seed = complex(args.seed_point.replace("i", "j")) if args.seed_point else 2 + 0j
         mu = equilibrium_arch(place, lift, seed, args.n)
         report = None
-    else:
-        skel = graph_from_json(_load_json(args.skeleton)) if args.skeleton else default_skeleton(place)
-        mu, report = equilibrium_nonarch(place, lift, skel, args.tol)
     _emit(measure_to_rows(place, mu), ["kind", "point_or_center", "logr_or_radius", "weight"],
           args.out, args.quiet)
     if report is not None and not args.quiet:
@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibrium", help="equilibrium measure at one place")
     p.add_argument("--map", required=True)
     p.add_argument("--place", required=True)
-    p.add_argument("--mode", choices=["arch", "nonarch"], required=True)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--seed", dest="seed_point", default="2+0i",
                    help="seed point for the preimage tree, e.g. 2+0i")

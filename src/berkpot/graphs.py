@@ -52,23 +52,18 @@ class GraphMeasure:
         return sum(w for i, w in self.atoms if i == v)
 
 
-def vertex_laplacian_weight(u: PLFunction, v: int):
-    adj = u.graph.adjacency()
-    total = 0
-    for w, ln, _ in adj[v]:
-        total += u.slope(v, w, ln)
-    return total
-
-
 def graph_laplacian(u: PLFunction) -> GraphMeasure:
     """Atomic measure sum_x lambda_x(u) delta_x, lambda_x = sum of outgoing slopes.
 
+    One pass over the edges: each slope leaves one end and enters the other.
     Total mass telescopes to zero on a compact graph.
     """
-    atoms = []
-    for v in range(u.graph.n):
-        atoms.append((v, vertex_laplacian_weight(u, v)))
-    return GraphMeasure(atoms)
+    weights = [0] * u.graph.n
+    for i, j, ln in u.graph.edges:
+        s = u.slope(i, j, ln)
+        weights[i] += s
+        weights[j] -= s
+    return GraphMeasure(list(enumerate(weights)))
 
 
 def dirichlet_extend(graph: MetricGraph, boundary_values: dict) -> PLFunction:
@@ -144,11 +139,11 @@ def mass_in(u: PLFunction, region, ell) -> tuple:
             raise GraphError(f"ell={ell} exceeds outgoing edge length {ln} at vertex {v}")
     boundary_vertices = {v for v, _, _ in outgoing}
     interior = region - boundary_vertices
+    lap = dict(graph_laplacian(u).atoms)
     mass = 0
     for v in interior:
-        lam = vertex_laplacian_weight(u, v)
-        if lam > 0:
-            mass += lam
+        if lap[v] > 0:
+            mass += lap[v]
     sup_ell = max(u.values[v] for v in region) if region else 0
     for v, w, ln in outgoing:
         reach = u.values[v] + (u.values[w] - u.values[v]) * (ell / ln)

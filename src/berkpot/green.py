@@ -24,7 +24,7 @@ Archimedean places run every orbit through one kernel, ``_arch_step``, which
 reads the lift's complex coefficients (``HomogeneousLift.complex_coeffs``)
 and works on complex scalars and ndarrays alike.  There ``lambda_n``,
 ``lambda_limit`` and ``deviation_sequence`` take either a BerkPoint or a
-complex ndarray of points, complex ``inf`` standing for the point at
+complex ndarray of points, ``points.ARCH_INF`` standing for the point at
 infinity as in ``preimages_arch``.  An array gives one ``PotentialState``
 whose ``value`` is an array of the same shape; ``n_used``,
 ``certified_error``, ``certificate`` and ``gmax`` stay scalars, because the

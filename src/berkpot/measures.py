@@ -5,9 +5,9 @@ Two representations, one per regime:
 - ``Measure``: a list of point atoms (BerkPoint, weight), exact weights
   allowed, and nothing else.  Ultrametric measures are always of this
   kind; their circle measures are Dirac masses at disk points.
-- ``ArchMeasure``: an archimedean measure held as numpy arrays, finite atoms
-  at the complex points ``z`` with real weights ``w``, any mass at infinity
-  as its own weight ``inf_mass``, plus circle components carrying
+- ``ArchMeasure``: an archimedean measure held as numpy arrays, atoms at
+  the complex points ``z`` (``ARCH_INF`` is the point at infinity, an atom
+  like any other) with real weights ``w``, plus circle components carrying
   normalized Haar mass.  Circle components store the Euclidean radius of
   the underlying set, so the unit circle means the same set at every
   archimedean exponent.  It is the one container for circle (Haar) mass;
@@ -15,7 +15,7 @@ Two representations, one per regime:
 
 Integrands follow the regime: at an archimedean place ``integrate`` calls f
 once on a complex ndarray of points (all atoms, or all nodes of one
-quadrature level; complex ``inf`` is the point at infinity) and expects one
+quadrature level; ``ARCH_INF`` is the point at infinity) and expects one
 real value per point; at an ultrametric place it calls f on each BerkPoint
 atom, in exact arithmetic where f is exact.
 
@@ -37,7 +37,7 @@ import numpy as np
 from .graphs import PLFunction, graph_laplacian
 from .green import lambda_limit
 from .places import Place, PlaceError
-from .points import ARCH_INF, GAUSS, BerkPoint, MetricGraph, arch_point, classical, disk, infinity
+from .points import ARCH_INF, DISK, GAUSS, INF, BerkPoint, MetricGraph, arch_point, classical, disk
 from .rmaps import HomogeneousLift, MapError, preimages_arch
 
 
@@ -67,41 +67,35 @@ class Measure:
 
 @dataclass
 class ArchMeasure:
-    """Archimedean measure: atoms at complex points ``z`` with real weights
-    ``w``, a weight at infinity, and circle (Haar) components."""
+    """Archimedean measure: atoms at complex points ``z`` (``ARCH_INF`` for
+    infinity) with real weights ``w``, and circle (Haar) components."""
 
-    z: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-    w: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    inf_mass: float = 0.0
+    z: np.ndarray = ()
+    w: np.ndarray = ()
     haars: list = field(default_factory=list)   # (complex center, euclidean radius, weight)
+
+    def __post_init__(self):
+        self.z = np.asarray(self.z, dtype=complex)
+        self.w = np.asarray(self.w, dtype=float)
 
     @property
     def atoms(self) -> list:
-        """(BerkPoint, weight) pairs, built on demand: finite atoms, then infinity."""
-        out = [(classical(complex(z)), float(w)) for z, w in zip(self.z, self.w)]
-        if self.inf_mass:
-            out.append((infinity(), self.inf_mass))
-        return out
+        """(BerkPoint, weight) pairs, built on demand."""
+        return [(arch_point(z), float(w)) for z, w in zip(self.z, self.w)]
 
     @property
     def total_mass(self) -> float:
-        return float(self.w.sum()) + self.inf_mass + sum(w for _, _, w in self.haars)
+        return float(self.w.sum()) + sum(w for _, _, w in self.haars)
 
 
 def _as_arch(mu) -> ArchMeasure:
     """The array form of a measure of classical points."""
     if isinstance(mu, ArchMeasure):
         return mu
-    z, w, inf_mass = [], [], 0.0
-    for x, wt in mu.atoms:
-        if x.t == "disk":
-            raise MeasureError("archimedean measures need classical atoms")
-        if x.t == "inf":
-            inf_mass += float(wt)
-        else:
-            z.append(complex(x.z))
-            w.append(float(wt))
-    return ArchMeasure(np.array(z, dtype=complex), np.array(w, dtype=float), inf_mass)
+    if any(x.t == DISK for x, _ in mu.atoms):
+        raise MeasureError("archimedean measures need classical atoms")
+    return ArchMeasure([ARCH_INF if x.t == INF else complex(x.z) for x, _ in mu.atoms],
+                       [float(w) for _, w in mu.atoms])
 
 
 def dirac(x: BerkPoint, weight=1) -> Measure:
@@ -145,10 +139,7 @@ def integrate(place: Place, mu, f, quad_n: int = 64):
             total += float(w) * float(v)
         return total, 0.0
     mu = _as_arch(mu)
-    z, w = mu.z, mu.w
-    if mu.inf_mass:
-        z, w = np.append(z, ARCH_INF), np.append(w, mu.inf_mass)
-    total = float(w @ _values(f, z)) if len(z) else 0.0
+    total = float(mu.w @ _values(f, mu.z)) if len(mu.z) else 0.0
     err = 0.0
     for c, r, wt in mu.haars:
         val, e = _circle_quadrature(f, c, r, quad_n, QUAD_TOL, QUAD_CAP)
@@ -198,7 +189,7 @@ def pushforward_measure(map_fn, mu: Measure) -> Measure:
 def pullback_measure(place: Place, lift: HomogeneousLift, mu) -> ArchMeasure:
     """Atoms pulled back with multiplicities; total mass multiplies by d.
 
-    One batched preimage solve for all finite atoms, one for infinity.
+    One batched preimage solve for all atoms, infinity included.
     """
     if place.is_ultrametric:
         raise PlaceError("measure pullback uses complex preimages")
@@ -206,15 +197,7 @@ def pullback_measure(place: Place, lift: HomogeneousLift, mu) -> ArchMeasure:
     if mu.haars:
         raise MeasureError("pullback implemented for atomic measures")
     pre = preimages_arch(lift, mu.z)
-    z = [pre.z]
-    w = [mu.w[pre.parent] * pre.mult]
-    inf_mass = float(mu.w @ pre.inf_mult)
-    if mu.inf_mass:
-        top = preimages_arch(lift, "inf")
-        z.append(top.z)
-        w.append(mu.inf_mass * top.mult)
-        inf_mass += mu.inf_mass * float(top.inf_mult[0])
-    return ArchMeasure(np.concatenate(z), np.concatenate(w).astype(float), inf_mass)
+    return ArchMeasure(pre.z, mu.w[pre.parent] * pre.mult)
 
 
 def _rounded(z):
@@ -239,7 +222,7 @@ def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> ArchM
         mu = pullback_measure(place, lift, mu)  # weights are multiplicity products
         # preimages of distinct targets are distinct, and _solve_rows merges
         # coincident roots of one target, so the atoms are the distinct points
-        distinct = len(mu.z) + (mu.inf_mass != 0)
+        distinct = len(mu.z)
         if distinct <= 2:
             collapse_streak += 1
             if collapse_streak >= 3:
@@ -255,7 +238,7 @@ def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> ArchM
     re, im = _rounded(mu.z)
     order = np.lexsort((im, re))
     scale = lift.d**n
-    return ArchMeasure(mu.z[order], mu.w[order] / scale, mu.inf_mass / scale)
+    return ArchMeasure(mu.z[order], mu.w[order] / scale)
 
 
 @dataclass

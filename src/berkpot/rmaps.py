@@ -6,6 +6,8 @@ actual endomorphisms is Res(F0, F1) != 0, decided exactly for every lift by
 the one elimination that also gives the resultant cofactors
 (``resultant_cofactors``).  Coefficients are shared exact rationals (one
 lift serves every fiber) or finite complex floats (archimedean-only lifts).
+Archimedean preimages are complex arrays in which ``points.ARCH_INF`` is the
+point at infinity, an entry like any other.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import numpy as np
 
 from . import polys
 from .places import NEG_INF, Place, PlaceError, abs_log_value, is_neg_inf, vmax, vplus, vscale
-from .points import BerkPoint, CLS, INF, classical, classical_pair, disk, infinity
+from .points import ARCH_INF, BerkPoint, CLS, INF, arch_point, classical_pair, disk
 from .polys import exact_det, poly_eval, sylvester_matrix, taylor_shift, trim
 
-INF_POINT = "inf"  # marker used in preimage lists
 CLUSTER_REL = 1e-7  # roots closer than this, relative to 1 + |root|, are one root
 
 
@@ -208,48 +209,38 @@ def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> BerkPoint:
 class PreimageSet:
     """Solutions of phi = a with multiplicity, for one target or a batch.
 
-    Finite preimages are grouped by target, in target order; above each
-    target the multiplicities (infinity included) sum to d.
+    Preimages are grouped by target, in target order, the point at infinity
+    (``ARCH_INF``) after the finite ones; above each target the
+    multiplicities sum to d.
     """
 
-    z: np.ndarray         # finite preimages, complex
+    z: np.ndarray         # preimages, complex; ARCH_INF is the point at infinity
     mult: np.ndarray      # multiplicity of each
     parent: np.ndarray    # index of the target each lies above
-    inf_mult: np.ndarray  # multiplicity of infinity above each target
     flagged: bool = False  # set when clusters were numerically ambiguous
 
     @property
     def entries(self) -> list:
-        """(complex | "inf", multiplicity) pairs, grouped by target."""
-        out = []
-        for i, inf in enumerate(self.inf_mult):
-            sel = self.parent == i
-            out += [(complex(z), int(m)) for z, m in zip(self.z[sel], self.mult[sel])]
-            if inf:
-                out.append((INF_POINT, int(inf)))
-        return out
+        """(complex, multiplicity) pairs, grouped by target."""
+        return [(complex(z), int(m)) for z, m in zip(self.z, self.mult)]
 
     @property
     def total_multiplicity(self) -> int:
-        return int(self.mult.sum() + self.inf_mult.sum())
+        return int(self.mult.sum())
 
 
 def preimages_arch(lift: HomogeneousLift, a) -> PreimageSet:
     """Preimages of a under phi over C, with multiplicities from clustering.
 
-    ``a`` is one target (a number, ``INF_POINT`` or the point at infinity)
-    or a 1-D complex array of finite targets, solved as one batch.  The
+    ``a`` is a complex target or a 1-D complex array of targets, solved as
+    one batch; ``ARCH_INF`` is the point at infinity, whose row is F1.  The
     roots of F0(t,1) - a F1(t,1) are the eigenvalues of stacked companion
     matrices plus one Newton polish; infinity accounts for any degree drop.
     """
     f0, f1 = lift.complex_coeffs
-    if isinstance(a, np.ndarray):
-        rows = f0 - a.astype(complex)[:, None] * f1
-    elif isinstance(a, str) and a == INF_POINT or isinstance(a, BerkPoint) and a.t == INF:
-        rows = f1[None, :]
-    else:
-        rows = (f0 - complex(a) * f1)[None, :]
-    return _solve_rows(rows, lift.d)
+    a = np.atleast_1d(np.asarray(a, dtype=complex))[:, None]
+    at_inf = np.isinf(a)
+    return _solve_rows(np.where(at_inf, f1, f0 - np.where(at_inf, 0, a) * f1), lift.d)
 
 
 def _solve_rows(rows, d: int) -> PreimageSet:
@@ -265,8 +256,10 @@ def _solve_rows(rows, d: int) -> PreimageSet:
     kept[:, 0] = True
     deg = d - np.argmax(kept[:, ::-1], axis=1)
     low = np.argmax(rows != 0, axis=1)  # exactly zero low coefficients
-    roots = np.full((k, d), np.nan, dtype=complex)
-    mult = np.zeros((k, d), dtype=np.int64)
+    # columns: up to d finite roots, then infinity with multiplicity d - deg
+    roots = np.full((k, d + 1), ARCH_INF)
+    mult = np.zeros((k, d + 1), dtype=np.int64)
+    mult[:, d] = d - deg
     flagged = False
     for dg, lz in set(zip(deg.tolist(), low.tolist())):
         if dg == 0:
@@ -299,11 +292,11 @@ def _solve_rows(rows, d: int) -> PreimageSet:
         for i in np.nonzero(near.any(axis=(1, 2)))[0]:
             entries, flag = _cluster([complex(x) for x in r[i]])
             flagged = flagged or flag
-            mult[idx[i]] = 0
+            mult[idx[i], :d] = 0
             roots[idx[i], : len(entries)] = [z for z, _ in entries]
             mult[idx[i], : len(entries)] = [m for _, m in entries]
     keep = mult > 0
-    return PreimageSet(roots[keep], mult[keep], np.nonzero(keep)[0], d - deg, flagged)
+    return PreimageSet(roots[keep], mult[keep], np.nonzero(keep)[0], flagged)
 
 
 def _cluster(roots):
@@ -327,21 +320,14 @@ def _cluster(roots):
     return [(rep, len(members)) for rep, members in clusters], flagged
 
 
-def preimage_points(lift: HomogeneousLift, a) -> list:
-    """Preimages as BerkPoints with multiplicity."""
-    out = []
-    for z, m in preimages_arch(lift, a).entries:
-        out.append((infinity() if z == INF_POINT else classical(z), m))
-    return out
-
-
 def pushforward_values(place: Place, lift: HomogeneousLift, f, xprime) -> float:
-    """(phi_* f)(x') = sum over preimages of deg_x(phi) f(x)."""
+    """(phi_* f)(x') = sum over preimages of deg_x(phi) f(x), for a complex
+    x' (``ARCH_INF`` for infinity) and f on BerkPoints."""
     if place.is_ultrametric:
         raise PlaceError("pushforward of values uses complex preimages")
     total = 0.0
-    for pt, m in preimage_points(lift, xprime):
-        total += m * f(pt)
+    for z, m in preimages_arch(lift, xprime).entries:
+        total += m * f(arch_point(z))
     return total
 
 

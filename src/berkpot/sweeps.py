@@ -140,12 +140,15 @@ class RadiusSpec:
     kind: str  # "const" | "pow_eps"
     value: Fraction
 
-    def at(self, place: Place) -> float:
+    def log_at(self, place: Place) -> float:
+        """Natural log of the radius at the place, so that no power of the
+        base is ever formed: eps log base for base^eps, 0 at the eps -> 0
+        endpoint."""
         if self.kind == "const":
-            return float(self.value)
+            return math.log(self.value)
         if place.kind == "arch" or place.kind == "padic":
-            return float(self.value) ** float(place.eps)
-        return 1.0  # eps -> 0 endpoint
+            return float(place.eps) * math.log(self.value)
+        return 0.0
 
     @staticmethod
     def parse(obj) -> "RadiusSpec":
@@ -207,17 +210,12 @@ class SweepConfig:
 
 
 def _chi_at(place: Place, center: Fraction, radius: RadiusSpec) -> Measure:
-    r = radius.at(place)
+    log_r = radius.log_at(place)
     if place.is_ultrametric:
-        if r == 1.0:
-            logr = Fraction(0)
-        else:
-            logr = snap_rational(math.log(r) / place.log_unit)
-        return chi_measure(place, center, logr)
+        return chi_measure(place, center, snap_rational(log_r / place.log_unit))
     # the place-radius r names the Euclidean circle of radius r^(1/eps); for
     # the constant radius 1 and for the base^eps family this is eps-uniform
-    euclid = r ** (1.0 / float(place.eps))
-    return chi_measure(place, center, None, euclid_radius=euclid)
+    return chi_measure(place, center, None, euclid_radius=math.exp(log_r / float(place.eps)))
 
 
 def _failed_row(kind: str, param: str, fn, n_used: int, exc: Exception) -> SweepRow:

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from berkpot import measures
 from berkpot.measures import (
+    ArchMeasure,
     ExceptionalSeedWarning,
     _circle_quadrature,
     Measure,
@@ -24,7 +26,7 @@ from berkpot.measures import (
     pushforward_measure,
 )
 from berkpot.places import Place, flow_place
-from berkpot.points import GAUSS, classical, disk, flow_point, same_point
+from berkpot.points import ARCH_INF, GAUSS, classical, disk, flow_point, infinity, same_point
 from berkpot.rmaps import HomogeneousLift, apply_point
 from berkpot.sweeps import default_skeleton
 from berkpot.affable import affable_real
@@ -140,15 +142,40 @@ def test_equilibrium_arch_keeps_mass_at_infinity():
         warnings.simplefilter("always")
         mu = equilibrium_arch(ARC, inv, 0, 5)
     assert any(issubclass(w.category, ExceptionalSeedWarning) for w in caught)
-    assert mu.inf_mass == 1 and len(mu.z) == 0 and mu.total_mass == 1
+    assert mu.z.tolist() == [ARCH_INF] and mu.w.tolist() == [1] and mu.total_mass == 1
     assert [pt.t for pt, _ in mu.atoms] == ["inf"]
     # phi = z/(z^2+1): 0 has preimages 0 and infinity, infinity has +-i
     lift = HomogeneousLift.from_coeffs(2, [0, 1], [1, 0, 1])
     mu = equilibrium_arch(ARC, lift, 0, 2)
-    assert mu.inf_mass == F(1, 4) and mu.total_mass == 1
+    assert mu.z[-1] == ARCH_INF and mu.w[-1] == F(1, 4) and mu.total_mass == 1
     assert [str(pt) for pt, _ in mu.atoms] == ["Pt(-1j)", "Pt(0j)", "Pt(1j)", "Pt(inf)"]
     val, _ = integrate(ARC, mu, lambda z: np.where(np.isfinite(z), 0.0, 1.0))
     assert val == 0.25
+
+
+def test_pullback_of_infinity_is_one_solve(monkeypatch):
+    # ARCH_INF is an ordinary atom: the array and the BerkPoint forms of
+    # delta_infinity pull back alike, each in one preimage solve
+    calls = []
+    real = measures.preimages_arch
+    monkeypatch.setattr(measures, "preimages_arch", lambda *a: calls.append(a) or real(*a))
+    cases = [
+        ([0, 1], [1, 0, 1], [(-1j, 1.0), (1j, 1.0)]),  # z/(z^2+1): infinity has preimages +-i
+        ([1], [0, 0, 1], [(0j, 2.0)]),                 # 1/z^2: a double preimage 0
+        ([0, 0, 1], [1], [(ARCH_INF, 2.0)]),           # z^2: infinity is totally invariant
+    ]
+    for f0, f1, want in cases:
+        lift = HomogeneousLift.from_coeffs(2, f0, f1)
+        del calls[:]
+        from_atoms = pullback_measure(ARC, lift, Measure([(infinity(), 1)]))
+        assert len(calls) == 1
+        from_array = pullback_measure(ARC, lift, ArchMeasure([ARCH_INF], [1.0]))
+        assert len(calls) == 2
+        assert from_array.z.tolist() == from_atoms.z.tolist()
+        assert from_array.w.tolist() == from_atoms.w.tolist() == [w for _, w in want]
+        got = sorted(from_array.z.tolist(), key=lambda z: (z.real, z.imag))
+        for z, (v, _) in zip(got, want):
+            assert z == v if v == ARCH_INF else abs(z - v) < 1e-12
 
 
 def test_equilibrium_arch_successive_diffs_decreasing():

@@ -8,9 +8,8 @@ import pytest
 from berkpot import polys
 from berkpot.green import deviation_bound
 from berkpot.places import Place, flow_place
-from berkpot.points import GAUSS, classical, disk, flow_point, infinity, same_point
+from berkpot.points import ARCH_INF, GAUSS, arch_point, classical, disk, flow_point, infinity, same_point
 from berkpot.rmaps import (
-    INF_POINT,
     HomogeneousLift,
     MapError,
     apply_point,
@@ -149,11 +148,21 @@ def test_preimage_examples():
 
 
 def test_preimages_at_infinity_and_degree_drop():
-    # phi = z^2 + 1/z has lift (T0^2 T1 + T1^3... ) -- use (z^3+1, z): a=inf
-    lift = HomogeneousLift.from_coeffs(3, [1, 0, 0, 1], [0, 1])
-    pre = preimages_arch(lift, INF_POINT)
-    assert pre.total_multiplicity == 3
-    assert any(z == INF_POINT for z, _ in pre.entries)  # deg F1 < d
+    # ARCH_INF is a target like any other: its row is F1, whose zeros are
+    # the poles of phi, and infinity takes up the degree drop
+    cases = [
+        (3, [1, 0, 0, 1], [0, 1], [(0j, 1), (ARCH_INF, 2)]),  # (z^3 + 1)/z: deg F1 < d
+        (2, [1], [0, 0, 1], [(0j, 2)]),                       # 1/z^2
+        (2, [0, 1], [1, 0, 1], [(-1j, 1), (1j, 1)]),          # z/(z^2 + 1)
+        (2, [0, 0, 1], [1], [(ARCH_INF, 2)]),                 # z^2
+    ]
+    for d, f0, f1, want in cases:
+        pre = preimages_arch(HomogeneousLift.from_coeffs(d, f0, f1), ARCH_INF)
+        assert pre.total_multiplicity == d and pre.parent.tolist() == [0] * len(want)
+        got = sorted(pre.entries, key=lambda e: (e[0].real, e[0].imag))
+        assert [m for _, m in got] == [m for _, m in want]
+        for (z, _), (w, _) in zip(got, want):
+            assert z == w if w == ARCH_INF else abs(z - w) < 1e-12
 
 
 def test_multiplicities_sum_to_d_random():
@@ -174,11 +183,15 @@ def test_multiplicities_sum_to_d_random():
 
 def test_preimages_batch_matches_single_targets():
     rng = random.Random(8)
-    lift = HomogeneousLift.from_coeffs(3, [1, -2, 0, 3], [2, 1, 1, 0])
-    targets = np.array([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(12)])
-    batch = preimages_arch(lift, targets)
-    assert batch.total_multiplicity == 3 * len(targets)
-    assert batch.entries == [e for a in targets for e in preimages_arch(lift, a).entries]
+    for d, f0, f1 in ((3, [1, -2, 0, 3], [2, 1, 1, 0]),
+                      (2, [0, 1], [1, 0, 1]),  # z/(z^2+1): 0 has a preimage at infinity
+                      (2, [1], [0, 0, 1])):    # 1/z^2: 0 has both
+        lift = HomogeneousLift.from_coeffs(d, f0, f1)
+        targets = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(12)]
+        targets[4:4] = [ARCH_INF, 0j]  # infinity among the finite targets
+        batch = preimages_arch(lift, np.array(targets))
+        assert batch.total_multiplicity == d * len(targets)
+        assert batch.entries == [e for a in targets for e in preimages_arch(lift, a).entries]
 
 
 def test_preimages_batch_double_root_and_near_collision():
@@ -197,9 +210,10 @@ def test_preimages_batch_degree_drop():
     # phi = 1/z^2: the target 0 has both preimages at infinity
     inv = HomogeneousLift.from_coeffs(2, [1], [0, 0, 1])
     pre = preimages_arch(inv, np.array([4 + 0j, 0j]))
-    assert pre.inf_mult.tolist() == [0, 2] and pre.parent.tolist() == [0, 0]
-    assert sorted(pre.z.real) == pytest.approx([-0.5, 0.5], abs=1e-15)
-    assert pre.entries[-1] == (INF_POINT, 2) and pre.total_multiplicity == 4
+    assert pre.mult.tolist() == [1, 1, 2] and pre.parent.tolist() == [0, 0, 1]
+    assert pre.z[2] == ARCH_INF  # both preimages of 0, as one entry of multiplicity 2
+    assert sorted(pre.z[:2].real) == pytest.approx([-0.5, 0.5], abs=1e-15)
+    assert pre.entries[-1] == (ARCH_INF, 2) and pre.total_multiplicity == 4
 
 
 def test_pushforward_values_examples():
@@ -217,7 +231,7 @@ def test_pushforward_norm_bound():
 
     for _ in range(20):
         a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        vals = [abs(f(pt)) for pt, _ in __import__("berkpot.rmaps", fromlist=["preimage_points"]).preimage_points(lift, a)]
+        vals = [abs(f(arch_point(z))) for z, _ in preimages_arch(lift, a).entries]
         assert abs(pushforward_values(ARC, lift, f, a)) <= lift.d * max(vals) + 1e-9
 
 

@@ -18,6 +18,7 @@ from berkpot.sweeps import (
     RadiusSpec,
     SweepConfig,
     SweepError,
+    _chi_at,
     _eq_measure_at,
     circle_sample,
     default_grid,
@@ -163,7 +164,7 @@ def test_cli_non_finite_map_is_a_config_error(tmp_path, capsys, bad):
         fh.write('{"depth": 1, "map": %s}' % text)
     for argv in (["green", "--map", m, "--place", arc, "--points", pts],
                  ["contraction", "--map", m, "--place", arc],
-                 ["equilibrium", "--map", m, "--place", arc, "--mode", "arch", "--n", "2"],
+                 ["equilibrium", "--map", m, "--place", arc, "--n", "2"],
                  ["pairing", "--map", m, "--map2", m, "--place", arc, "--n", "2"],
                  ["sweep-eq", "--config", cfg]):
         assert main(argv) == 2, argv[0]
@@ -191,8 +192,7 @@ def test_cli_sweep_csv_columns(tmp_path, capsys):
 
 def test_cli_equilibrium_nonarch(tmp_path, capsys):
     m = _write(tmp_path, "m.json", lift_to_json(Z2))
-    rc = main(["equilibrium", "--map", m, "--place", '{"kind":"padic","p":2,"eps":"1"}',
-               "--mode", "nonarch"])
+    rc = main(["equilibrium", "--map", m, "--place", '{"kind":"padic","p":2,"eps":"1"}'])
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out[0] == "kind,point_or_center,logr_or_radius,weight"
@@ -284,6 +284,17 @@ def test_sweep_chi_pow_eps_radius_family():
         want = float(place.eps) * math.log(2)  # Jensen: log max(|2|, 1/2)
         assert table.value(place, f1[0].fn_id) == pytest.approx(want, abs=1e-8)
     assert table.value(cfg.grid[-1], f1[0].fn_id) == 0
+
+
+@pytest.mark.parametrize("base, logr", [("3", 1024), ("1/3", -1024)], ids=["3", "1/3"])
+def test_padic_pow_eps_radius_from_the_log_radius(base, logr):
+    # at |.|_3^1024 the radius 3^1024 overflows a float and (1/3)^1024
+    # underflows to 0; the log radius eps log(base) places the atom exactly
+    cfg = SweepConfig(grid=padic_branch_grid(3, 10), battery=BAT, radius=RadiusSpec.parse({"pow_eps": base}))
+    table = sweep_chi(cfg)
+    assert len(table.rows) == 12 * len(BAT)
+    assert [row for row in table.rows if row.error] == []
+    assert _chi_at(Place.padic(3, 1024), F(0), cfg.radius).atoms == [(disk(0, logr), 1)]
 
 
 def test_sweep_config_radius_json():
@@ -384,13 +395,13 @@ def test_constant_rows_are_exact_along_the_grid():
 
 
 def test_cli_equilibrium_matches_reference_rows(tmp_path):
-    # rows of `equilibrium --mode arch --n 8` for z^2 - 1, as written by the
+    # rows of `equilibrium --n 8` at |.| for z^2 - 1, as written by the
     # scalar preimage solver this library used before its batched one
     ref_path = os.path.join(os.path.dirname(__file__), "data", "equilibrium_z2m1_n8.csv")
     m = _write(tmp_path, "m.json", lift_to_json(HomogeneousLift.polynomial([-1, 0, 1])))
     out_path = os.path.join(tmp_path, "eq.csv")
     assert main(["equilibrium", "--map", m, "--place", '{"kind":"arch","eps":"1"}',
-                 "--mode", "arch", "--n", "8", "--out", out_path, "--quiet"]) == 0
+                 "--n", "8", "--out", out_path, "--quiet"]) == 0
     with open(ref_path, newline="") as fh:
         ref = list(csv.reader(fh))
     with open(out_path, newline="") as fh:

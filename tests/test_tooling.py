@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
@@ -88,3 +89,21 @@ def test_readme_examples_run():
     assert len(blocks) == 3
     for block in blocks:
         exec(compile(block, README, "exec"), {})
+
+
+def test_readme_cli_commands_parse():
+    # every `berkpot ...` command of the README's CLI block parses, so a
+    # removed flag cannot stay documented
+    from berkpot import cli
+
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```\n(.*?)^```", fh.read(), flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("berkpot ")]
+    assert len(commands) == 8
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: berkpot {' '.join(argv)}") from None
