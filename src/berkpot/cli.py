@@ -82,12 +82,17 @@ def _cmd_green(args) -> int:
 def _cmd_equilibrium(args) -> int:
     lift = lift_from_json(_load_json(args.map))
     place = _parse_place(args.place)
+    # each regime reads its own flags; a flag of the other regime is a mistake
+    other, flags = ("archimedean", ("n", "seed")) if place.is_ultrametric else ("ultrametric", ("skeleton", "tol"))
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise SweepError(f"flags for {other} places only: {', '.join(given)}")
     if place.is_ultrametric:
         skel = graph_from_json(_load_json(args.skeleton)) if args.skeleton else default_skeleton(place)
-        mu, report = equilibrium_nonarch(place, lift, skel, args.tol)
+        mu, report = equilibrium_nonarch(place, lift, skel, 1e-9 if args.tol is None else args.tol)
     else:
-        seed = complex(args.seed_point.replace("i", "j")) if args.seed_point else 2 + 0j
-        mu = equilibrium_arch(place, lift, seed, args.n)
+        seed = complex(args.seed.replace("i", "j")) if args.seed else 2 + 0j
+        mu = equilibrium_arch(place, lift, seed, 10 if args.n is None else args.n)
         report = None
     _emit(measure_to_rows(place, mu), ["kind", "point_or_center", "logr_or_radius", "weight"],
           args.out, args.quiet)
@@ -183,11 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibrium", help="equilibrium measure at one place")
     p.add_argument("--map", required=True)
     p.add_argument("--place", required=True)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--seed", dest="seed_point", default="2+0i",
-                   help="seed point for the preimage tree, e.g. 2+0i")
-    p.add_argument("--skeleton")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--n", type=int, help="archimedean: preimage-tree depth (default 10)")
+    p.add_argument("--seed", help="archimedean: seed point of the preimage tree (default 2+0i)")
+    p.add_argument("--skeleton", help="ultrametric: skeleton graph JSON (default: the segment skeleton)")
+    p.add_argument("--tol", type=float, help="ultrametric: potential tolerance (default 1e-9)")
     common(p)
     p.set_defaults(fn=_cmd_equilibrium)
 

@@ -62,9 +62,10 @@ def resultant_cofactors(lift: "HomogeneousLift") -> ResultantCofactors:
 
     The cofactors solve the transposed Sylvester system M = R + iJ with the
     right-hand sides t^{2d-1} and 1.  Float coefficients are dyadic
-    rationals, so the realified system [[R, -J], [J, R]] is rational (a
-    rational lift is the case J = 0) and is eliminated once over Q for both
-    right-hand sides.  Its determinant is |det M|^2 = |Res(F0, F1)|^2.  A
+    rationals, so the realified system [[R, -J], [J, R]] is rational and is
+    eliminated once over Q for both right-hand sides; its determinant is
+    |det M|^2 = |Res(F0, F1)|^2.  When J = 0 (every rational lift) the
+    system is R itself, a quarter of the size, with det R = Res(F0, F1).  A
     lift caches the result as ``HomogeneousLift.cofactors``.
     """
     d = lift.d
@@ -74,14 +75,18 @@ def resultant_cofactors(lift: "HomogeneousLift") -> ResultantCofactors:
     m = list(zip(*sylvester_matrix(lift.f0, lift.f1, d, d)))
     real = [[Fraction(c.real) for c in row] for row in m]
     imag = [[Fraction(c.imag) for c in row] for row in m]
-    system = [r + [-x for x in j] for r, j in zip(real, imag)] + [j + r for r, j in zip(real, imag)]
-    rhs = [[int(r == k) for r in range(2 * size)] for k in (0, size - 1)]  # t^{2d-1} and 1
+    realified = any(map(any, imag))
+    if realified:
+        system = [r + [-x for x in j] for r, j in zip(real, imag)] + [j + r for r, j in zip(real, imag)]
+    else:
+        system = real
+    rhs = [[int(r == k) for r in range(len(system))] for k in (0, size - 1)]  # t^{2d-1} and 1
     det, solutions = polys._eliminate(system, rhs)
     if det == 0:
         raise MapError("degenerate pair: Res(F0, F1) = 0")
     cofactors = []
     for u in solutions:
-        x = [complex(a, b) if b else a for a, b in zip(u[:size], u[size:])]
+        x = [complex(a, b) if b else a for a, b in zip(u[:size], u[size:])] if realified else u
         cofactors += [tuple(reversed(x[:d])), tuple(reversed(x[d:]))]
     return ResultantCofactors(*cofactors)
 

@@ -6,6 +6,12 @@ test functions, and reports the modulus sequence (successive differences
 along the tail of the grid).  Continuity of the measure family is reported,
 never asserted: the tables are the witness.
 
+Every archimedean fiber is C with |.|^eps, so the equilibrium measure
+mu_phi does not depend on eps.  An equilibrium sweep therefore builds the
+preimage tree once for each depth n and reuses it at every archimedean
+place that needs that depth; only the potential tail, and so the error
+bars, change with eps.
+
 Equilibrium row errors are the quadrature error plus the potential tail
 times ``affable.mass_bound``.  The scale, derived once:
 
@@ -250,8 +256,13 @@ def sweep_chi(config: SweepConfig) -> SweepTable:
     return _sweep(config, lambda place: (_chi_at(place, config.center, config.radius), 0, 0.0))
 
 
-def _eq_measure_at(place: Place, config: SweepConfig):
-    """Equilibrium measure at one place: (measure, n_used, potential tail bound)."""
+def _eq_measure_at(place: Place, config: SweepConfig, trees: dict | None = None):
+    """Equilibrium measure at one place: (measure, n_used, potential tail bound).
+
+    ``trees`` maps a depth n to the archimedean measure of that depth, which
+    does not depend on eps; a sweep passes one dict, so each depth is built
+    once per sweep.
+    """
     lift = config.lift
     bound = deviation_bound(place, lift)
     if bound.gmax == 0.0:
@@ -268,8 +279,11 @@ def _eq_measure_at(place: Place, config: SweepConfig):
     while tail > config.tol and d ** (n + 1) <= config.atom_budget:
         n += 1
         tail /= d
-    mu = equilibrium_arch(place, lift, config.seed_point, n)
-    return mu, n, tail
+    if trees is None:
+        trees = {}
+    if n not in trees:
+        trees[n] = equilibrium_arch(place, lift, config.seed_point, n)
+    return trees[n], n, tail
 
 
 def sweep_equilibrium(config: SweepConfig) -> SweepTable:
@@ -278,7 +292,8 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
         raise SweepError("equilibrium sweep needs a map")
     if not config.lift.is_rational:
         raise SweepError("sweep maps must have rational coefficients (shared across fibers)")
-    return _sweep(config, lambda place: _eq_measure_at(place, config))
+    trees = {}
+    return _sweep(config, lambda place: _eq_measure_at(place, config, trees))
 
 
 def circle_sample(n: int = 64, radius: float = 1.0):

@@ -102,6 +102,20 @@ def test_one_elimination_per_lift(monkeypatch):
     assert len(calls) == 1
 
 
+def test_real_lift_eliminates_the_unrealified_system(monkeypatch):
+    # J = 0 leaves the 2d x 2d system R; a complex J needs the 4d x 4d
+    # realified one.  z^2 - 1: t^3 = t f0 + t f1 and 1 = 0 f0 + 1 f1
+    sizes = []
+    eliminate = polys._eliminate
+    monkeypatch.setattr(polys, "_eliminate", lambda *args: sizes.append(len(args[0])) or eliminate(*args))
+    for coeffs in ([-1, 0, 1], [complex(-1), 0, complex(1)]):
+        cof = HomogeneousLift.polynomial(coeffs).cofactors
+        assert (cof.a0, cof.b0, cof.a1, cof.b1) == ((0, 1), (0, 1), (0, 0), (1, 0))
+        assert all(isinstance(c, F) for c in cof.coeff_list())
+    HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
+    assert sizes == [4, 4, 8]
+
+
 def test_resultant_against_product_formula():
     rng = random.Random(5)
     for _ in range(25):

@@ -448,3 +448,70 @@ def test_ultrametric_tail_is_largest_vertex_error(p):
     # every vertex orbit escapes or falls into a disk that T^2/p maps into itself
     assert (kinds.count("certified"), kinds.count("exact")) == (0, 9)
     assert tail == max(st.certified_error for st in report.states) == 0.0
+
+
+@pytest.mark.parametrize("place, flags", [
+    ('{"kind":"arch","eps":"1"}', ["--skeleton", "nonexistent.json"]),
+    ('{"kind":"arch","eps":"1"}', ["--tol", "5"]),
+    ('{"kind":"padic","p":2,"eps":"1"}', ["--n", "3"]),
+    ('{"kind":"padic","p":2,"eps":"1"}', ["--seed", "5+0i"]),
+], ids=["arch-skeleton", "arch-tol", "padic-n", "padic-seed"])
+def test_cli_equilibrium_rejects_flags_of_the_other_regime(tmp_path, capsys, place, flags):
+    m = _write(tmp_path, "m.json", lift_to_json(Z2))
+    assert main(["equilibrium", "--map", m, "--place", place] + flags) == 2
+    assert f"places only: {flags[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("place, defaults", [
+    ('{"kind":"arch","eps":"1"}', ["--n", "10", "--seed", "2+0i"]),
+    ('{"kind":"padic","p":2,"eps":"1"}', ["--tol", "1e-9"]),
+], ids=["arch", "padic"])
+def test_cli_equilibrium_defaults_unchanged(tmp_path, capsys, place, defaults):
+    m = _write(tmp_path, "m.json", lift_to_json(HomogeneousLift.polynomial([-1, 0, 1])))
+    assert main(["equilibrium", "--map", m, "--place", place]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["equilibrium", "--map", m, "--place", place] + defaults) == 0
+    assert capsys.readouterr().out == implicit
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 1], [-1, 0, 1]], ids=["z2", "z2-1"])
+def test_one_preimage_tree_per_hybrid_sweep(monkeypatch, coeffs):
+    # mu_phi is the same at every archimedean eps, and the atom budget fixes
+    # the tree depth along the whole default grid
+    import berkpot.sweeps as sweeps
+
+    calls = []
+    build = sweeps.equilibrium_arch
+    monkeypatch.setattr(sweeps, "equilibrium_arch", lambda *args: calls.append(args) or build(*args))
+    cfg = SweepConfig(grid=default_grid(10), battery=F1, lift=HomogeneousLift.polynomial(coeffs),
+                      atom_budget=1 << 13)
+    table = sweep_equilibrium(cfg)
+    assert len(calls) == 1
+    assert {r.n_used for r in table.rows[:-1]} == {calls[0][3]}
+    assert not any(r.error for r in table.rows)
+
+
+def test_cli_sweep_eq_matches_reference_bytes(tmp_path):
+    # `sweep-eq` rows for z^2 - 1 at depth 3, atom budget 256, as written when
+    # every archimedean place built its own preimage tree
+    ref_path = os.path.join(os.path.dirname(__file__), "data", "sweep_eq_z2m1_depth3.csv")
+    cfg = _write(tmp_path, "cfg.json", {"depth": 3, "atom_budget": 256,
+                                        "map": lift_to_json(HomogeneousLift.polynomial([-1, 0, 1]))})
+    out_path = os.path.join(tmp_path, "rows.csv")
+    assert main(["sweep-eq", "--config", cfg, "--out", out_path, "--quiet"]) == 0
+    with open(ref_path, "rb") as ref, open(out_path, "rb") as got:
+        assert got.read() == ref.read()
+
+
+def test_exceptional_seed_warns_once_per_sweep():
+    # 0 is exceptional for z^2: the tree, built once for the three
+    # archimedean places, collapses and warns once
+    import warnings
+
+    from berkpot.measures import ExceptionalSeedWarning
+
+    cfg = SweepConfig(grid=default_grid(2), battery=F1, lift=Z2, atom_budget=16, seed_point=0j)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep_equilibrium(cfg)
+    assert [w.category for w in caught] == [ExceptionalSeedWarning]
