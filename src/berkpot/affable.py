@@ -472,13 +472,6 @@ def validate_charts(place: Place, fn: AffableFn, tol: float = 1e-9) -> bool:
 # -- (de)serialization ---------------------------------------------------------
 
 
-def _branch_to_json(b: Branch) -> dict:
-    return {
-        "c": "-inf" if b.const is None else str(b.const),
-        "terms": [[str(q), [str(c) for c in g]] for q, g in b.terms],
-    }
-
-
 def _branch_from_json(obj: dict) -> Branch:
     c = obj.get("c", "0")
     const = None if c == "-inf" else Fraction(str(c))
@@ -486,20 +479,8 @@ def _branch_from_json(obj: dict) -> Branch:
     return Branch(const, terms)
 
 
-def _piece_to_json(p: Piece) -> dict:
-    return {"branches": [_branch_to_json(b) for b in p.branches]}
-
-
 def _piece_from_json(obj: dict) -> Piece:
     return Piece(tuple(_branch_from_json(b) for b in obj.get("branches", [])))
-
-
-def affable_to_json(fn: AffableFn) -> dict:
-    return {
-        "id": fn.fn_id,
-        "chart0": {"plus": _piece_to_json(fn.chart0_plus), "minus": _piece_to_json(fn.chart0_minus)},
-        "chartInf": {"plus": _piece_to_json(fn.chartinf_plus), "minus": _piece_to_json(fn.chartinf_minus)},
-    }
 
 
 def affable_from_json(obj: dict) -> AffableFn:

@@ -162,16 +162,6 @@ def measure_pairing(u: PLFunction, mu: GraphMeasure):
 
 # -- (de)serialization --------------------------------------------------------
 
-def graph_to_json(graph: MetricGraph) -> dict:
-    from .points import point_to_json
-
-    return {
-        "vertices": [point_to_json(lbl) if lbl is not None else None for lbl in graph.labels],
-        "edges": [[i, j, str(ln)] for i, j, ln in graph.edges],
-        "boundary": list(graph.boundary),
-    }
-
-
 def graph_from_json(obj: dict) -> MetricGraph:
     from .points import point_from_json
 

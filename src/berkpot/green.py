@@ -26,10 +26,10 @@ and works on complex scalars and ndarrays alike.  There ``lambda_n``,
 ``lambda_limit`` and ``deviation_sequence`` take either a BerkPoint or a
 complex ndarray of points, ``points.ARCH_INF`` standing for the point at
 infinity as in ``preimages_arch``.  An array gives one ``PotentialState``
-whose ``value`` is an array of the same shape; ``n_used``,
-``certified_error``, ``certificate`` and ``gmax`` stay scalars, because the
-tail bound does not depend on the point, so every point runs the same n
-steps.
+whose ``value`` is an array of the same shape; ``certified_error``,
+``certificate`` and ``gmax`` stay scalars, because the a priori tail bound
+does not depend on the point, and ``n_used`` is the most steps any point
+summed (see the escape tail below).
 
 Ultrametric places run an exact orbit of BerkPoints: ``rmaps.apply_point``
 is the one step, for classical points, infinity and disks alike, and g is
@@ -53,6 +53,17 @@ on, with error 0 (certificate ``exact``):
 Both tests read only orbit points the sum computes anyway.  The trap adds
 one disk transport of B per step, and none where a disk orbit grows: if the
 radius of x_k exceeds that of x_{k-1}, phi(B) is larger than B.
+
+An archimedean place closes the escape tail of a polynomial map up to a
+bound (Milnor, Dynamics in One Complex Variable, section 9).  Let
+A = sum_{i<d} |f0[i] / f0[d]| and R = max(1, 2A, (4 |f1[0] / f0[d]|)^(1/(d-1))).
+Every orbit point with |z_j| >= R has |g(z_j) - eps log|f0[d]|| <= eps 2A / |z_j|
+and |z_{j+1}| >= 2 |z_j|, so from such a step k on the series sums to
+eps log|f0[d]| / (d^k (d-1)) within eps 4A / (d^(k+1) |z_k|); on a lift of
+max norm 1, |z| = 1/|z1|.  An orbit stops at the first k where that error
+is at most machine epsilon times G_max / (d-1), and at most the a priori
+bound: exact to rounding, not merely within tol.  ``certified_error`` stays
+the a priori bound.
 """
 
 from __future__ import annotations
@@ -171,6 +182,45 @@ def _arch_lift(x):
     return _normalized(complex(x.z), 1.0)
 
 
+def _arch_limit(place: Place, lift: HomogeneousLift, x, n: int, stop: float):
+    """(value, steps summed) of lambda_n(x) at an archimedean place, left at
+    the first step k < n where the orbit's escape tail (module docstring) is
+    within stop, and closed there.  An array retires the points that have
+    left and counts the most steps any summed.
+    """
+    coeffs, d, eps = lift.complex_coeffs, lift.d, float(place.eps)
+    rinv, c4a, log_top = _escape_constants(lift) or (0.0, 0.0, 0.0)  # 1/R = 0: no exit
+    lim = stop * d  # exit at step k once eps 4A |z1| <= stop d^(k+1)
+    scalar = not isinstance(x, np.ndarray)
+    z0, z1 = _arch_lift(x)
+    total, n_used = 0.0, 0  # the sums of the points still running
+    if not scalar:
+        value, live = np.zeros(x.size), np.arange(x.size)
+        z0, z1, total = z0.ravel(), z1.ravel(), np.zeros(x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            r1 = abs(z1)  # |z| = 1/|z1|
+            out = (r1 < rinv) & (eps * c4a * r1 <= lim)
+            lim *= d
+            if out if scalar else out.any():
+                tail = eps * log_top / (d**k * (d - 1))
+                if scalar:
+                    total -= tail
+                    break
+                value[live[out]] = total[out] - tail
+                live, z0, z1, total = live[~out], z0[~out], z1[~out], total[~out]
+                if not live.size:
+                    break
+            g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1)
+            total, n_used = total - 1 / d ** (k + 1) * g, k + 1
+    if not scalar:
+        value[live] = total
+        total = value.reshape(x.shape)
+    if not np.isfinite(total).all():
+        raise GreenError("lift vanishes at a projective point; Res = 0")
+    return (float(total) if scalar else total), n_used
+
+
 # -- exact orbits ------------------------------------------------------------
 
 
@@ -240,18 +290,12 @@ def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     Exact rational at ultrametric places; an array for a point array at an
     archimedean place.
     """
-    total = _zero(place, x)
+    if not place.is_ultrametric:
+        return _arch_limit(place, lift, x, n, -1.0)[0]  # a negative stop never exits
+    total = Fraction(0)
     for k, g in enumerate(deviation_sequence(place, lift, x, n)):
-        w = Fraction(1, lift.d ** (k + 1)) if place.is_ultrametric else 1 / lift.d ** (k + 1)
-        total = total - w * g
+        total = total - Fraction(1, lift.d ** (k + 1)) * g
     return total
-
-
-def _zero(place: Place, x):
-    """The potential 0 in the form a value at x takes."""
-    if place.is_ultrametric:
-        return Fraction(0)
-    return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
 
 
 # -- deviation bounds ----------------------------------------------------------
@@ -294,6 +338,20 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
     return DeviationBound(-eps * math.log(2 * d * maxcof), eps * (math.log(maxc) + math.log(d + 1)))
 
 
+@functools.cache
+def _escape_constants(lift: HomogeneousLift):
+    """(1/R, 4A, log|f0[d]|) of the archimedean escape tail (module
+    docstring), from the coefficients the float orbit reads; None for a lift
+    that is not polynomial, or whose f0[d] underflows."""
+    (f0, f1), d = lift.complex_coeffs, lift.d
+    top = abs(f0[d])
+    if not lift.is_polynomial or not top:
+        return None
+    big_a = float(np.abs(f0[:d]).sum() / top)
+    r = max(1.0, 2 * big_a, float(4 * abs(f1[0]) / top) ** (1 / (d - 1)))
+    return 1 / r, 4 * big_a, math.log(top)
+
+
 # -- limit with certificate ----------------------------------------------------
 
 
@@ -301,9 +359,12 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
 class PotentialState:
     """Bookkeeping for one canonical-potential evaluation.
 
-    The tail certificate is certified_error <= gmax / (d^n_used (d-1)),
-    maintained alongside n; certificate "exact" means the tail was summed
-    in closed form and the error is literally zero.
+    ``n_used`` is the number of orbit steps actually summed (for a point
+    array, the most any point summed).  "certified" means the error is at
+    most certified_error = gmax / (d^n (d-1)), the a priori bound at the n
+    that tol fixes; an archimedean escape tail may stop summing before n
+    (module docstring).  "exact" means the tail was summed in closed form
+    at an exact place and the error is literally zero.
     """
 
     value: LogValue
@@ -365,9 +426,10 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     certificate when the deviation bound vanishes, or when the orbit of a
     polynomial map at an exact place enters the strict-escape region or a
     disk of the closed unit disk that the map sends into itself (exact
-    geometric tails, module docstring).  At an archimedean place x may be a
-    point array: one n serves every point, and ``value`` is an array (see
-    the module docstring).
+    geometric tails, module docstring).  At an archimedean place the orbit
+    of a polynomial map stops once its escape tail is closed to rounding,
+    and x may be a point array: ``value`` is then an array (see the module
+    docstring).
     """
     if tol <= 0:
         raise GreenError("tolerance must be positive")
@@ -376,7 +438,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     if not math.isfinite(bound.gmax):
         raise GreenError(_VANISHING_RES if is_neg_inf(bound.lower) else _INFINITE_BOUND)
     if bound.gmax == 0.0:
-        return PotentialState(_zero(place, x), 0, 0.0, "exact", 0.0)
+        return PotentialState(lambda_n(place, lift, x, 0), 0, 0.0, "exact", 0.0)
     n = 0
     err = bound.gmax / (d - 1)
     while err > tol:
@@ -385,7 +447,9 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         if n > 10_000:
             raise GreenError("tolerance unreachable")
     if not place.is_ultrametric:
-        return PotentialState(lambda_n(place, lift, x, n), n, err, "certified", bound.gmax)
+        stop = min(err, np.finfo(float).eps * bound.gmax / (d - 1))
+        value, n_used = _arch_limit(place, lift, x, n, stop)
+        return PotentialState(value, n_used, err, "certified", bound.gmax)
     tails = _tail_constants(place, lift) if lift.is_polynomial else None
     total = Fraction(0)
     prev = None  # the previous orbit point while it lies in the closed unit disk

@@ -205,35 +205,33 @@ def _rounded(z):
     return np.round(z.real, 12), np.round(z.imag, 12)
 
 
+def tree_collapse(n: int, mu: ArchMeasure) -> str:
+    """Why the depth-n preimage tree mu is not mu_phi, or "": three or more
+    levels and still at most two points.  Preimages of distinct targets are
+    distinct, and ``_solve_rows`` merges coincident roots of one target but
+    keeps one, so a level's atoms are its distinct points and no level has
+    fewer than the one before: the tree had at most two points at every
+    level, and its seed is (numerically) exceptional."""
+    if n >= 3 and len(mu.z) <= 2:
+        return f"preimage tree collapsed to {len(mu.z)} points at depth {n}; seed looks exceptional"
+    return ""
+
+
 def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> ArchMeasure:
     """d^{-n} (phi^*)^n delta_seed as an atomic measure with d^n atoms,
     sorted by position (infinity last).
 
-    Warns when the preimage tree collapses to <= 2 points across three
-    consecutive levels: the seed is then (numerically) exceptional.
+    Warns when the tree has collapsed (``tree_collapse``).
     """
     if place.is_ultrametric:
         raise PlaceError("preimage-tree equilibrium is archimedean")
     if n < 0:
         raise MeasureError("n must be nonnegative")
     mu = _as_arch(dirac(seed if isinstance(seed, BerkPoint) else classical(complex(seed))))
-    collapse_streak = 0
-    for level in range(n):
+    for _ in range(n):
         mu = pullback_measure(place, lift, mu)  # weights are multiplicity products
-        # preimages of distinct targets are distinct, and _solve_rows merges
-        # coincident roots of one target, so the atoms are the distinct points
-        distinct = len(mu.z)
-        if distinct <= 2:
-            collapse_streak += 1
-            if collapse_streak >= 3:
-                warnings.warn(
-                    f"preimage tree collapsed to {distinct} points at level {level + 1}; "
-                    "seed looks exceptional",
-                    ExceptionalSeedWarning,
-                )
-                collapse_streak = 0
-        else:
-            collapse_streak = 0
+    if reason := tree_collapse(n, mu):
+        warnings.warn(reason, ExceptionalSeedWarning)
     # deterministic atom order
     re, im = _rounded(mu.z)
     order = np.lexsort((im, re))

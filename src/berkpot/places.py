@@ -226,18 +226,6 @@ def vmax(*values: LogValue) -> LogValue:
 
 # -- (de)serialization --------------------------------------------------------
 
-def place_to_json(place: Place) -> dict:
-    if place.kind == ARCH:
-        return {"kind": "arch", "eps": str(place.eps)}
-    if place.kind == PADIC:
-        return {"kind": "padic", "p": place.p, "eps": str(place.eps)}
-    if place.kind == TADIC:
-        return {"kind": "tadic", "eps": str(place.eps)}
-    if place.kind == RESIDUE:
-        return {"kind": "res", "p": place.p}
-    return {"kind": "trivial"}
-
-
 def place_from_json(obj: dict) -> Place:
     try:
         kind = obj["kind"]

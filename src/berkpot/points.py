@@ -423,16 +423,6 @@ def retract(place: Place, point: BerkPoint, graph: MetricGraph) -> TreeLocation:
 
 # -- (de)serialization --------------------------------------------------------
 
-def point_to_json(point: BerkPoint) -> dict:
-    if point.t == INF:
-        return {"t": "inf"}
-    if point.t == CLS:
-        if isinstance(point.z, Fraction):
-            return {"t": "cls", "q": str(point.z)}
-        return {"t": "cls", "re": point.z.real, "im": point.z.imag}
-    return {"t": "disk", "center": str(point.center), "logr": str(point.logr)}
-
-
 def point_from_json(obj: dict) -> BerkPoint:
     t = obj.get("t")
     if t == "inf":

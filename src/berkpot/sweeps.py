@@ -10,7 +10,8 @@ Every archimedean fiber is C with |.|^eps, so the equilibrium measure
 mu_phi does not depend on eps.  An equilibrium sweep therefore builds the
 preimage tree once for each depth n and reuses it at every archimedean
 place that needs that depth; only the potential tail, and so the error
-bars, change with eps.
+bars, change with eps.  Nothing bounds the distance of a collapsed tree
+(``measures.tree_collapse``) to mu_phi, so the rows of its places fail.
 
 Equilibrium row errors are the quadrature error plus the potential tail
 times ``affable.mass_bound``.  The scale, derived once:
@@ -44,6 +45,7 @@ from .measures import (
     equilibrium_arch,
     equilibrium_nonarch,
     integrate,
+    tree_collapse,
 )
 from .places import Place, PlaceError, snap_rational
 from .points import GAUSS, MetricGraph, disk
@@ -283,6 +285,8 @@ def _eq_measure_at(place: Place, config: SweepConfig, trees: dict | None = None)
         trees = {}
     if n not in trees:
         trees[n] = equilibrium_arch(place, lift, config.seed_point, n)
+    if reason := tree_collapse(n, trees[n]):
+        raise MeasureError(reason)
     return trees[n], n, tail
 
 

@@ -10,11 +10,10 @@ from berkpot.graphs import (
     dirichlet_extend,
     graph_laplacian,
     graph_from_json,
-    graph_to_json,
     mass_in,
     measure_pairing,
 )
-from berkpot.points import MetricGraph
+from berkpot.points import GAUSS, MetricGraph
 
 
 def segment(length=F(1)):
@@ -168,6 +167,9 @@ def test_subharmonic_iff_nonnegative_interior_laplacian():
 
 
 def test_graph_json_round_trip():
+    obj = {"vertices": [{"t": "disk", "center": "0", "logr": "0"}, None, None, None],
+           "edges": [[0, 1, "1"], [0, 2, "2"], [0, 3, "7/3"]], "boundary": [1, 2, 3]}
     g = star3((F(1), F(2), F(7, 3)))
-    back = graph_from_json(graph_to_json(g))
+    back = graph_from_json(obj)
     assert back.edges == g.edges and back.boundary == g.boundary
+    assert back.labels == [GAUSS, None, None, None]

@@ -16,6 +16,7 @@ from berkpot.green import (
     lambda_n,
     standard_potential,
 )
+from berkpot.measures import equilibrium_arch
 from berkpot.places import Place, flow_place
 from berkpot.points import GAUSS, classical, disk, flow_point, infinity
 from berkpot.polys import poly_eval
@@ -248,13 +249,92 @@ def test_lambda_limit_array_matches_scalar(lift, eps):
     z = np.concatenate([rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40), [0, complex("inf")]])
     batch = lambda_limit(place, lift, z, 1e-10)
     assert batch.value.shape == z.shape
+    scalar_steps = []
     for k, zk in enumerate(z):
         st = lambda_limit(place, lift, infinity() if np.isinf(zk) else classical(complex(zk)), 1e-10)
         assert type(st.value) is float
         assert abs(batch.value[k] - st.value) <= 1e-13
-        assert (batch.n_used, batch.certified_error, batch.certificate, batch.gmax) == (
-            st.n_used, st.certified_error, st.certificate, st.gmax)
+        assert (batch.certified_error, batch.certificate, batch.gmax) == (
+            st.certified_error, st.certificate, st.gmax)
+        scalar_steps.append(st.n_used)
+    assert batch.n_used == max(scalar_steps)  # the most steps any point summed
     assert lambda_n(place, lift, z, 0).shape == z.shape
+
+
+CHEB = HomogeneousLift.polynomial([-2, 0, 1])
+CUBIC = HomogeneousLift.from_coeffs(3, [1, -3, 0, 2], [5])  # (2T^3 - 3T + 1)/5
+NONPOLY = HomogeneousLift.from_coeffs(2, [1, 0, 1], [0, 1])  # (T0^2 + T1^2, T0 T1)
+
+
+def _a_priori(place, lift, tol):
+    """(n, error bound, gmax) that tol alone fixes: the full-n certificate."""
+    gmax = deviation_bound(place, lift).gmax
+    n, err = 0, gmax / (lift.d - 1)
+    while err > tol:
+        n, err = n + 1, err / lift.d
+    return n, err, gmax
+
+
+def _escape_points(lift):
+    """Grid points, points within 1e-6 of the Julia set (perturbed atoms of
+    a preimage tree), 0 and infinity."""
+    grid = [complex(a, b) for a in np.linspace(-3, 3, 7) for b in np.linspace(-2.9, 2.9, 5)]
+    julia = equilibrium_arch(ARC, lift, 2, 4).z
+    near = list(julia[:: max(1, len(julia) // 12)] * (1 + 1e-6) + 1e-7j)
+    return [classical(z) for z in grid + near + [0j]] + [infinity()]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-15])
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 1024)])
+@pytest.mark.parametrize("lift", [CHEB, RABBIT, CUBIC], ids=["cheb", "rabbit", "cubic"])
+def test_escape_tail_agrees_with_the_full_sum(lift, eps, tol):
+    place, d = Place.archimedean(eps), lift.d
+    n, err, gmax = _a_priori(place, lift, tol)
+    # lambda_n leaves out the tail sum_{j>=n} d^-(j+1) g_j, which on an
+    # escaping orbit is eps log|f0[d]| / (d^n (d-1)) to rounding: 0 for the
+    # monic maps, about 1e-9 for the cubic at tol 1e-8
+    missed = float(eps) * abs(math.log(abs(complex(lift.f0[d])))) / (d**n * (d - 1))
+    for x in _escape_points(lift):
+        st = lambda_limit(place, lift, x, tol)
+        assert (st.certified_error, st.certificate, st.gmax) == (err, "certified", gmax)
+        assert st.n_used <= n
+        assert abs(st.value - lambda_n(place, lift, x, n)) <= 1e-13 + missed, x
+    assert lambda_limit(place, lift, infinity(), tol).n_used == 0
+
+
+def test_escaped_orbit_stops_after_six_steps(monkeypatch):
+    # 3 -> 7 -> 47 -> 2207 -> ...: at step 6 the escape bound is far below
+    # rounding; the a priori n at tol 1e-8 is 28
+    import berkpot.green as green
+
+    calls = []
+    original = green._arch_step
+    monkeypatch.setattr(green, "_arch_step", lambda *a: calls.append(a) or original(*a))
+    st = lambda_limit(ARC, CHEB, classical(3 + 0j), 1e-8)
+    assert len(calls) == st.n_used <= 6
+    assert _a_priori(ARC, CHEB, 1e-8)[0] == 28
+
+
+def _series(place, lift, x, n):
+    """-sum_{k<n} d^-(k+1) g_k over ``deviation_sequence``, term by term."""
+    total = 0.0
+    for k, g in enumerate(deviation_sequence(place, lift, x, n)):
+        total = total - 1 / lift.d ** (k + 1) * g
+    return total
+
+
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 1024)])
+def test_nonpolynomial_lift_runs_the_full_sum(eps):
+    # no escape tail: every orbit sums all n terms, bit for bit
+    place = Place.archimedean(eps)
+    n = _a_priori(place, NONPOLY, 1e-8)[0]
+    pts = _escape_points(CHEB)
+    for x in pts:
+        st = lambda_limit(place, NONPOLY, x, 1e-8)
+        assert st.n_used == n and st.value == _series(place, NONPOLY, x, n)
+    z = np.array([complex("inf") if x.t == "inf" else complex(x.z) for x in pts])
+    batch = lambda_limit(place, NONPOLY, z, 1e-8)
+    assert batch.n_used == n and (batch.value == _series(place, NONPOLY, z, n)).all()
 
 
 def test_rabbit_deviation_bound_unchanged():

@@ -11,7 +11,6 @@ from berkpot.places import (
     abs_log_value,
     flow_place,
     place_from_json,
-    place_to_json,
     snap_rational,
 )
 
@@ -95,12 +94,19 @@ def test_flow_scales_abs_exactly(place, eps, q):
     assert abs_log_value(flow_place(place, eps), q) == eps * abs_log_value(place, q)
 
 
-@pytest.mark.parametrize(
-    "place",
-    [Place.archimedean(F(1, 2)), Place.padic(3, F(2)), Place.tadic(F(1)), Place.trivial(), Place.residue(5)],
-)
+# the README's place formats, one per test place
+_PLACE_JSON = {
+    Place.archimedean(F(1, 2)): {"kind": "arch", "eps": "1/2"},
+    Place.padic(3, F(2)): {"kind": "padic", "p": 3, "eps": "2"},
+    Place.tadic(F(1)): {"kind": "tadic", "eps": "1"},
+    Place.trivial(): {"kind": "trivial"},
+    Place.residue(5): {"kind": "res", "p": 5},
+}
+
+
+@pytest.mark.parametrize("place", list(_PLACE_JSON))
 def test_json_round_trip(place):
-    assert place_from_json(place_to_json(place)) == place
+    assert place_from_json(_PLACE_JSON[place]) == place
 
 
 def test_snap_rational():

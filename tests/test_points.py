@@ -15,7 +15,6 @@ from berkpot.points import (
     infinity,
     join_points,
     point_from_json,
-    point_to_json,
     retract,
     same_point,
 )
@@ -200,10 +199,15 @@ def test_retract_idempotent(pts, x):
     assert same_point(P3, once.point, twice.point)
 
 
-@pytest.mark.parametrize(
-    "pt",
-    [classical(1.5 + 2j), classical(F(7, 3)), disk(F(1, 2), F(-3, 2)), infinity()],
-)
+# the README's point formats, one per test point
+_POINT_JSON = {
+    classical(1.5 + 2j): {"t": "cls", "re": 1.5, "im": 2.0},
+    classical(F(7, 3)): {"t": "cls", "q": "7/3"},
+    disk(F(1, 2), F(-3, 2)): {"t": "disk", "center": "1/2", "logr": "-3/2"},
+    infinity(): {"t": "inf"},
+}
+
+
+@pytest.mark.parametrize("pt", list(_POINT_JSON))
 def test_point_json_round_trip(pt):
-    back = point_from_json(point_to_json(pt))
-    assert back == pt
+    assert point_from_json(_POINT_JSON[pt]) == pt

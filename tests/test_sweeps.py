@@ -513,5 +513,13 @@ def test_exceptional_seed_warns_once_per_sweep():
     cfg = SweepConfig(grid=default_grid(2), battery=F1, lift=Z2, atom_budget=16, seed_point=0j)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sweep_equilibrium(cfg)
+        table = sweep_equilibrium(cfg)
     assert [w.category for w in caught] == [ExceptionalSeedWarning]
+    # the collapsed tree is delta_0, not mu_phi: every archimedean row fails
+    # with the reason, and the ultrametric endpoint is unaffected
+    arch = [r for r in table.rows if r.place_kind == "arch"]
+    assert len(arch) == 3 * len(F1)
+    for row in arch:
+        assert math.isnan(row.value) and row.n_used == 0
+        assert row.error == "preimage tree collapsed to 1 points at depth 4; seed looks exceptional"
+    assert all(not r.error and math.isfinite(r.value) for r in table.rows if r.place_kind != "arch")
