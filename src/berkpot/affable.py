@@ -23,7 +23,6 @@ sides differ.  The result is exactly affine on every edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,40 +187,49 @@ def _chart_value(fn: AffableFn, chart: str, read):
     return p - m
 
 
-def _arch_piece(place: Place, piece: Piece, u):
-    """Piece values at the chart coordinates u (complex array), eps log|.|
-    scale; -inf where every branch is."""
-    eps = float(place.eps)
-    best = np.full(u.shape, NEG_INF)
-    for b in piece.branches:
-        if b.const is None:
-            continue
-        total = np.full(u.shape, float(b.const))
-        for q, coeffs in b.terms:
-            if q == 0:
-                continue
+class PointTable:
+    """The eps-free part of archimedean evaluation on the point array z: the
+    chart of each point (chart inf where |z| > 1), its chart coordinate (z,
+    or S = 1/z), and log|g(u)| per chart and term polynomial g, filled on
+    first use.  Every archimedean fiber reads the same table."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=complex)
+        big = np.abs(self.z) > 1
+        self.charts = ((~big, "0", self.z[~big]), (big, "inf", 1 / self.z[big]))
+        self.logs = {}  # (chart, coeffs) -> log|g(u)|
+
+    def log_abs(self, chart: str, u, coeffs):
+        if (chart, coeffs) not in self.logs:
             g = np.zeros_like(u)
             for c in reversed(coeffs):
                 g = g * u + complex(c)
             with np.errstate(divide="ignore"):
-                total = total + float(q) * (eps * np.log(np.abs(g)))
+                self.logs[chart, coeffs] = np.log(np.abs(g))
+        return self.logs[chart, coeffs]
+
+
+def _arch_piece(eps: float, piece: Piece, read, shape):
+    """Piece values from ``read(coeffs)`` = log|g| at the chart coordinates,
+    eps log|.| scale; -inf where every branch is."""
+    best = np.full(shape, NEG_INF)
+    for b in piece.branches:
+        if b.const is None:
+            continue
+        total = np.full(shape, float(b.const))
+        for q, coeffs in b.terms:
+            if q != 0:
+                total = total + float(q) * (eps * read(coeffs))
         best = np.maximum(best, total)
     return best
-
-
-def _arch_chart(place: Place, plus: Piece, minus: Piece, u):
-    """plus - minus at chart coordinates u, and the mask where either is -inf."""
-    p = _arch_piece(place, plus, u)
-    m = _arch_piece(place, minus, u)
-    poles = np.isneginf(p) | np.isneginf(m)
-    return np.subtract(p, m, out=np.zeros_like(p), where=~poles), poles
 
 
 def affable_eval(place: Place, fn: AffableFn, x):
     """Value at x on the place's coefficient scale; chart picked by |T(x)|.
 
     At an archimedean place x may also be a complex ndarray of points
-    (complex inf for the point at infinity), evaluated at once.
+    (complex inf for the point at infinity), evaluated at once, or the
+    ``PointTable`` of such an array.
     """
     if not place.is_ultrametric:
         if isinstance(x, BerkPoint):
@@ -229,14 +237,15 @@ def affable_eval(place: Place, fn: AffableFn, x):
                 raise PlaceError("disk points live in ultrametric fibers only")
             z = ARCH_INF if x.t == "inf" else complex(x.z)
             return float(affable_eval(place, fn, np.array([z]))[0])
-        z = np.asarray(x, dtype=complex)
-        big = np.abs(z) > 1
-        out = np.empty(z.shape)
-        for sel, chart, u in ((~big, "0", z[~big]), (big, "inf", 1 / z[big])):
-            vals, poles = _arch_chart(place, *fn.pieces(chart), u)
+        table = x if isinstance(x, PointTable) else PointTable(x)
+        out = np.empty(table.z.shape)
+        for sel, chart, u in table.charts:
+            p, m = (_arch_piece(float(place.eps), piece, lambda g: table.log_abs(chart, u, g), u.shape)
+                    for piece in fn.pieces(chart))
+            poles = np.isneginf(p) | np.isneginf(m)
             if poles.any():
-                raise AffableError(f"affable value is -inf at {arch_point(z[sel][poles][0])!r}")
-            out[sel] = vals
+                raise AffableError(f"affable value is -inf at {arch_point(table.z[sel][poles][0])!r}")
+            out[sel] = p - m
         return out
     t_log = eval_log_abs(place, x, [0, 1])  # +inf at infinity
     chart = _chart_of(t_log)
@@ -433,40 +442,6 @@ def _crossings(lines, a, b):
                 if a < x < b:
                     out.add(x)
     return out
-
-
-def validate_charts(place: Place, fn: AffableFn, tol: float = 1e-9) -> bool:
-    """Chart-overlap consistency on a 16-point probe of 1/2 < |T| < 2."""
-    if not place.is_ultrametric:
-        k = np.arange(16)
-        z = (0.6 + 0.3 * (k % 4)) * np.exp(2j * np.pi * k / 16)
-        v0, poles0 = _arch_chart(place, *fn.pieces("0"), z)
-        vi, polesi = _arch_chart(place, *fn.pieces("inf"), 1 / z)
-        return bool((poles0 == polesi).all() and (np.abs(v0 - vi) <= tol).all())
-    probes = []
-    unit = place.log_unit
-    # radii with |T| strictly inside (1/2, 2): |k| step <= 5 step/2 < log 2
-    step = Fraction(1, 8 * max(1, int(math.ceil(unit / math.log(2)))))
-    for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
-        probes.append(disk(0, k * step))
-    probes.append(disk(0, Fraction(0)))
-    probes.append(disk(1, -step))
-    probes.append(disk(1, -2 * step))
-    for z in (1, -1, 3, 5, 7):
-        if len(probes) >= 16:
-            break
-        if abs(float(abs_log_value(place, Fraction(z))) * unit) < math.log(2):
-            probes.append(classical(Fraction(z)))
-    for x in probes:
-        t_log = eval_log_abs(place, x, [0, 1])
-        v0, vi = (_chart_value(fn, chart, _point_reader(place, x, chart, t_log)) for chart in ("0", "inf"))
-        if v0 is None or vi is None:
-            if (v0 is None) != (vi is None):
-                return False
-            continue
-        if v0 != vi:
-            return False
-    return True
 
 
 # -- (de)serialization ---------------------------------------------------------

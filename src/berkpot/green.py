@@ -108,6 +108,7 @@ class GreenError(RuntimeError):
 
 _INFINITE_BOUND = "deviation bound is infinite at this place (coefficients blow up)"
 _VANISHING_RES = "deviation bound is infinite at this place (the resultant vanishes in the residue field)"
+_MACH_EPS = float(np.finfo(float).eps)
 
 
 def standard_potential(place: Place, x: BerkPoint) -> LogValue:
@@ -447,7 +448,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         if n > 10_000:
             raise GreenError("tolerance unreachable")
     if not place.is_ultrametric:
-        stop = min(err, np.finfo(float).eps * bound.gmax / (d - 1))
+        stop = min(err, _MACH_EPS * bound.gmax / (d - 1))
         value, n_used = _arch_limit(place, lift, x, n, stop)
         return PotentialState(value, n_used, err, "certified", bound.gmax)
     tails = _tail_constants(place, lift) if lift.is_polynomial else None

@@ -119,7 +119,7 @@ def chi_measure(place: Place, center, radius_log, euclid_radius=None):
     return haar_circle(complex(Fraction(center)), euclid_radius)
 
 
-def integrate(place: Place, mu, f, quad_n: int = 64):
+def integrate(place: Place, mu, f, quad_n: int = 64, points=None):
     """Integral of f against mu: (value, quad_error).
 
     At an archimedean place f maps a complex ndarray of points to real
@@ -127,6 +127,10 @@ def integrate(place: Place, mu, f, quad_n: int = 64):
     one call per quadrature level, doubling the nodes until stable.  At an
     ultrametric place f maps each BerkPoint atom to a real.  A non-finite
     integrand value raises ``MeasureError``.
+
+    ``points(key, make)`` returns (z, arg) for the point array z = make(),
+    and f is called with arg; a caller may return what it kept for the key:
+    ("atoms", id of their array), or (center, radius, nodes) for a level.
     """
     if place.is_ultrametric:
         if isinstance(mu, ArchMeasure):
@@ -139,34 +143,41 @@ def integrate(place: Place, mu, f, quad_n: int = 64):
             total += float(w) * float(v)
         return total, 0.0
     mu = _as_arch(mu)
-    total = float(mu.w @ _values(f, mu.z)) if len(mu.z) else 0.0
+    points = points or _fresh
+    total = float(mu.w @ _values(f, *points(("atoms", id(mu.z)), lambda: mu.z))) if len(mu.z) else 0.0
     err = 0.0
     for c, r, wt in mu.haars:
-        val, e = _circle_quadrature(f, c, r, quad_n, QUAD_TOL, QUAD_CAP)
+        val, e = _circle_quadrature(f, c, r, quad_n, QUAD_TOL, QUAD_CAP, points)
         total += float(wt) * val
         err += abs(float(wt)) * e
     return total, err
 
 
-def _values(f, z):
-    """f on the point array z, one finite real per point."""
-    v = np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
+def _fresh(key, make):
+    return (make(),) * 2
+
+
+def _values(f, z, arg):
+    """f(arg) on the point array z, one finite real per point."""
+    v = np.broadcast_to(np.asarray(f(arg), dtype=float), z.shape)
     bad = ~np.isfinite(v)
     if bad.any():
         raise MeasureError(f"integrand is not finite at {arch_point(z[bad][0])!r}")
     return v
 
 
-def _circle_quadrature(f, center, radius, n, tol, cap):
+def _circle_quadrature(f, center, radius, n, tol, cap, points=_fresh):
     """Midpoint rule with n, 2n, 4n, ... nodes until two levels agree within
     tol or the cap is reached.  Returns the last estimate and, as its error,
     the last doubling difference (infinite when no doubling fits under the
     cap) plus machine epsilon times sum |f| over the last nodes, which
     bounds the rounding of the two means."""
 
+    def nodes(m):
+        return center + radius * np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
+
     def estimate(m):
-        nodes = center + radius * np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
-        vals = _values(f, nodes)
+        vals = _values(f, *points((center, radius, m), lambda: nodes(m)))
         return float(vals.sum()) / m, float(np.finfo(float).eps * np.abs(vals).sum())
 
     cur, rounding = estimate(n)

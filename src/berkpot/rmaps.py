@@ -122,6 +122,13 @@ class HomogeneousLift:
 
     cofactors = cached_property(resultant_cofactors)
 
+    # the generated hash, computed once (lifts key the potential caches), so
+    # equal lifts (2 + 0j == 2) still hash alike
+    _hash = cached_property(lambda self: hash((self.d, self.f0, self.f1)))
+
+    def __hash__(self):
+        return self._hash
+
     @cached_property
     def resultant(self) -> Fraction:
         return sylvester_resultant(list(self.f0), list(self.f1), self.d, self.d)

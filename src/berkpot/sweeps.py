@@ -7,11 +7,17 @@ along the tail of the grid).  Continuity of the measure family is reported,
 never asserted: the tables are the witness.
 
 Every archimedean fiber is C with |.|^eps, so the equilibrium measure
-mu_phi does not depend on eps.  An equilibrium sweep therefore builds the
-preimage tree once for each depth n and reuses it at every archimedean
-place that needs that depth; only the potential tail, and so the error
-bars, change with eps.  Nothing bounds the distance of a collapsed tree
-(``measures.tree_collapse``) to mu_phi, so the rows of its places fail.
+mu_phi, the points an integral reads and their log|g| values do not depend
+on eps; only a few float operations per point do.  A sweep therefore
+computes once: the preimage tree of each depth n; the eps-free
+``affable.PointTable`` of each point set (tree atoms, circle quadrature
+levels), kept only up to ``atom_budget`` points, which bounds the memo by
+atom_budget points per tree and 2 atom_budget per circle; and each
+function's ``mass_bound`` per log unit.  Only the potential tail, and so
+the error bars, change with eps.  Ultrametric fibers are unchanged: each
+builds its own measure and reads its values exactly.  Nothing bounds the
+distance of a collapsed tree (``measures.tree_collapse``) to mu_phi, so
+the rows of its places fail.
 
 Equilibrium row errors are the quadrature error plus the potential tail
 times ``affable.mass_bound``.  The scale, derived once:
@@ -34,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affable import AffableError, affable_real, mass_bound
+from .affable import AffableError, PointTable, affable_real, mass_bound
 from .battery import load_battery, standard_battery
 from .graphs import GraphError
 from .green import GreenError, deviation_bound
@@ -232,9 +238,21 @@ def _failed_row(kind: str, param: str, fn, n_used: int, exc: Exception) -> Sweep
 
 def _sweep(config: SweepConfig, measure_at) -> SweepTable:
     """The battery's rows along the grid, from ``measure_at(place)`` =
-    (measure, n_used, potential tail bound)."""
+    (measure, n_used, potential tail bound), with one memo for the sweep
+    (module docstring)."""
     validate_grid(config.grid)
     table = SweepTable()
+    tables, bounds = {}, {}
+
+    def points(key, make):
+        if key in tables:
+            return tables[key]
+        z = make()
+        entry = z, PointTable(z)
+        if len(z) <= config.atom_budget:
+            tables[key] = entry  # the entry holds z, so an id key stays unique
+        return entry
+
     for place in config.grid:
         kind, param = place.describe()
         try:
@@ -242,10 +260,12 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
         except ROW_ERRORS as exc:
             table.rows += [_failed_row(kind, param, fn, 0, exc) for fn in config.battery]
             continue
-        for fn in config.battery:
+        for k, fn in enumerate(config.battery):
             try:
-                val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n)
-                cert = qerr + (tail * mass_bound(place, fn) if tail else 0.0)
+                val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n, points)
+                if tail and (k, place.log_unit) not in bounds:
+                    bounds[k, place.log_unit] = mass_bound(place, fn)
+                cert = qerr + (tail * bounds[k, place.log_unit] if tail else 0.0)
                 table.rows.append(SweepRow(kind, param, fn.fn_id, val, cert, n_used))
             except ROW_ERRORS as exc:
                 table.rows.append(_failed_row(kind, param, fn, n_used, exc))

@@ -16,13 +16,14 @@ from berkpot.affable import (
     mass_bound,
     piece_const,
     piece_max_log,
+    _chart_value,
+    _point_reader,
     restrict_to_skeleton,
-    validate_charts,
 )
 from berkpot.battery import load_battery, standard_battery
 from berkpot.graphs import graph_laplacian
-from berkpot.places import Place
-from berkpot.points import GAUSS, build_skeleton, classical, disk
+from berkpot.places import Place, abs_log_value
+from berkpot.points import GAUSS, build_skeleton, classical, disk, eval_log_abs
 from berkpot.sweeps import default_skeleton
 
 ARC = Place.archimedean()
@@ -73,12 +74,44 @@ def test_arch_array_eval_matches_closed_forms():
             assert got == pytest.approx(want, abs=1e-12), (fn.fn_id, eps)
 
 
+def overlap_ring(place):
+    """Points with 1/2 < |T| < 2: four points on each of five circles at an
+    archimedean place; at an ultrametric one the disks eta_{0,r} (the Gauss
+    point among them) and eta_{1,r}, and the units among 1, -1, 3, 5, 7."""
+    if not place.is_ultrametric:
+        return [classical(r * complex(math.cos(t), math.sin(t)))
+                for r in (0.6, 0.9, 1.0, 1.2, 1.5) for t in (0.3, 1.9, 3.5, 5.1)]
+    # |k| step <= 5 step / 2 < log 2 in real units
+    step = F(1, 8 * max(1, math.ceil(place.log_unit / math.log(2))))
+    pts = [disk(0, k * step) for k in range(-5, 6)] + [disk(1, -step), disk(1, -2 * step)]
+    return pts + [classical(F(z)) for z in (1, -1, 3, 5, 7)
+                  if abs(float(abs_log_value(place, F(z))) * place.log_unit) < math.log(2)]
+
+
+def assert_charts_agree(place, fn):
+    """Both charts' descriptions of fn on the overlap ring, read by the exact
+    evaluator: equal (Fraction ==) at ultrametric places, within 1e-12 at
+    archimedean ones, and -inf at the same points."""
+    for x in overlap_ring(place):
+        t_log = eval_log_abs(place, x, [0, 1])
+        v0, vi = (_chart_value(fn, c, _point_reader(place, x, c, t_log)) for c in ("0", "inf"))
+        assert (v0 is None) == (vi is None), (fn.fn_id, x)
+        if v0 is not None:
+            assert v0 == (vi if place.is_ultrametric else pytest.approx(vi, abs=1e-12)), (fn.fn_id, x)
+
+
 def test_eval_chart_switch_consistency():
-    for fn in BAT:
-        assert validate_charts(ARC, fn)
-        assert validate_charts(P2, fn)
-        assert validate_charts(Place.padic(7), fn)
-        assert validate_charts(TRIV, fn)
+    for place in (ARC, Place.archimedean(F(1, 3)), P2, Place.padic(7), TRIV):
+        for fn in BAT:
+            assert_charts_agree(place, fn)
+
+
+def test_chart_check_rejects_mismatched_charts():
+    # chart inf of F1 glued to chart 0 of log_ratio_3_2: both checks see it
+    bad = AffableFn(BAT[3].chart0_plus, BAT[3].chart0_minus, F1.chartinf_plus, F1.chartinf_minus)
+    for place in (ARC, P2, Place.padic(3)):
+        with pytest.raises(AssertionError):
+            assert_charts_agree(place, bad)
 
 
 def test_eval_divergence_raises():
@@ -101,7 +134,8 @@ def test_combine_pointwise_oracles():
             want = op(affable_eval(ARC, f, x), affable_eval(ARC, g, x))
             got = affable_eval(ARC, h, x)
             assert got == pytest.approx(want, abs=1e-9), name
-        assert validate_charts(ARC, h)
+        assert_charts_agree(ARC, h)
+        assert_charts_agree(P2, h)
 
 
 def test_scale_q():
@@ -191,7 +225,7 @@ def test_restrict_examples():
         piece_max_log(None, [(1, [0, 1])]),
         fn_id="log_T_minus_1",
     )
-    assert validate_charts(P2, ft)
+    assert_charts_agree(P2, ft)
     u2, ins2 = restrict_to_skeleton(P2, ft, seg)
     g2 = u2.graph.vertex_of_point(P2, GAUSS)
     assert g2 is not None

@@ -6,15 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from berkpot.affable import AffableError, affable_real
+from berkpot.affable import PIECE_ZERO, AffableError, AffableFn, affable_real, mass_bound, piece_max_log
 from berkpot.battery import standard_battery
 from berkpot.cli import main
 from berkpot.green import contraction_ratios
-from berkpot.measures import equilibrium_nonarch
+from berkpot.measures import equilibrium_nonarch, integrate
 from berkpot.places import Place
 from berkpot.points import disk
 from berkpot.rmaps import HomogeneousLift, lift_to_json
 from berkpot.sweeps import (
+    ROW_ERRORS,
     RadiusSpec,
     SweepConfig,
     SweepError,
@@ -236,13 +237,18 @@ def test_cli_graph_laplacian(tmp_path, capsys):
 
 
 def test_installed_entry_point():
+    # the console script when installed, else the same CLI through `python -m`
     import shutil
     import subprocess
+    import sys
+
+    import berkpot
 
     exe = shutil.which("berkpot")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+    cmd = [exe] if exe else [sys.executable, "-m", "berkpot"]
+    src = os.path.dirname(os.path.dirname(berkpot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "sweep-eq" in proc.stdout
 
@@ -523,3 +529,103 @@ def test_exceptional_seed_warns_once_per_sweep():
         assert math.isnan(row.value) and row.n_used == 0
         assert row.error == "preimage tree collapsed to 1 points at depth 4; seed looks exceptional"
     assert all(not r.error and math.isfinite(r.value) for r in table.rows if r.place_kind != "arch")
+
+
+# -- one memo per sweep: rows equal to per-place integration ------------------
+
+
+def _arch_rows(table):
+    return [(r.place_kind, r.place_param, r.fn_id, None if r.error else (r.value, r.cert_err), r.n_used,
+             r.error) for r in table.rows if r.place_kind == "arch"]
+
+
+def _fresh_arch_rows(cfg, measure_at):
+    """The archimedean rows as each place alone gives them: its own measure
+    and a fresh ``integrate`` per function, with nothing shared."""
+    rows = []
+    for place in cfg.grid:
+        if place.is_ultrametric:
+            continue
+        mu, n_used, tail = measure_at(place)
+        for fn in cfg.battery:
+            try:
+                val, qerr = integrate(place, mu, affable_real(place, fn), cfg.quad_n)
+                cert = qerr + (tail * mass_bound(place, fn) if tail else 0.0)
+                rows.append((*place.describe(), fn.fn_id, (val, cert), n_used, ""))
+            except ROW_ERRORS as exc:
+                rows.append((*place.describe(), fn.fn_id, None, n_used, str(exc)))
+    return rows
+
+
+def _fresh_eq(cfg):
+    return _fresh_arch_rows(cfg, lambda place: _eq_measure_at(place, cfg))  # a tree per place
+
+
+def _fresh_chi(cfg):
+    return _fresh_arch_rows(cfg, lambda place: (_chi_at(place, cfg.center, cfg.radius), 0, 0.0))
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 1], [-1, 0, 1]], ids=["z2", "z2-1"])
+def test_sweep_equilibrium_rows_equal_per_place_integration(coeffs):
+    # z^2 integrates the unit circle (its potential vanishes), z^2 - 1 a tree
+    cfg = SweepConfig(grid=default_grid(10), battery=BAT, lift=HomogeneousLift.polynomial(coeffs),
+                      atom_budget=1 << 10)
+    rows = _arch_rows(sweep_equilibrium(cfg))
+    assert len(rows) == 11 * len(BAT) and not any(r[5] for r in rows)
+    assert rows == _fresh_eq(cfg)
+
+
+@pytest.mark.parametrize("radius", [{"pow_eps": "3"}, "1/2", "1"], ids=["pow_eps3", "const1/2", "const1"])
+def test_sweep_chi_rows_equal_per_place_integration(radius):
+    # the constant radius 1/2 names the Euclidean circle 2^(-1/eps), a new
+    # node set at every eps; 3^eps names the circle of radius 3 at every eps
+    cfg = SweepConfig.from_json({"depth": 10, "radius": radius, "center": "1/4", "atom_budget": 4096})
+    rows = _arch_rows(sweep_chi(cfg))
+    assert len(rows) == 11 * len(BAT)
+    assert rows == _fresh_chi(cfg)
+
+
+LOG_T_MINUS_1 = AffableFn(piece_max_log(None, [(1, [-1, 1])]), PIECE_ZERO,
+                          piece_max_log(None, [(1, [1, -1])]), piece_max_log(None, [(1, [0, 1])]),
+                          fn_id="log_T_minus_1")
+
+
+def test_pole_on_the_support_fails_the_same_rows():
+    # seeded at -1, the tree of z^2 - 1 holds the atom 1 exactly (-1 <- 0 <- 1),
+    # a pole of log|T - 1|; the other function's rows are unaffected
+    cfg = SweepConfig(grid=default_grid(4), battery=[LOG_T_MINUS_1, F1[0]],
+                      lift=HomogeneousLift.polynomial([-1, 0, 1]), seed_point=-1 + 0j, atom_budget=256)
+    rows = _arch_rows(sweep_equilibrium(cfg))
+    assert rows == _fresh_eq(cfg)
+    failed = [r for r in rows if r[5]]
+    assert [r[2] for r in failed] == ["log_T_minus_1"] * 5
+    assert all(r[5] == "affable value is -inf at Pt((1+0j))" for r in failed)
+
+
+def test_back_to_back_sweeps_share_nothing():
+    # the second battery reuses the first one's ids on other functions
+    first = BAT[:4]
+    second = [AffableFn(f.chart0_plus, f.chart0_minus, f.chartinf_plus, f.chartinf_minus, fn_id=g.fn_id)
+              for f, g in zip(BAT[4:], first)]
+    lift = HomogeneousLift.polynomial([-1, 0, 1])
+    for sweep, fresh in ((sweep_equilibrium, _fresh_eq), (sweep_chi, _fresh_chi)):
+        cfgs = [SweepConfig(grid=default_grid(4), battery=bat, lift=lift, atom_budget=512)
+                for bat in (first, second)]
+        tables = [sweep(cfg) for cfg in cfgs]
+        assert [_arch_rows(t) for t in tables] == [fresh(cfg) for cfg in cfgs]
+
+
+def test_point_tables_kept_only_under_the_atom_budget(monkeypatch):
+    # log_plus_T on the circle |T - 1| = 1 doubles to 32768 nodes: the three
+    # copies share each level up to the budget and build each later one anew
+    import berkpot.sweeps as sweeps
+
+    built = []
+    make = sweeps.PointTable
+    monkeypatch.setattr(sweeps, "PointTable", lambda z: built.append(len(z)) or make(z))
+    fn = next(f for f in BAT if f.fn_id == "log_plus_T")
+    cfg = SweepConfig(grid=[Place.archimedean(), Place.trivial()], battery=[fn] * 3, center=F(1),
+                      atom_budget=1024)
+    sweep_chi(cfg)
+    levels = [64 << k for k in range(10)]
+    assert built == levels[:5] + levels[5:] * 3
