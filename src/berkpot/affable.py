@@ -29,9 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import MetricGraph, PLFunction
-from .places import (NEG_INF, Place, PlaceError, _as_fraction, abs_log_value, is_inf, is_neg_inf,
+from .places import (NEG_INF, Place, PlaceError, abs_log_value, is_inf, is_neg_inf,
                      vmax, vplus, vscale)
-from .points import ARCH_INF, DISK, INF, BerkPoint, arch_point, classical, disk, eval_log_abs
+from .points import (ARCH_INF, DISK, INF, BerkPoint, arch_point, classical, disk, eval_log_abs,
+                     newton_envelope, newton_lines)
 from .polys import taylor_shift
 
 
@@ -375,7 +376,7 @@ def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
     """[(rho, f(eta_{z,rho}))] at lo, at every kink in (lo, hi), and at hi.
 
     Along eta_{z,rho} each log|g| is the upper envelope of the Newton lines
-    log|c_i| + i rho, c_i the coefficients of g(z + T); they are computed
+    log|c_i| + i rho of g(z + T) (``points.newton_lines``); they are computed
     once per term polynomial and read by the exact evaluator.  Kink
     candidates: crossings of each polynomial's lines, the bend of
     log|T| = max(log|z|, rho) at rho = log|z|, the chart switch at rho = 0,
@@ -389,14 +390,11 @@ def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
     def lines(g, rev):
         key = (id(g), rev)  # g is held by fn for the whole call
         if key not in memo:
-            shifted = taylor_shift([_as_fraction(c) for c in (g[::-1] if rev else g)], z)
-            logs = ((abs_log_value(place, c), i) for i, c in enumerate(shifted))
-            memo[key] = [(a, i) for a, i in logs if not is_neg_inf(a)]
+            memo[key] = newton_lines(place, taylor_shift(g[::-1] if rev else g, z))
         return memo[key]
 
     def reader(rho, chart):
-        return _reader(lambda g, rev: max((a + i * rho for a, i in lines(g, rev)), default=NEG_INF),
-                       chart, vmax(zl, rho))
+        return _reader(lambda g, rev: newton_envelope(lines(g, rev), rho), chart, vmax(zl, rho))
 
     def value(rho):
         chart = _chart_of(vmax(zl, rho))

@@ -5,8 +5,8 @@ Laplacian of such a function is the atomic measure whose weight at a vertex
 is the sum of outgoing slopes.  The Dirichlet problem (harmonic extension of
 boundary data) is a weighted-graph linear solve with weights 1/length.
 
-Values and lengths may be exact ``Fraction``s (ultrametric fibers) or
-floats (archimedean models); a single graph should not mix the two.
+Graphs are exact: lengths and values are ``Fraction``s, and the Dirichlet
+solve converts its input with ``Fraction(x)``, exactly for floats too.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def graph_laplacian(u: PLFunction) -> GraphMeasure:
 def dirichlet_extend(graph: MetricGraph, boundary_values: dict) -> PLFunction:
     """Unique PL function matching boundary values and harmonic inside.
 
-    Solves the weighted-graph system (weights 1/length); exact when lengths
-    and boundary data are rational, dense float solve otherwise.  Values obey
-    the maximum principle: they lie in [min boundary, max boundary].
+    Solves the weighted-graph system (weights 1/length) exactly over Q.
+    Values obey the maximum principle: they lie in [min boundary, max
+    boundary].
     """
     if not boundary_values:
         raise GraphError("boundary must be nonempty")
@@ -80,37 +80,25 @@ def dirichlet_extend(graph: MetricGraph, boundary_values: dict) -> PLFunction:
     for b in boundary_values:
         if not (0 <= b < graph.n):
             raise GraphError(f"boundary vertex {b} out of range")
+    values = [None] * graph.n
+    for v, x in boundary_values.items():
+        values[v] = Fraction(x)
     interior = [v for v in range(graph.n) if v not in boundary_values]
-    exact = all(isinstance(x, (Fraction, int)) for x in boundary_values.values()) and all(
-        isinstance(ln, (Fraction, int)) for _, _, ln in graph.edges
-    )
     idx = {v: k for k, v in enumerate(interior)}
     m = len(interior)
-    zero = Fraction(0) if exact else 0.0
-    a = [[zero] * m for _ in range(m)]
-    rhs = [zero] * m
+    a = [[Fraction(0)] * m for _ in range(m)]
+    rhs = [Fraction(0)] * m
     adj = graph.adjacency()
     for v in interior:
         r = idx[v]
         for w, ln, _ in adj[v]:
-            wgt = (Fraction(1) / Fraction(ln)) if exact else 1.0 / float(ln)
+            wgt = 1 / Fraction(ln)
             a[r][r] += wgt
             if w in idx:
                 a[r][idx[w]] -= wgt
             else:
-                rhs[r] += wgt * boundary_values[w]
-    if m:
-        if exact:
-            sol = exact_solve(a, rhs)
-        else:
-            import numpy as np
-
-            sol = list(np.linalg.solve(np.array(a, dtype=float), np.array(rhs, dtype=float)))
-    else:
-        sol = []
-    values = [None] * graph.n
-    for v, x in boundary_values.items():
-        values[v] = Fraction(x) if exact and isinstance(x, int) else x
+                rhs[r] += wgt * values[w]
+    sol = exact_solve(a, rhs)
     for v in interior:
         values[v] = sol[idx[v]]
     return PLFunction(graph, values)

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +98,7 @@ from .points import (
     contains,
     eval_log_abs,
     join_points,
+    newton_lines,
 )
 from .rmaps import HomogeneousLift, apply_point
 
@@ -293,10 +294,7 @@ def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     """
     if not place.is_ultrametric:
         return _arch_limit(place, lift, x, n, -1.0)[0]  # a negative stop never exits
-    total = Fraction(0)
-    for k, g in enumerate(deviation_sequence(place, lift, x, n)):
-        total = total - Fraction(1, lift.d ** (k + 1)) * g
-    return total
+    return _exact_limit(place, lift, x, n, None)[0]
 
 
 # -- deviation bounds ----------------------------------------------------------
@@ -308,10 +306,10 @@ class DeviationBound:
 
     lower: float
     upper: float
+    gmax: float = field(init=False)  # max(upper, -lower, 0), computed once
 
-    @property
-    def gmax(self) -> float:
-        return max(self.upper, -self.lower, 0.0)
+    def __post_init__(self):
+        object.__setattr__(self, "gmax", max(self.upper, -self.lower, 0.0))
 
 
 def deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
@@ -379,22 +377,18 @@ def _tail_constants(place: Place, lift: HomogeneousLift):
     """(t*, log|f0[d]|, log|f1[0]|) for the closed tails of a polynomial map
     at an exact place (module docstring); None for a tail that does not apply.
 
-    For log|T| > t* the top monomial of F0 strictly dominates, so by the
-    ultrametric equality g equals log|f0[d]| at every later step.  t* is None
-    when f0[d] vanishes at the place; the trap constant log|f1[0]| is None
-    when f1[0] does.
+    For log|T| > t*, past every crossing of the top Newton line of F0, the
+    top monomial strictly dominates, so g equals log|f0[d]| at every later
+    step.  t* is None when f0[d] vanishes at the place; the trap constant
+    log|f1[0]| is None when f1[0] does.
     """
     d = lift.d
-    a_top = abs_log_value(place, lift.f0[d])
     c_bot = abs_log_value(place, lift.f1[0])
     trap = None if is_neg_inf(c_bot) else c_bot
-    if is_neg_inf(a_top):
+    *lines, (a_top, top) = newton_lines(place, lift.f0)  # F0 != 0, as Res(F0, F1) != 0
+    if top < d:
         return None, None, trap
-    bounds = [Fraction(0)]
-    for i in range(d):
-        ai = abs_log_value(place, lift.f0[i])
-        if not is_neg_inf(ai):
-            bounds.append(Fraction(ai - a_top, d - i))
+    bounds = [Fraction(0)] + [Fraction(a - a_top, d - i) for a, i in lines]
     bounds.append(Fraction(c_bot - a_top, d))      # ||F|| carried by F0
     bounds.append(Fraction(c_bot - a_top, d - 1))  # orbit log|T| grows
     return vmax(*bounds), a_top, trap
@@ -452,6 +446,16 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         value, n_used = _arch_limit(place, lift, x, n, stop)
         return PotentialState(value, n_used, err, "certified", bound.gmax)
     tails = _tail_constants(place, lift) if lift.is_polynomial else None
+    value, n_used = _exact_limit(place, lift, x, n, tails)
+    if n_used < n:  # closed: the tail was summed exactly
+        return PotentialState(value, n_used, 0.0, "exact", bound.gmax)
+    return PotentialState(value, n, err, "certified", bound.gmax)
+
+
+def _exact_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int, tails):
+    """(value, steps summed) of lambda_n(x) at an exact place, closed at the
+    first step k < n where ``_closed_tail`` finds a tail (never if tails is None)."""
+    d = lift.d
     total = Fraction(0)
     prev = None  # the previous orbit point while it lies in the closed unit disk
     for k, y in enumerate(_exact_orbit(place, lift, x, n)):
@@ -460,11 +464,10 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
             g_tail = _closed_tail(place, lift, tails, prev, y, t_log)
             if g_tail is not None:
                 # exact geometric tail: g stays at g_tail from step k on
-                tail = Fraction(1, d**k * (d - 1)) * g_tail
-                return PotentialState(total - tail, k, 0.0, "exact", bound.gmax)
+                return total - Fraction(1, d**k * (d - 1)) * g_tail, k
         total = total - Fraction(1, d ** (k + 1)) * _exact_g(place, lift, y, t_log)
         prev = y if t_log <= 0 else None
-    return PotentialState(total, n, err, "certified", bound.gmax)
+    return total, n
 
 
 def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):

@@ -5,6 +5,9 @@ disk points eta_{z,r} acting on polynomials by |sum a_i (T-z)^i| =
 max_i |a_i| r^i.  Disk points store the log-radius as an exact rational on
 the place's coefficient scale (see places module), so the Gauss point is
 ``disk(0, 0)`` at every ultrametric place.
+
+``newton_lines`` and ``newton_envelope`` are the one reader of that formula:
+the Newton lines (log|a_i|, i) of P(z + T), and their envelope at log r.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .places import (
     vscale,
     _as_fraction,
 )
-from .polys import taylor_shift
+from .polys import poly_eval, taylor_shift
 
 CLS = "cls"
 DISK = "disk"
@@ -101,10 +104,17 @@ def arch_point(z) -> BerkPoint:
 GAUSS = disk(0, 0)
 
 
-def _coerce_poly(place: Place, coeffs):
-    if place.is_ultrametric:
-        return [_as_fraction(c) for c in coeffs]
-    return [complex(c) for c in coeffs]
+def newton_lines(place: Place, shifted) -> list:
+    """Newton lines (log|c_i|, i) of P(z + T) = sum shifted[i] T^i, one per
+    nonzero c_i in increasing i; a +inf log|c_i| (residue place) is kept."""
+    logs = ((abs_log_value(place, c), i) for i, c in enumerate(shifted))
+    return [(a, i) for a, i in logs if not is_neg_inf(a)]
+
+
+def newton_envelope(lines, logr) -> LogValue:
+    """log|P|(eta_{z,logr}): the upper envelope of the lines at logr.  The
+    i = 0 line is log|c_0| itself, so an infinite logr never meets 0 * inf."""
+    return vmax(*(vplus(a, vscale(i, logr)) if i else a for a, i in lines))
 
 
 def eval_log_abs(place: Place, point: BerkPoint, coeffs) -> LogValue:
@@ -113,32 +123,18 @@ def eval_log_abs(place: Place, point: BerkPoint, coeffs) -> LogValue:
     Returns a value on the place's coefficient scale; -inf only for P = 0 or
     classical zeros of P.
     """
-    coeffs = _coerce_poly(place, coeffs)
+    convert = _as_fraction if place.is_ultrametric else complex
+    coeffs = [convert(c) for c in coeffs]
     if not coeffs:
         return NEG_INF
-    if point.t == INF:
-        if any(c != 0 for c in coeffs[1:]):
-            return POS_INF
-        return abs_log_value(place, coeffs[0]) if place.is_ultrametric else _arch_log(place, coeffs[0])
-    if point.t == CLS:
-        val = 0
-        for c in reversed(coeffs):
-            val = val * point.z + c
-        if place.is_ultrametric:
-            return abs_log_value(place, val)
-        return _arch_log(place, val)
-    # disk point
+    if point.t == INF and any(c != 0 for c in coeffs[1:]):
+        return POS_INF
+    if point.t != DISK:
+        val = coeffs[0] if point.t == INF else poly_eval(coeffs, point.z)
+        return abs_log_value(place, val) if place.is_ultrametric else _arch_log(place, val)
     if not place.is_ultrametric:
         raise PlaceError("disk points live in ultrametric fibers only")
-    shifted = taylor_shift(coeffs, point.center)
-    best = NEG_INF
-    for i, c in enumerate(shifted):
-        a = abs_log_value(place, c)
-        if is_neg_inf(a):
-            continue
-        term = vplus(a, vscale(i, point.logr)) if i else a
-        best = vmax(best, term)
-    return best
+    return newton_envelope(newton_lines(place, taylor_shift(coeffs, point.center)), point.logr)
 
 
 def _arch_log(place: Place, val) -> LogValue:
@@ -257,8 +253,8 @@ def join_points(place: Place, a: BerkPoint, b: BerkPoint) -> BerkPoint:
 class MetricGraph:
     """Finite connected weighted graph; vertices may be labeled by points.
 
-    Edge lengths are positive rationals (exact fibers) or floats; a graph
-    must not mix the two.  ``boundary`` is a subset of vertex indices.
+    Edge lengths are positive rationals.  ``boundary`` is a subset of
+    vertex indices.
     """
 
     labels: list

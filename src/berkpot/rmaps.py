@@ -20,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from . import polys
-from .places import NEG_INF, Place, PlaceError, abs_log_value, is_neg_inf, vmax, vplus, vscale
-from .points import ARCH_INF, BerkPoint, CLS, INF, arch_point, classical_pair, disk
+from .places import Place, PlaceError, is_neg_inf
+from .points import (ARCH_INF, BerkPoint, CLS, INF, arch_point, classical_pair, disk, newton_envelope,
+                     newton_lines, reduce_center)
 from .polys import exact_det, poly_eval, sylvester_matrix, taylor_shift, trim
 
 CLUSTER_REL = 1e-7  # roots closer than this, relative to 1 + |root|, are one root
@@ -200,21 +201,12 @@ def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> BerkPoint:
         raise PlaceError("disk points live in ultrametric fibers only")
     if not lift.is_polynomial:
         raise MapError("disk transport implemented for polynomial maps only")
-    phi = lift.phi_coeffs()
-    shifted = taylor_shift(phi, x.center)
-    new_center = shifted[0]
-    new_logr = NEG_INF
-    for i in range(1, len(shifted)):
-        a = abs_log_value(place, shifted[i])
-        if is_neg_inf(a):
-            continue
-        new_logr = vmax(new_logr, vplus(a, vscale(i, x.logr)))
+    shifted = taylor_shift(lift.phi_coeffs(), x.center)
+    new_logr = newton_envelope(newton_lines(place, [0] + shifted[1:]), x.logr)  # log|phi - phi(a)|
     if is_neg_inf(new_logr):
         raise MapError("disk image degenerated to a classical point")
-    from .points import reduce_center
-
     # same seminorm, bounded-height center: keeps orbit arithmetic small
-    return disk(reduce_center(place, new_center, new_logr), new_logr)
+    return disk(reduce_center(place, shifted[0], new_logr), new_logr)
 
 
 @dataclass

@@ -91,19 +91,18 @@ def validate_grid(grid: list[Place]):
 
 
 def default_skeleton(place: Place, span: int = 2, halves: bool = True) -> MetricGraph:
-    """Segment skeleton eta_{0, p^(q eps)}, q in [-span, span], through Gauss:
-    the flow image at the place's exponent eps of the eps = 1 segment, so
-    the flow carries a fiber's skeleton, and with it the measure, to the
-    next one along a branch."""
-    from .points import build_skeleton
-
+    """Segment skeleton eta_{0, p^(q eps)}, q in [-span, span] in steps of
+    1/2 (halves) or 1: the flow image at the place's exponent eps of the
+    eps = 1 segment, so the flow carries a fiber's skeleton, and with it the
+    measure, to the next one along a branch.  The disks are nested, so the
+    path through them is their convex hull (``points.build_skeleton``)."""
+    if not place.is_ultrametric:
+        raise PlaceError("operation requires an ultrametric place")
     step = Fraction(1, 2) if halves else Fraction(1)
-    pts = []
-    q = Fraction(-span)
-    while q <= span:
-        pts.append(disk(0, q * place.eps))
-        q += step
-    return build_skeleton(place, pts)
+    count = math.floor(2 * span / step) + 1
+    labels = [disk(0, (k * step - span) * place.eps) for k in range(count)]
+    edges = [(k, k + 1, step * place.eps) for k in range(count - 1)]
+    return MetricGraph(labels, edges, sorted({0, count - 1}))
 
 
 @dataclass
@@ -187,7 +186,6 @@ class SweepConfig:
     tol: float = 1e-8
     quad_n: int = 64
     atom_budget: int = 1 << 14
-    skeleton_span: int = 2
     seed_point: complex = 2 + 0j
 
     @staticmethod
@@ -212,7 +210,7 @@ class SweepConfig:
                 cfg.center = Fraction(str(obj["center"]))
             if "radius" in obj:
                 cfg.radius = RadiusSpec.parse(obj["radius"])
-            for k in ("tol", "quad_n", "atom_budget", "skeleton_span"):
+            for k in ("tol", "quad_n", "atom_budget"):
                 if k in obj:
                     setattr(cfg, k, type(getattr(cfg, k))(obj[k]))
             if "seed_point" in obj:
@@ -292,7 +290,7 @@ def _eq_measure_at(place: Place, config: SweepConfig, trees: dict | None = None)
         # family member itself, exactly
         return _chi_at(place, Fraction(0), RadiusSpec("const", Fraction(1))), 0, 0.0
     if place.is_ultrametric:
-        skel = default_skeleton(place, config.skeleton_span)
+        skel = default_skeleton(place)
         mu, report = equilibrium_nonarch(place, lift, skel, config.tol)
         return mu, 0, max(st.certified_error for st in report.states)
     d = lift.d

@@ -74,6 +74,12 @@ def test_dirichlet_weighted_star():
     assert u.values[0] == c
 
 
+def test_dirichlet_converts_float_input_exactly():
+    u = dirichlet_extend(star3((1.0, 1.0, 2.0)), {1: 0.0, 2: 0, 3: 4.0})
+    assert u.values == [F(4, 5), F(0), F(0), F(4)]
+    assert all(type(v) is F for v in u.values)
+
+
 def test_dirichlet_needs_boundary():
     with pytest.raises(GraphError):
         dirichlet_extend(segment(), {})

@@ -88,6 +88,18 @@ def test_one_step_identity_exact_ultrametric():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_exact_lambda_n_is_the_deviation_series(p):
+    # lambda_n sums every term, also where lambda_limit closes a tail (T^2/p)
+    place = Place.padic(p)
+    lifts = [HomogeneousLift.from_coeffs(2, [0, 0, F(1, p)], [1]), HomogeneousLift.from_coeffs(2, [F(1, p), 3, 1], [1])]
+    for lift in lifts:
+        for x in (GAUSS, disk(0, F(-1)), disk(1, F(-2)), classical(F(2)), infinity()):
+            for n in (0, 1, 4):
+                series = sum(-F(1, 2 ** (k + 1)) * g for k, g in enumerate(deviation_sequence(place, lift, x, n)))
+                assert lambda_n(place, lift, x, n) == series
+
+
 def test_log_flottance_exact():
     p3 = Place.padic(3)
     lift = HomogeneousLift.from_coeffs(2, [3, 1, 1], [1])

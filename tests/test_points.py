@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berkpot.places import NEG_INF, Place, PlaceError, flow_place
+from berkpot.places import NEG_INF, POS_INF, Place, PlaceError, flow_place
 from berkpot.points import (
     GAUSS,
     build_skeleton,
@@ -46,6 +46,16 @@ def test_eval_examples():
     assert eval_log_abs(P3, GAUSS, [9, 3, 1]) == 0  # max(|9|, |3|r, r^2) at r=1
     assert eval_log_abs(P2, disk(0, -1), [0, 1]) == -1  # |T| on the radius-1/2 disk
     assert eval_log_abs(Place.archimedean(), classical(2.0 + 0j), [-2, 1]) == NEG_INF
+
+
+def test_eval_at_an_infinite_radius_and_an_infinite_coefficient():
+    res2 = Place.residue(2)
+    eta = join_points(res2, classical(0), classical(F(1, 2)))  # |1/2| = +inf at the residue place
+    assert eta == disk(0, POS_INF)
+    # the i = 0 line is log|c_0| itself: no 0 * inf, so no nan
+    assert eval_log_abs(res2, eta, [1, 1]) == POS_INF
+    assert eval_log_abs(res2, eta, [1]) == 0
+    assert eval_log_abs(res2, GAUSS, [F(1, 2), 1]) == POS_INF  # a +inf coefficient stays +inf
 
 
 def test_eval_disk_needs_ultrametric():

@@ -8,7 +8,8 @@ import pytest
 from berkpot import polys
 from berkpot.green import deviation_bound
 from berkpot.places import Place, flow_place
-from berkpot.points import ARCH_INF, GAUSS, arch_point, classical, disk, flow_point, infinity, same_point
+from berkpot.points import (ARCH_INF, GAUSS, arch_point, classical, disk, eval_log_abs, flow_point, infinity,
+                            same_point)
 from berkpot.rmaps import (
     HomogeneousLift,
     MapError,
@@ -136,6 +137,23 @@ def test_apply_point_examples():
     tp = HomogeneousLift.from_coeffs(2, [5, 0, 1], [1])
     img = apply_point(p5, tp, GAUSS)
     assert img.t == "disk" and same_point(p5, img, GAUSS)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_disk_image_radius_is_the_seminorm_of_phi_minus_phi_a(p):
+    # phi(eta_{a,r}) = eta_{phi(a), r'} with log r' = log|phi - phi(a)|(eta_{a,r})
+    place = Place.padic(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        d = rng.randint(2, 4)
+        phi = [F(rng.randint(-9, 9), rng.choice([1, 2, p, p * p])) for _ in range(d)]
+        phi.append(F(rng.randint(1, 9), rng.choice([1, p])))
+        x = disk(F(rng.randint(-20, 20), rng.choice([1, p])), F(rng.randint(-6, 3), rng.choice([1, 2])))
+        img = apply_point(place, HomogeneousLift.polynomial(phi), x)
+        phi_a = polys.poly_eval(phi, x.center)
+        logr = eval_log_abs(place, x, [phi[0] - phi_a] + phi[1:])
+        assert img.logr == logr
+        assert same_point(place, img, disk(phi_a, logr))
 
 
 def test_apply_point_classical_and_infinity():

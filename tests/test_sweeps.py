@@ -11,8 +11,8 @@ from berkpot.battery import standard_battery
 from berkpot.cli import main
 from berkpot.green import contraction_ratios
 from berkpot.measures import equilibrium_nonarch, integrate
-from berkpot.places import Place
-from berkpot.points import disk
+from berkpot.places import Place, PlaceError
+from berkpot.points import build_skeleton, disk
 from berkpot.rmaps import HomogeneousLift, lift_to_json
 from berkpot.sweeps import (
     ROW_ERRORS,
@@ -90,6 +90,18 @@ def test_sweep_equilibrium_rejects_complex_maps():
     cfg = SweepConfig(grid=default_grid(2), battery=F1, lift=lift)
     with pytest.raises(SweepError):
         sweep_equilibrium(cfg)
+
+
+@pytest.mark.parametrize("place", [Place.padic(2), Place.padic(3, 2), Place.padic(2, 1024), Place.trivial(),
+                                   Place.residue(3)], ids=["p2", "p3-eps2", "p2-eps1024", "trivial", "res3"])
+@pytest.mark.parametrize("halves", [True, False], ids=["halves", "units"])
+def test_default_skeleton_is_the_hull_of_its_disks(place, halves):
+    per_unit = 2 if halves else 1
+    for span in (0, 1, 2, 3):
+        disks = [disk(0, F(k, per_unit) * place.eps) for k in range(-span * per_unit, span * per_unit + 1)]
+        assert default_skeleton(place, span, halves) == build_skeleton(place, disks)
+    with pytest.raises(PlaceError):
+        default_skeleton(Place.archimedean())
 
 
 def test_sweep_config_from_json():
@@ -449,7 +461,7 @@ def test_ultrametric_tail_is_largest_vertex_error(p):
     t2p = HomogeneousLift.from_coeffs(2, [0, 0, F(1, p)], [1])
     cfg = SweepConfig(grid=[place], battery=BAT, lift=t2p)
     _mu, _n, tail = _eq_measure_at(place, cfg)
-    _mu, report = equilibrium_nonarch(place, t2p, default_skeleton(place, cfg.skeleton_span), cfg.tol)
+    _mu, report = equilibrium_nonarch(place, t2p, default_skeleton(place), cfg.tol)
     kinds = [st.certificate for st in report.states]
     # every vertex orbit escapes or falls into a disk that T^2/p maps into itself
     assert (kinds.count("certified"), kinds.count("exact")) == (0, 9)
