@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .affable import AffableError
@@ -115,6 +116,8 @@ def _cmd_sweep(args, which: str) -> int:
     _emit(_sweep_rows(table), ["place_kind", "place_param", "fn_id", "value", "cert_err", "n_used"],
           args.out, args.quiet)
     if not args.quiet:
+        for reason, count in Counter(row.error for row in table.rows if row.error).items():
+            print(f"failed rows ({count}): {reason}", file=sys.stderr)
         for fid, diffs in table.modulus.items():
             shown = ["-" if d is None else f"{d:.3e}" for d in diffs]
             print(f"modulus {fid}: {' '.join(shown)}")

@@ -20,23 +20,27 @@ x_j running over the cofactor coefficients.  The cofactors are
 ``HomogeneousLift.cofactors``: the one exact elimination that also decides
 Res(F0, F1) != 0 when the lift is built (``rmaps.resultant_cofactors``).
 
-Archimedean places run every orbit through one kernel, ``_arch_step``, which
-reads the lift's complex coefficients (``HomogeneousLift.complex_coeffs``)
-and works on complex scalars and ndarrays alike.  There ``lambda_n``,
-``lambda_limit`` and ``deviation_sequence`` take either a BerkPoint or a
-complex ndarray of points, ``points.ARCH_INF`` standing for the point at
-infinity as in ``preimages_arch``.  An array gives one ``PotentialState``
-whose ``value`` is an array of the same shape; ``certified_error``,
-``certificate`` and ``gmax`` stay scalars, because the a priori tail bound
-does not depend on the point, and ``n_used`` is the most steps any point
-summed (see the escape tail below).
+Each regime walks every orbit in one loop, ``_arch_limit`` or
+``_exact_limit``, which returns the sum, the steps and the g values summed.
+The archimedean loop steps with one kernel, ``_arch_step``, which reads the
+lift's complex coefficients (``HomogeneousLift.complex_coeffs``) and works
+on complex scalars and ndarrays alike.  There ``lambda_n``, ``lambda_limit``
+and ``deviation_sequence`` take either a BerkPoint or a complex ndarray of
+points, ``points.ARCH_INF`` standing for the point at infinity as in
+``preimages_arch``.  An array gives one ``PotentialState`` whose ``value``
+is an array of the same shape; ``certified_error``, ``certificate`` and
+``gmax`` stay scalars, because the a priori tail bound does not depend on
+the point, and ``n_used`` is the most steps any point summed (see the
+escape tail below).
 
-Ultrametric places run an exact orbit of BerkPoints: ``rmaps.apply_point``
+Ultrametric places walk an exact orbit of BerkPoints: ``rmaps.apply_point``
 is the one step, for classical points, infinity and disks alike, and g is
 the seminorm formula log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x) of
-``deviation_at_point``, read with ``eval_log_abs`` in the chart (T, 1) for
-disks and |z| <= 1, and in the chart (1, S = 1/T) for |z| > 1 and infinity.
-The n terms of a sum take n - 1 steps.
+``deviation_at_point``, read in the chart (T, 1) for disks and |z| <= 1,
+and in the chart (1, S = 1/T) for |z| > 1 and infinity.  A disk point
+eta_{a,r} evaluates F once: the one Taylor shift F0(a + T) gives |F0| for g
+and, divided by f1[0], the image disk; the constant F1 of a polynomial lift
+needs no shift.  The n terms of a sum take n - 1 steps.
 
 A polynomial map phi = F0 / f1[0] has two closed tails, where g is constant
 on the rest of the orbit and the series sums to g / (d^k (d-1)) from step k
@@ -98,8 +102,10 @@ from .points import (
     contains,
     eval_log_abs,
     join_points,
+    newton_envelope,
     newton_lines,
 )
+from .polys import taylor_shift
 from .rmaps import HomogeneousLift, apply_point
 
 
@@ -151,20 +157,6 @@ def _arch_step(coeffs, d: int, eps: float, z0, z1):
     return eps * np.log(norm), w0 / norm, w1 / norm
 
 
-def _arch_orbit(place: Place, lift: HomogeneousLift, zhat, n: int) -> list:
-    """[g(zhat), g(F zhat), ..., g(F^{n-1} zhat)] for a lift of max norm 1."""
-    coeffs, d, eps = lift.complex_coeffs, lift.d, float(place.eps)
-    z0, z1 = zhat
-    gs = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(n):
-            g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1)
-            gs.append(g)
-    if not np.isfinite(gs).all():
-        raise GreenError("lift vanishes at a projective point; Res = 0")
-    return [float(g) for g in gs] if np.ndim(z0) == 0 else gs  # one point: plain floats
-
-
 def _normalized(z0, z1):
     norm = np.maximum(abs(z0), abs(z1))
     return z0 / norm, z1 / norm
@@ -184,21 +176,22 @@ def _arch_lift(x):
     return _normalized(complex(x.z), 1.0)
 
 
-def _arch_limit(place: Place, lift: HomogeneousLift, x, n: int, stop: float):
-    """(value, steps summed) of lambda_n(x) at an archimedean place, left at
-    the first step k < n where the orbit's escape tail (module docstring) is
-    within stop, and closed there.  An array retires the points that have
-    left and counts the most steps any summed.
+def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
+    """(value, steps summed, terms) of lambda_n at an archimedean place from a
+    lift zhat of max norm 1 (``_arch_lift``), terms being the g values summed.
+    The orbit is left, and closed, at the first step k < n where its escape
+    tail (module docstring) is within stop; a negative stop never exits.  An
+    array retires the points that have left (a term then holds only those
+    still running) and counts the most steps any summed.
     """
     coeffs, d, eps = lift.complex_coeffs, lift.d, float(place.eps)
     rinv, c4a, log_top = _escape_constants(lift) or (0.0, 0.0, 0.0)  # 1/R = 0: no exit
     lim = stop * d  # exit at step k once eps 4A |z1| <= stop d^(k+1)
-    scalar = not isinstance(x, np.ndarray)
-    z0, z1 = _arch_lift(x)
-    total, n_used = 0.0, 0  # the sums of the points still running
-    if not scalar:
-        value, live = np.zeros(x.size), np.arange(x.size)
-        z0, z1, total = z0.ravel(), z1.ravel(), np.zeros(x.size)
+    z0, z1 = zhat
+    scalar = not isinstance(z0, np.ndarray)
+    total, n_used, terms = 0.0, 0, []  # the sums of the points still running
+    if not scalar:  # live: the flat indices of the points still running
+        value, live, total = np.zeros(z0.shape), np.arange(z0.size).reshape(z0.shape), np.zeros(z0.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n):
             r1 = abs(z1)  # |z| = 1/|z1|
@@ -209,18 +202,19 @@ def _arch_limit(place: Place, lift: HomogeneousLift, x, n: int, stop: float):
                 if scalar:
                     total -= tail
                     break
-                value[live[out]] = total[out] - tail
+                value.flat[live[out]] = total[out] - tail
                 live, z0, z1, total = live[~out], z0[~out], z1[~out], total[~out]
                 if not live.size:
                     break
             g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1)
+            terms.append(float(g) if scalar else g)  # one point: plain floats
             total, n_used = total - 1 / d ** (k + 1) * g, k + 1
     if not scalar:
-        value[live] = total
-        total = value.reshape(x.shape)
+        value.flat[live] = total
+        total = value
     if not np.isfinite(total).all():
         raise GreenError("lift vanishes at a projective point; Res = 0")
-    return (float(total) if scalar else total), n_used
+    return (float(total) if scalar else total), n_used, terms
 
 
 # -- exact orbits ------------------------------------------------------------
@@ -233,7 +227,7 @@ def deviation_g(place: Place, lift: HomogeneousLift, zhat) -> LogValue:
         raise GreenError("(0,0) is not a lift")
     if place.is_ultrametric:
         return deviation_at_point(place, lift, classical_pair(z0, z1))
-    return _arch_orbit(place, lift, _normalized(complex(z0), complex(z1)), 1)[0]
+    return _arch_limit(place, lift, _normalized(complex(z0), complex(z1)), 1, -1.0)[2][0]
 
 
 def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> LogValue:
@@ -245,20 +239,20 @@ def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> Log
     list and max(|S|, 1) = 1.  Raises GreenError where the map is not
     defined on the fiber: |F| = +inf at a residue place.
     """
-    if not place.is_ultrametric:
-        return _arch_orbit(place, lift, _arch_lift(x), 1)[0]
-    return _exact_g(place, lift, x, eval_log_abs(place, x, [0, 1]))
+    return deviation_sequence(place, lift, x, 1)[0]
 
 
-def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log) -> LogValue:
-    """g(x) at an exact place, given t_log = log|T|(x) (``deviation_at_point``)."""
+def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log, f0_shift) -> LogValue:
+    """g(x) at an exact place (``deviation_at_point``), given t_log =
+    log|T|(x) and, at a disk eta_{a,r}, f0_shift = F0(a + T)."""
     f0, f1 = list(lift.f0), list(lift.f1)
     if x.t != DISK and t_log > 0:
         x = classical(0 if x.t == INF else 1 / x.z)
         f0.reverse()
         f1.reverse()
         t_log = 0
-    n_out = vmax(eval_log_abs(place, x, f0), eval_log_abs(place, x, f1))
+    n0 = newton_envelope(newton_lines(place, f0_shift), x.logr) if x.t == DISK else eval_log_abs(place, x, f0)
+    n_out = vmax(n0, eval_log_abs(place, x, f1))
     if is_neg_inf(n_out):
         raise GreenError("lift vanishes at a projective point; Res = 0")
     if is_pos_inf(n_out):  # a residue place where the map is not defined
@@ -266,12 +260,28 @@ def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log) -> LogVal
     return vplus(n_out, vscale(-lift.d, vmax(t_log, 0)))
 
 
-def _exact_orbit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int):
-    """x, phi(x), ..., phi^{n-1}(x): n points from n - 1 steps."""
+def _exact_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int, tails):
+    """(value, steps summed, terms) of lambda_n(x) at an exact place, terms
+    being the g values summed; a disk point eta_{a,r} shifts F0 to a once,
+    for g and for its image.  Closed at the first step k < n where
+    ``_closed_tail`` finds a tail (never if tails is None)."""
+    d = lift.d
+    total, terms = Fraction(0), []
+    prev = None  # the previous orbit point while it lies in the closed unit disk
     for k in range(n):
-        if k:
-            x = apply_point(place, lift, x)
-        yield x
+        t_log = eval_log_abs(place, x, [0, 1])
+        if tails is not None:
+            g_tail = _closed_tail(place, lift, tails, prev, x, t_log)
+            if g_tail is not None:
+                # exact geometric tail: g stays at g_tail from step k on
+                return total - Fraction(1, d**k * (d - 1)) * g_tail, k, terms
+        shifted = taylor_shift(lift.f0, x.center) if x.t == DISK else None
+        terms.append(_exact_g(place, lift, x, t_log, shifted))
+        total = total - Fraction(1, d ** (k + 1)) * terms[-1]
+        prev = x if t_log <= 0 else None
+        if k < n - 1:
+            x = apply_point(place, lift, x, shifted)
+    return total, n, terms
 
 
 def deviation_sequence(place: Place, lift: HomogeneousLift, x, n: int):
@@ -281,8 +291,8 @@ def deviation_sequence(place: Place, lift: HomogeneousLift, x, n: int):
     array (see the module docstring).
     """
     if not place.is_ultrametric:
-        return _arch_orbit(place, lift, _arch_lift(x), n)
-    return [deviation_at_point(place, lift, y) for y in _exact_orbit(place, lift, x, n)]
+        return _arch_limit(place, lift, _arch_lift(x), n, -1.0)[2]  # a negative stop never exits
+    return _exact_limit(place, lift, x, n, None)[2]
 
 
 def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
@@ -293,7 +303,7 @@ def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     archimedean place.
     """
     if not place.is_ultrametric:
-        return _arch_limit(place, lift, x, n, -1.0)[0]  # a negative stop never exits
+        return _arch_limit(place, lift, _arch_lift(x), n, -1.0)[0]
     return _exact_limit(place, lift, x, n, None)[0]
 
 
@@ -373,6 +383,7 @@ class PotentialState:
     gmax: float = 0.0
 
 
+@functools.cache
 def _tail_constants(place: Place, lift: HomogeneousLift):
     """(t*, log|f0[d]|, log|f1[0]|) for the closed tails of a polynomial map
     at an exact place (module docstring); None for a tail that does not apply.
@@ -443,31 +454,13 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
             raise GreenError("tolerance unreachable")
     if not place.is_ultrametric:
         stop = min(err, _MACH_EPS * bound.gmax / (d - 1))
-        value, n_used = _arch_limit(place, lift, x, n, stop)
+        value, n_used, _ = _arch_limit(place, lift, _arch_lift(x), n, stop)
         return PotentialState(value, n_used, err, "certified", bound.gmax)
     tails = _tail_constants(place, lift) if lift.is_polynomial else None
-    value, n_used = _exact_limit(place, lift, x, n, tails)
+    value, n_used, _ = _exact_limit(place, lift, x, n, tails)
     if n_used < n:  # closed: the tail was summed exactly
         return PotentialState(value, n_used, 0.0, "exact", bound.gmax)
     return PotentialState(value, n, err, "certified", bound.gmax)
-
-
-def _exact_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int, tails):
-    """(value, steps summed) of lambda_n(x) at an exact place, closed at the
-    first step k < n where ``_closed_tail`` finds a tail (never if tails is None)."""
-    d = lift.d
-    total = Fraction(0)
-    prev = None  # the previous orbit point while it lies in the closed unit disk
-    for k, y in enumerate(_exact_orbit(place, lift, x, n)):
-        t_log = eval_log_abs(place, y, [0, 1])
-        if tails is not None:
-            g_tail = _closed_tail(place, lift, tails, prev, y, t_log)
-            if g_tail is not None:
-                # exact geometric tail: g stays at g_tail from step k on
-                return total - Fraction(1, d**k * (d - 1)) * g_tail, k
-        total = total - Fraction(1, d ** (k + 1)) * _exact_g(place, lift, y, t_log)
-        prev = y if t_log <= 0 else None
-    return total, n
 
 
 def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):
@@ -486,7 +479,7 @@ def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):
         level_sup = [max(abs(row[m]) for row in tables) for m in range(depth)]
     else:
         zhat = np.array([_arch_lift(x) for x in sample]).T  # one orbit for the whole sample
-        gs = _arch_orbit(place, lift, zhat, depth)
+        gs = _arch_limit(place, lift, zhat, depth, -1.0)[2]
         # machine-zero deviation: the iteration sits at its fixed point
         level_sup = [0.0 if sup < 1e-12 else sup for sup in (float(abs(g).max()) for g in gs)]
     suffix = list(level_sup)

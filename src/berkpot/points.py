@@ -30,7 +30,7 @@ from .places import (
     vscale,
     _as_fraction,
 )
-from .polys import poly_eval, taylor_shift
+from .polys import poly_eval, taylor_shift, trim
 
 CLS = "cls"
 DISK = "disk"
@@ -124,17 +124,18 @@ def eval_log_abs(place: Place, point: BerkPoint, coeffs) -> LogValue:
     classical zeros of P.
     """
     convert = _as_fraction if place.is_ultrametric else complex
-    coeffs = [convert(c) for c in coeffs]
+    coeffs = trim(convert(c) for c in coeffs)
     if not coeffs:
         return NEG_INF
-    if point.t == INF and any(c != 0 for c in coeffs[1:]):
+    if point.t == INF and len(coeffs) > 1:
         return POS_INF
     if point.t != DISK:
         val = coeffs[0] if point.t == INF else poly_eval(coeffs, point.z)
         return abs_log_value(place, val) if place.is_ultrametric else _arch_log(place, val)
     if not place.is_ultrametric:
         raise PlaceError("disk points live in ultrametric fibers only")
-    return newton_envelope(newton_lines(place, taylor_shift(coeffs, point.center)), point.logr)
+    shifted = taylor_shift(coeffs, point.center) if coeffs[1:] else coeffs  # a constant is its own shift
+    return newton_envelope(newton_lines(place, shifted), point.logr)
 
 
 def _arch_log(place: Place, val) -> LogValue:

@@ -142,21 +142,14 @@ class HomogeneousLift:
         out.setflags(write=False)
         return out
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
         return all(isinstance(c, (Fraction, int)) for c in self.f0 + self.f1)
 
-    @property
+    @cached_property
     def is_polynomial(self) -> bool:
         """Whether F1 is a nonzero multiple of T1^d (phi polynomial in the T-chart)."""
         return self.f1[0] != 0 and all(c == 0 for c in self.f1[1:])
-
-    def phi_coeffs(self):
-        """Affine coefficients of phi = F0/F1 when the map is polynomial."""
-        if not self.is_polynomial:
-            raise MapError("map is not polynomial in the T-chart")
-        c = self.f1[0]
-        return [a / c for a in self.f0]
 
     def coeff_list(self):
         return list(self.f0) + list(self.f1)
@@ -185,11 +178,13 @@ def _pad(coeffs, d):
     return list(coeffs) + [zero] * (d + 1 - len(coeffs))
 
 
-def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> BerkPoint:
+def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint, _f0_shift=None) -> BerkPoint:
     """Image of a point: evaluation for classical points, exact disk
     transport eta_{a,r} -> eta_{phi(a), r'} for polynomial maps.
 
-    The new log-radius is max_{i>=1}(log|c_i| + i r) for phi(a+T) = sum c_i T^i.
+    The new log-radius is max_{i>=1}(log|c_i| + i r) for phi(a+T) = sum c_i T^i,
+    c_i the coefficients of F0(a + T) divided by f1[0].  An exact orbit that
+    has shifted F0 to a already passes that shift as ``_f0_shift``.
     """
     if x.t == INF:
         return classical_pair(lift.f0[lift.d], lift.f1[lift.d])
@@ -201,7 +196,8 @@ def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> BerkPoint:
         raise PlaceError("disk points live in ultrametric fibers only")
     if not lift.is_polynomial:
         raise MapError("disk transport implemented for polynomial maps only")
-    shifted = taylor_shift(lift.phi_coeffs(), x.center)
+    f0_shift = taylor_shift(lift.f0, x.center) if _f0_shift is None else _f0_shift
+    shifted = [c / lift.f1[0] for c in f0_shift]
     new_logr = newton_envelope(newton_lines(place, [0] + shifted[1:]), x.logr)  # log|phi - phi(a)|
     if is_neg_inf(new_logr):
         raise MapError("disk image degenerated to a classical point")

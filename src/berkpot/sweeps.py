@@ -23,8 +23,9 @@ Equilibrium row errors are the quadrature error plus the potential tail
 times ``affable.mass_bound``.  The scale, derived once:
 
 - Values of f and of the potentials live on the place's coefficient scale,
-  and the fiber Laplacian on that scale sends the potential to mu.  So the
-  pairing gives |int f dmu_n - int f dmu| <= ||lambda - lambda_n|| *
+  and the fiber Laplacian on that scale sends the potential to mu.  So for
+  nu_n = d^-n (phi^n)^* omega, omega the Haar measure of the unit circle,
+  the pairing gives |int f dnu_n - int f dmu| <= ||lambda - lambda_n|| *
   |Delta f|(P^1), all on the coefficient scale.
 - |Delta f|(P^1) is at most the slope sum of f's pieces (each piece is
   subharmonic on its chart, with Riesz mass at most its top slope).  The
@@ -32,6 +33,11 @@ times ``affable.mass_bound``.  The scale, derived once:
   adds no mass.  The slope sum does not depend on the place.
 - ``place.log_unit`` converts the product to the real scale of the rows;
   ``mass_bound`` carries that factor.
+
+An archimedean row integrates the tree d^-n (phi^n)^* delta_a of its seed a:
+its potential differs from nu_n's by d^-n u_a o phi^n, u_a the potential of
+delta_a - omega, and cert_err does not bound that term.  The cert_err of an
+archimedean circle row is a doubling difference plus rounding, not a bound.
 """
 
 from __future__ import annotations

@@ -429,19 +429,71 @@ def test_exact_orbit_steps_once_per_extra_term(monkeypatch):
         for n in (1, 2, 5):
             callers.clear()
             lambda_n(p3, t23, x, n)
-            assert callers == ["_exact_orbit"] * (n - 1)
+            assert callers == ["_exact_limit"] * (n - 1)
     # the basin disk is trapped once its first image is known: one orbit step,
     # one transport of the trapping disk
     callers.clear()
     st = lambda_limit(p3, t23, disk(9, -4), 1e-2)
     assert (st.value, st.n_used, st.certified_error, st.certificate) == (0, 1, 0.0, "exact")
-    assert callers == ["_exact_orbit", "_closed_tail"]
+    assert callers == ["_exact_limit", "_closed_tail"]
     callers.clear()
     st = lambda_limit(p3, _cubic(3), disk(1, -2), 1e-4)
     assert st.certificate == "exact"
     # the tail tests read x_n; this orbit's radii grow, so the trap test
     # transports nothing
-    assert callers == ["_exact_orbit"] * st.n_used
+    assert callers == ["_exact_limit"] * st.n_used
+
+
+def test_one_taylor_shift_of_f0_per_disk_orbit_point(monkeypatch):
+    import berkpot.green as green
+    import berkpot.points as points
+    import berkpot.rmaps as rmaps
+    from berkpot.polys import taylor_shift, trim
+
+    shifted = []  # the polynomial of every Taylor shift, other than log|T|'s T
+
+    def counted(coeffs, z):
+        if trim(coeffs) != [0, 1]:
+            shifted.append(trim(coeffs))
+        return taylor_shift(coeffs, z)
+
+    for module in (green, points, rmaps):
+        monkeypatch.setattr(module, "taylor_shift", counted, raising=False)
+    p3 = Place.padic(3)
+    t23 = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 3)], [1])  # T^2/3: phi = F0 as f1[0] = 1
+    for n in (1, 2, 5):
+        shifted.clear()
+        lambda_n(p3, t23, disk(1, -2), n)
+        # F0 once per orbit point, for g and for the image; the constant F1 never
+        assert shifted == [trim(t23.f0)] * n
+    lift = HomogeneousLift.from_coeffs(2, [1, 0, F(1, 3)], [1, 1])  # (T^2/3 + 1, T + 1)
+    shifted.clear()
+    lambda_n(p3, lift, disk(1, -2), 1)
+    assert shifted == [trim(lift.f0), trim(lift.f1)]  # a non-constant F1 is still shifted
+
+
+# deviation_g at an archimedean place normalizes the given lift (z0, z1), not
+# the point z0/z1: these are the bits of that rounding
+_DEVIATION_G_PINNED = {
+    (1, "rabbit"): ["0x1.a5bc7c934ffb9p-3", "0x0.0p+0", "-0x1.5a051c4dc1700p-5", "-0x1.1f8a1baaf6f3ap-23"],
+    (1, "nonpoly"): ["0x1.907bf3d75f27cp-2", "0x1.80592b56df950p-3", "0x1.93eb91fd9de1ap-10",
+                     "0x1.01b2b36497b66p-23"],
+    (1, "cubic"): ["0x1.5f91d3f31c15bp-1", "0x1.9c041f7ed8d33p+0", "0x1.621c6bbacae21p-1",
+                   "0x1.62e429e5850dfp-1"],
+    (F(1, 3), "rabbit"): ["0x1.1928530cdffd0p-4", "0x0.0p+0", "-0x1.cd5c25bd01eaap-7", "-0x1.7f62cf8e9e9a2p-25"],
+    (F(1, 3), "nonpoly"): ["0x1.0afd4d3a3f6fdp-3", "0x1.003b7239ea635p-4", "0x1.0d47b6a913ebcp-11",
+                           "0x1.5798ef30ca488p-25"],
+    (F(1, 3), "cubic"): ["0x1.d4c26feed01cep-3", "0x1.12ad6a54908ccp-1", "0x1.d825e4f90e82cp-3",
+                         "0x1.d93037dcb167ep-3"],
+}
+
+
+@pytest.mark.parametrize("eps, name", sorted(_DEVIATION_G_PINNED, key=str))
+def test_arch_deviation_g_bits_pinned(eps, name):
+    lift = {"rabbit": RABBIT, "nonpoly": NONPOLY, "cubic": CUBIC}[name]
+    lifts = [(1.3 + 0.4j, 1), (0.2 - 0.7j, 1.5j), (3, 0.5 + 0.5j), (2 - 1j, 1e-3)]  # |z0| != |z1|
+    got = [deviation_g(Place.archimedean(eps), lift, zhat).hex() for zhat in lifts]
+    assert got == _DEVIATION_G_PINNED[eps, name]
 
 
 def test_one_term_on_a_disk_under_a_nonpolynomial_lift():

@@ -614,6 +614,29 @@ def test_pole_on_the_support_fails_the_same_rows():
     assert all(r[5] == "affable value is -inf at Pt((1+0j))" for r in failed)
 
 
+def test_cli_sweep_reports_failed_rows_on_stderr(tmp_path, capsys):
+    # the same pole through the CLI: one stderr line per distinct reason with
+    # its row count; --quiet prints none, and the CSV and exit code are alike
+    log_t_minus_1 = {"id": "log_T_minus_1",
+                     "chart0": {"plus": {"branches": [{"c": "0", "terms": [["1", ["-1", "1"]]]}]},
+                                "minus": {"branches": [{"c": "0", "terms": []}]}},
+                     "chartInf": {"plus": {"branches": [{"c": "0", "terms": [["1", ["1", "-1"]]]}]},
+                                  "minus": {"branches": [{"c": "0", "terms": [["1", ["0", "1"]]]}]}}}
+    bat = _write(tmp_path, "bat.json", {"functions": [log_t_minus_1]})
+    cfg = _write(tmp_path, "cfg.json", {"base": "hybrid", "depth": 4, "atom_budget": 256, "battery": bat,
+                                        "map": lift_to_json(HomogeneousLift.polynomial([-1, 0, 1])),
+                                        "seed_point": {"re": -1, "im": 0}})
+    csvs = []
+    for quiet in ([], ["--quiet"]):
+        out = os.path.join(tmp_path, f"rows{len(quiet)}.csv")
+        assert main(["sweep-eq", "--config", cfg, "--out", out] + quiet) == 0
+        with open(out, encoding="utf-8") as fh:
+            csvs.append(fh.read())
+        err = capsys.readouterr().err
+        assert err == ("" if quiet else "failed rows (5): affable value is -inf at Pt((1+0j))\n")
+    assert csvs[0] == csvs[1] and csvs[0].count(",nan,nan,") == 5
+
+
 def test_back_to_back_sweeps_share_nothing():
     # the second battery reuses the first one's ids on other functions
     first = BAT[:4]
