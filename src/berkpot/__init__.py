@@ -15,10 +15,9 @@ from .points import (
     retract,
 )
 from .graphs import PLFunction, GraphMeasure, dirichlet_extend, graph_laplacian, mass_in
-from .rmaps import HomogeneousLift, preimages_arch, pushforward_values, apply_point
+from .rmaps import HomogeneousLift, preimages_arch, apply_point
 from .green import (
     contraction_ratios,
-    deviation_g,
     lambda_limit,
     lambda_n,
     standard_potential,

@@ -14,11 +14,13 @@ exact arithmetic; at archimedean places on numpy arrays of points, with
 the chart picked per point by |T| > 1 and the chart-inf pieces evaluated at
 S = 1/T (S = 0 at infinity).
 
-Restriction to a skeleton takes each edge once.  Along eta_{z,rho} each
-log|g| is the upper envelope of the Newton lines of g(z + T), so the exact
-evaluator reads the function there from those lines, and a vertex is
-inserted at each exact kink: a candidate radius where the slopes on its two
-sides differ.  The result is exactly affine on every edge.
+Restriction to a skeleton takes each edge once and reads the function
+there from affine lines in rho, not from the point evaluator: along
+eta_{z,rho} each log|g| is the upper envelope of the Newton lines of
+g(z + T), each branch a weighted sum of such lines, and each piece the
+envelope of its branches, so f is one line between consecutive crossings.
+A vertex is inserted at each exact kink, and the result is exactly affine
+on every edge.  The arithmetic stays on ints where no denominator is left.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import MetricGraph, PLFunction
-from .places import (NEG_INF, Place, PlaceError, abs_log_value, is_inf, is_neg_inf,
+from .places import (NEG_INF, Place, PlaceError, abs_log_value, is_inf, is_neg_inf, is_pos_inf,
                      vmax, vplus, vscale)
-from .points import (ARCH_INF, DISK, INF, BerkPoint, arch_point, classical, disk, eval_log_abs,
-                     newton_envelope, newton_lines)
+from .points import (ARCH_INF, DISK, INF, BerkPoint, arch_point, classical, coord_log_abs, disk,
+                     eval_log_abs, newton_lines)
 from .polys import taylor_shift
 
 
@@ -124,42 +126,25 @@ class AffableFn:
 
 
 # -- the exact evaluator -------------------------------------------------------
-#
-# One evaluator serves points and skeleton edges.  They differ only in
-# ``log_abs(g, rev)``, which gives log|g(T)|, or log|ghat(T)| for the reversed
-# coefficient list ghat when rev is set: through ``eval_log_abs`` at a point,
-# through the Newton lines of the edge at a log-radius (``_edge_vertices``).
 
 
-def _chart_of(t_log) -> str:
-    """The chart read at a point with log|T| = t_log."""
-    return "inf" if t_log > 0 else "0"
-
-
-def _reader(log_abs, chart: str, t_log):
-    """log|g| for a term g of the chart's pieces.  Chart-inf terms are
-    polynomials in S = 1/T, read through the reversed list:
-    |g(S)| = |ghat(T)| / |T|^m with m = len(g) - 1 and t_log = log|T|."""
+def _point_reader(place: Place, x: BerkPoint, chart: str, t_log):
+    """log|g| at x for a term g of the chart's pieces, t_log = log|T|(x).
+    Chart-inf terms are polynomials in S = 1/T, read through the reversed
+    list: |g(S)| = |ghat(T)| / |T|^m with m = len(g) - 1."""
     if chart == "0":
-        return lambda g: log_abs(g, False)
+        return lambda g: eval_log_abs(place, x, g)
+    if x.t == INF:
+        return lambda g: eval_log_abs(place, classical(0), g)  # S = 0
 
     def read(g):
-        v = log_abs(g, True)
+        v = eval_log_abs(place, x, g[::-1])
         m = len(g) - 1
         if m == 0 or is_neg_inf(v):
             return v
         return vplus(v, vscale(-m, t_log))
 
     return read
-
-
-_S_ZERO = classical(0)
-
-
-def _point_reader(place: Place, x: BerkPoint, chart: str, t_log):
-    if chart == "inf" and x.t == INF:
-        return lambda g: eval_log_abs(place, _S_ZERO, g)
-    return _reader(lambda g, rev: eval_log_abs(place, x, g[::-1] if rev else g), chart, t_log)
 
 
 def _branch_value(branch: Branch, read):
@@ -176,13 +161,9 @@ def _branch_value(branch: Branch, read):
     return total
 
 
-def _piece_value(piece: Piece, read):
-    return vmax(*(_branch_value(b, read) for b in piece.branches))
-
-
 def _chart_value(fn: AffableFn, chart: str, read):
     """plus - minus on the chart, or None where either piece is -inf."""
-    p, m = (_piece_value(piece, read) for piece in fn.pieces(chart))
+    p, m = (vmax(*(_branch_value(b, read) for b in piece.branches)) for piece in fn.pieces(chart))
     if is_neg_inf(p) or is_neg_inf(m):
         return None
     return p - m
@@ -248,8 +229,8 @@ def affable_eval(place: Place, fn: AffableFn, x):
                 raise AffableError(f"affable value is -inf at {arch_point(table.z[sel][poles][0])!r}")
             out[sel] = p - m
         return out
-    t_log = eval_log_abs(place, x, [0, 1])  # +inf at infinity
-    chart = _chart_of(t_log)
+    t_log = coord_log_abs(place, x)  # +inf at infinity
+    chart = "inf" if t_log > 0 else "0"
     v = _chart_value(fn, chart, _point_reader(place, x, chart, t_log))
     if v is None:
         raise AffableError(f"affable value is -inf at {x!r}")
@@ -349,13 +330,17 @@ def restrict_to_skeleton(place: Place, fn: AffableFn, skeleton: MetricGraph):
     labels = list(skeleton.labels)
     values = [None] * skeleton.n
     edges, inserted = [], []
+    # per chart and piece: [(const, [(q, g)])] over finite branches and weighted terms, ints where exact
+    charts = {chart: [[(_num(br.const), [(_num(q), tuple(map(_num, g))) for q, g in br.terms if q != 0])
+                       for br in piece.branches if br.const is not None] for piece in fn.pieces(chart)]
+              for chart in ("0", "inf")}
     for i, j, _ln in skeleton.edges:
         a, b = labels[i], labels[j]
         if a is None or b is None or a.t != DISK or b.t != DISK:
             raise AffableError("skeleton edges must join labeled disk points")
         if a.logr > b.logr:
             i, j, a, b = j, i, b, a
-        pts = _edge_vertices(place, fn, a.center, a.logr, b.logr)
+        pts = _edge_vertices(place, charts, a.center, a.logr, b.logr)
         chain = [i]
         for rho, v in pts[1:-1]:
             labels.append(disk(a.center, rho))
@@ -372,62 +357,95 @@ def restrict_to_skeleton(place: Place, fn: AffableFn, skeleton: MetricGraph):
     return PLFunction(graph, values), inserted
 
 
-def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
+def _edge_vertices(place: Place, charts, z, lo, hi):
     """[(rho, f(eta_{z,rho}))] at lo, at every kink in (lo, hi), and at hi.
 
-    Along eta_{z,rho} each log|g| is the upper envelope of the Newton lines
-    log|c_i| + i rho of g(z + T) (``points.newton_lines``); they are computed
-    once per term polynomial and read by the exact evaluator.  Kink
-    candidates: crossings of each polynomial's lines, the bend of
-    log|T| = max(log|z|, rho) at rho = log|z|, the chart switch at rho = 0,
-    and, between those, crossings of the branches of a piece, read in that
-    stretch's chart.  f is affine between consecutive candidates, so a
-    candidate is a kink exactly where the slopes on its two sides differ.
+    f is read from affine lines in rho.  The edge splits into stretches at
+    lo, 0, log|z| and hi; on each, the chart is fixed and log|T| =
+    max(log|z|, rho) is one line.  A term log|g| is the upper envelope of
+    the Newton lines (log|c_i|, i) of g(z + T) (``points.newton_lines``); a
+    chart-inf term is read through the reversed list minus m times the line
+    of log|T|.  Between the crossings of a term's lines each term is one
+    line, each branch the line const + sum q (c, i), and each piece the
+    upper envelope of its branch lines, so f = plus - minus is one line
+    between consecutive crossings.  A kink is a boundary where the line of
+    f changes (its slope, where the two charts agree); its value is read
+    from the line on its left, in the pointwise chart, as is the value at
+    lo.  Intercepts, slopes, radii and weights stay ints until a crossing
+    or a weight leaves a denominator (``_num``).  An infinite log value,
+    read at a residue place, raises ``AffableError``.
     """
-    zl = abs_log_value(place, z)
+    zl, zc = _num(abs_log_value(place, z)), _num(z)
     memo = {}
 
     def lines(g, rev):
-        key = (id(g), rev)  # g is held by fn for the whole call
-        if key not in memo:
-            memo[key] = newton_lines(place, taylor_shift(g[::-1] if rev else g, z))
-        return memo[key]
+        if (g, rev) not in memo:
+            memo[g, rev] = [(_num(c), i) for c, i in newton_lines(place, taylor_shift(g[::-1] if rev else g, zc))]
+        return memo[g, rev]
 
-    def reader(rho, chart):
-        return _reader(lambda g, rev: newton_envelope(lines(g, rev), rho), chart, vmax(zl, rho))
+    def stretch(a, b):
+        """[(start, (c, s))]: f = c + s rho on [a, b], from each start on."""
+        rev = zl > 0 or b > 0  # chart inf on (a, b), and at the point a = b: reversed lists
+        tc, ts = (0, 1) if is_neg_inf(zl) or zl <= a else (zl, 0)  # log|T| on [a, b]
+        pieces = []
+        for piece in charts["inf" if rev else "0"]:
+            branches = []
+            for const, weighted in piece:
+                terms = []
+                for q, g in weighted:
+                    m, raw = (len(g) - 1 if rev else 0), lines(g, rev)
+                    if (any(is_pos_inf(c) or (is_inf(b) and i != m * ts) for c, i in raw)
+                            or (m and is_pos_inf(tc))):  # a residue place
+                        raise AffableError(f"infinite log value at {disk(z, b)!r}")
+                    terms.append((q, [(c - m * tc, i - m * ts) for c, i in raw] if m else raw))
+                if all(ls for _, ls in terms):  # else a vanishing term: -inf
+                    branches.append((const, terms))
+            if not branches:
+                raise AffableError(f"affable value is -inf at {disk(z, a)!r}")
+            pieces.append(branches)
+        grid = {x for branches in pieces for _, terms in branches for _, ls in terms
+                for x in _crossings(ls, a, b)}
+        grid = [a] + sorted(grid) + [b]
+        out = []
+        for u, w in zip(grid, grid[1:]):
+            tops = [list({_line_sum(const, [(q, _top(ls, u)) for q, ls in terms]) for const, terms in branches})
+                    for branches in pieces]
+            sub = [u] + sorted(set().union(*(_crossings(t, u, w) for t in tops)))
+            for x in sub:
+                (cp, sp), (cm, sm) = (_top(t, x) for t in tops)
+                out.append((x, (cp - cm, sp - sm)))
+        return out
 
-    def value(rho):
-        chart = _chart_of(vmax(zl, rho))
-        v = _chart_value(fn, chart, reader(rho, chart))
-        if v is None:
-            raise AffableError(f"affable value is -inf at {disk(z, rho)!r}")
-        return v
+    cuts = [_num(lo)] + sorted({r for r in (0, zl) if not is_inf(r) and lo < r < hi}) + [_num(hi)]
+    segs = [seg for a, b in zip(cuts, cuts[1:]) for seg in stretch(a, b)]
+    first = segs[0][1]
+    if cuts[0] == 0 and not zl > 0:  # the point lo = 0 reads chart 0, the stretch above it chart inf
+        first = stretch(0, 0)[0][1]
+    out = [(lo, _at(first, cuts[0]))]
+    for (_, left), (x, right) in zip(segs, segs[1:]):
+        if left != right:
+            out.append((Fraction(x), _at(left, x)))
+    return out + [(hi, _at(segs[-1][1], cuts[-1]))]
 
-    cands = {r for r in (Fraction(0), zl) if not is_inf(r) and lo < r < hi}
-    cuts = [lo] + sorted(cands) + [hi]
-    for a, b in zip(cuts, cuts[1:]):
-        chart = _chart_of(vmax(zl, (a + b) / 2))
-        polys = {id(g): g for piece in fn.pieces(chart) for br in piece.branches for _, g in br.terms}
-        bends = set()
-        for g in polys.values():
-            bends |= _crossings([ln for ln in lines(g, chart == "inf") if not is_inf(ln[0])], a, b)
-        grid = [a] + sorted(bends) + [b]
-        ends = [[[_branch_value(br, read) for br in piece.branches] for piece in fn.pieces(chart)]
-                for read in (reader(rho, chart) for rho in grid)]
-        for (u, vals_u), (w, vals_w) in zip(zip(grid, ends), zip(grid[1:], ends[1:])):
-            for pu, pw in zip(vals_u, vals_w):
-                branch_lines = [(vu - u * (vw - vu) / (w - u), (vw - vu) / (w - u))
-                                for vu, vw in zip(pu, pw) if not (is_inf(vu) or is_inf(vw))]
-                bends |= _crossings(branch_lines, u, w)
-        cands |= bends
-    pts = [lo] + sorted(cands) + [hi]
-    vals = [value(rho) for rho in pts]
-    out = [(lo, vals[0])]
-    for k in range(1, len(pts) - 1):
-        if (vals[k] - vals[k - 1]) * (pts[k + 1] - pts[k]) != (vals[k + 1] - vals[k]) * (pts[k] - pts[k - 1]):
-            out.append((pts[k], vals[k]))
-    out.append((hi, vals[-1]))
-    return out
+
+def _num(x):
+    """An exact number as an int where its denominator is 1."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _at(line, x) -> Fraction:
+    return Fraction(line[0] + line[1] * x if line[1] else line[0])  # x may be an infinite radius
+
+
+def _top(lines, x):
+    """The line (c, s) highest at x, the steeper of two tied: the highest on
+    [x, y] when no two lines cross in (x, y)."""
+    return lines[0] if len(lines) == 1 else max(lines, key=lambda ln: (ln[0] + ln[1] * x, ln[1]))
+
+
+def _line_sum(const, weighted):
+    """const + sum q (c, s) over the weighted lines (q, (c, s))."""
+    return const + sum(q * c for q, (c, _) in weighted), sum(q * s for q, (_, s) in weighted)
 
 
 def _crossings(lines, a, b):
@@ -436,7 +454,8 @@ def _crossings(lines, a, b):
     for k, (c1, s1) in enumerate(lines):
         for c2, s2 in lines[k + 1:]:
             if s1 != s2:
-                x = (c2 - c1) / (s1 - s2)
+                n, d = c2 - c1, s1 - s2
+                x = (n // d if n % d == 0 else Fraction(n, d)) if type(n) is int is type(d) else _num(n / d)
                 if a < x < b:
                     out.add(x)
     return out

@@ -40,7 +40,8 @@ the seminorm formula log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x) of
 and in the chart (1, S = 1/T) for |z| > 1 and infinity.  A disk point
 eta_{a,r} evaluates F once: the one Taylor shift F0(a + T) gives |F0| for g
 and, divided by f1[0], the image disk; the constant F1 of a polynomial lift
-needs no shift.  The n terms of a sum take n - 1 steps.
+needs no shift, nor does log|T| = max(log|a|, r) (``points.coord_log_abs``).
+The n terms of a sum take n - 1 steps.
 
 A polynomial map phi = F0 / f1[0] has two closed tails, where g is constant
 on the rest of the orbit and the series sums to g / (d^k (d-1)) from step k
@@ -98,8 +99,8 @@ from .points import (
     INF,
     BerkPoint,
     classical,
-    classical_pair,
     contains,
+    coord_log_abs,
     eval_log_abs,
     join_points,
     newton_envelope,
@@ -115,6 +116,7 @@ class GreenError(RuntimeError):
 
 _INFINITE_BOUND = "deviation bound is infinite at this place (coefficients blow up)"
 _VANISHING_RES = "deviation bound is infinite at this place (the resultant vanishes in the residue field)"
+_COMPLEX_LIFT = "complex-coefficient lifts are archimedean-only"
 _MACH_EPS = float(np.finfo(float).eps)
 
 
@@ -220,16 +222,6 @@ def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
 # -- exact orbits ------------------------------------------------------------
 
 
-def deviation_g(place: Place, lift: HomogeneousLift, zhat) -> LogValue:
-    """g at an explicit lift (z0, z1) != (0,0): log||F(zhat)|| - d log||zhat||."""
-    z0, z1 = zhat
-    if z0 == 0 and z1 == 0:
-        raise GreenError("(0,0) is not a lift")
-    if place.is_ultrametric:
-        return deviation_at_point(place, lift, classical_pair(z0, z1))
-    return _arch_limit(place, lift, _normalized(complex(z0), complex(z1)), 1, -1.0)[2][0]
-
-
 def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> LogValue:
     """g(x) = log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x), from the seminorm of x.
 
@@ -265,11 +257,13 @@ def _exact_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int, tail
     being the g values summed; a disk point eta_{a,r} shifts F0 to a once,
     for g and for its image.  Closed at the first step k < n where
     ``_closed_tail`` finds a tail (never if tails is None)."""
+    if not lift.is_rational:
+        raise PlaceError(_COMPLEX_LIFT)
     d = lift.d
     total, terms = Fraction(0), []
     prev = None  # the previous orbit point while it lies in the closed unit disk
     for k in range(n):
-        t_log = eval_log_abs(place, x, [0, 1])
+        t_log = coord_log_abs(place, x)
         if tails is not None:
             g_tail = _closed_tail(place, lift, tails, prev, x, t_log)
             if g_tail is not None:
@@ -327,7 +321,7 @@ def deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
     (place, lift)."""
     if place.is_ultrametric and not lift.is_rational:
         # checked before the cache: 2 + 0j == 2, so equal lifts share entries
-        raise PlaceError("complex-coefficient lifts are archimedean-only")
+        raise PlaceError(_COMPLEX_LIFT)
     return _deviation_bound(place, lift)
 
 

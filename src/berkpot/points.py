@@ -138,6 +138,14 @@ def eval_log_abs(place: Place, point: BerkPoint, coeffs) -> LogValue:
     return newton_envelope(newton_lines(place, shifted), point.logr)
 
 
+def coord_log_abs(place: Place, point: BerkPoint) -> LogValue:
+    """log|T| at a point of an ultrametric fiber, with no Taylor shift:
+    max(log|a|, r) at eta_{a,r}, log|z| at a classical point, +inf at infinity."""
+    if point.t == DISK:
+        return vmax(abs_log_value(place, point.center), point.logr)
+    return POS_INF if point.t == INF else abs_log_value(place, point.z)
+
+
 def _arch_log(place: Place, val) -> LogValue:
     import math
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import polys
 from .places import Place, PlaceError, is_neg_inf
-from .points import (ARCH_INF, BerkPoint, CLS, INF, arch_point, classical_pair, disk, newton_envelope,
+from .points import (ARCH_INF, BerkPoint, CLS, INF, classical_pair, disk, newton_envelope,
                      newton_lines, reduce_center)
 from .polys import exact_det, poly_eval, sylvester_matrix, taylor_shift, trim
 
@@ -318,17 +318,6 @@ def _cluster(roots):
         if not placed:
             clusters.append((r, [r]))
     return [(rep, len(members)) for rep, members in clusters], flagged
-
-
-def pushforward_values(place: Place, lift: HomogeneousLift, f, xprime) -> float:
-    """(phi_* f)(x') = sum over preimages of deg_x(phi) f(x), for a complex
-    x' (``ARCH_INF`` for infinity) and f on BerkPoints."""
-    if place.is_ultrametric:
-        raise PlaceError("pushforward of values uses complex preimages")
-    total = 0.0
-    for z, m in preimages_arch(lift, xprime).entries:
-        total += m * f(arch_point(z))
-    return total
 
 
 # -- (de)serialization --------------------------------------------------------

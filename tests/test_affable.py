@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -262,17 +263,25 @@ def test_restrict_midpoint_exactness():
             assert 2 * affable_eval(p3, fn, mid) == u.values[i] + u.values[j]
 
 
+def _restrict_places(p):
+    return [Place.padic(p), Place.padic(p, F(1, 2)), Place.padic(p, 2), Place.padic(p, 1024),
+            Place.trivial(), Place.tadic(), Place.tadic(F(1, 3))]
+
+
 def test_restrict_matches_pointwise_oracle_randomized():
     # PL interpolation of the restriction must equal direct evaluation at
-    # arbitrary edge points, exactly, with no vertex inserted off a kink
+    # arbitrary edge points, exactly, with no vertex inserted off a kink; the
+    # centres include p in the denominator and the radii 0, so edges end at
+    # the chart switch
     rng = random.Random(424242)
-    for _ in range(15):
+    for _ in range(60):
         p = rng.choice([2, 3, 5])
-        place = Place.padic(p)
+        place = rng.choice(_restrict_places(p))
         fn = rng.choice(BAT[:7])
         for _ in range(rng.randint(0, 2)):
             fn = affable_combine(rng.choice(["add", "max", "min"]), fn, rng.choice(BAT[:7]))
-        pts = [disk(F(rng.randint(-6, 6)), F(rng.randint(-8, 8), rng.choice([1, 2, 4])))
+        pts = [disk(F(rng.randint(-6, 6), rng.choice([1, 1, p, p * p])),
+                    rng.choice([0, F(rng.randint(-8, 8), rng.choice([1, 2, 4]))]))
                for _ in range(rng.randint(1, 4))]
         skel = build_skeleton(place, pts)
         u, inserted = restrict_to_skeleton(place, fn, skel)
@@ -281,6 +290,8 @@ def test_restrict_matches_pointwise_oracle_randomized():
             # an inserted vertex is a kink: the slopes on its two sides differ
             (w1, l1, _), (w2, l2, _) = adj[v]
             assert (u.values[v] - u.values[w1]) / l1 != (u.values[w2] - u.values[v]) / l2
+        for v, lbl in enumerate(u.graph.labels):
+            assert u.values[v] == affable_eval(place, fn, lbl) and type(u.values[v]) is F
         for i, j, _ln in u.graph.edges:
             a, b = u.graph.labels[i], u.graph.labels[j]
             lo, hi, vlo, vhi = (
@@ -292,6 +303,73 @@ def test_restrict_matches_pointwise_oracle_randomized():
                 t = F(rng.randint(1, 15), 16)
                 rho = lo.logr + (hi.logr - lo.logr) * t
                 assert affable_eval(place, fn, disk(lo.center, rho)) == vlo + (vhi - vlo) * t
+
+
+def test_restrict_edges_at_the_chart_switch():
+    # edges that end at rho = 0 from below and from above, on a unit centre
+    # (log|z| = 0) and on 0 itself; one vertex value is read in chart 0 at
+    # lo = 0 even when the two charts disagree
+    for place in (Place.padic(3), Place.padic(3, F(1, 2)), TRIV):
+        for z in (F(0), F(1), F(5)):
+            skel = build_skeleton(place, [disk(z, -2), disk(z, 0), disk(z, 3)])
+            for fn in BAT[:7]:
+                u, _ = restrict_to_skeleton(place, fn, skel)
+                assert all(v == affable_eval(place, fn, x) for v, x in zip(u.values, u.graph.labels))
+    bad = AffableFn(BAT[3].chart0_plus, BAT[3].chart0_minus, F1.chartinf_plus, F1.chartinf_minus)
+    p3 = Place.padic(3)
+    u, _ = restrict_to_skeleton(p3, bad, build_skeleton(p3, [GAUSS, disk(0, 2)]))
+    assert [u.values[u.graph.vertex_of_point(p3, x)] for x in (GAUSS, disk(0, 2))] == [
+        affable_eval(p3, bad, GAUSS), affable_eval(p3, bad, disk(0, 2))]
+
+
+def test_restrict_at_a_residue_place():
+    # at |.|_2^{+inf} the centre 7/2 has log|z| = +inf: a function that reads a
+    # term there fails typed, naming the point; one that reads none restricts
+    r2 = Place.residue(2)
+    skel = build_skeleton(r2, [disk(F(7, 2), -3), disk(F(7, 2), -1)])
+    by_id = {f.fn_id: f for f in BAT}
+    for fid in ("min_clip_half", "clip_log_T_minus_2", "log_plus_T"):
+        with pytest.raises(AffableError, match=r"Eta\(7/2,"):
+            restrict_to_skeleton(r2, by_id[fid], skel)
+    u, inserted = restrict_to_skeleton(r2, by_id["one"], skel)
+    assert u.values == [1, 1] and not inserted
+    # |1/2| = +inf puts the join of 0 and 1/2 at radius +inf: a term with a
+    # nonzero slope there reads an infinite value, and a constant needs no vertex
+    skel = build_skeleton(r2, [disk(0, -1), disk(F(1, 2), -1)])
+    with pytest.raises(AffableError, match=r"Eta\(0,inf\)"):
+        restrict_to_skeleton(r2, by_id["standard_potential"], skel)
+    u, inserted = restrict_to_skeleton(r2, by_id["one"], skel)
+    assert u.values == [1, 1, 1] and not inserted
+
+
+def test_restrict_matches_frozen_padic_skeleta():
+    # the seeded padic-skeleton benchmark skeleta (seed 3001) x the battery,
+    # frozen as exact strings: labels, edges, values and inserted vertices
+    with open(os.path.join(os.path.dirname(__file__), "data", "restrict_padic_seed3001.json")) as fh:
+        frozen = json.load(fh)
+    for case in frozen["cases"]:
+        place = Place.padic(case["p"])
+        skel = build_skeleton(place, [disk(F(c), F(r)) for c, r in case["disks"]])
+        for fn in BAT:
+            u, inserted = restrict_to_skeleton(place, fn, skel)
+            got = {"labels": [[str(x.center), str(x.logr)] for x in u.graph.labels],
+                   "edges": [[i, j, str(ln)] for i, j, ln in u.graph.edges],
+                   "values": [str(v) for v in u.values], "inserted": inserted}
+            assert got == case["restrictions"][fn.fn_id], (case["disks"], fn.fn_id)
+            assert all(type(v) is F for v in u.values)
+
+
+def test_restrict_reads_lines_not_the_point_evaluator(monkeypatch):
+    import berkpot.affable as affable
+
+    def forbidden(*args):
+        raise AssertionError("the edge reader called the point evaluator")
+
+    for name in ("_branch_value", "_chart_value", "_point_reader", "eval_log_abs", "coord_log_abs"):
+        monkeypatch.setattr(affable, name, forbidden)
+    p3 = Place.padic(3)
+    for fn in BAT:
+        restrict_to_skeleton(p3, fn, default_skeleton(p3))
 
 
 def _branch(c, *terms):

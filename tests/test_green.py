@@ -10,15 +10,14 @@ from berkpot.green import (
     contraction_ratios,
     deviation_at_point,
     deviation_bound,
-    deviation_g,
     deviation_sequence,
     lambda_limit,
     lambda_n,
     standard_potential,
 )
 from berkpot.measures import equilibrium_arch
-from berkpot.places import Place, flow_place
-from berkpot.points import GAUSS, classical, disk, flow_point, infinity
+from berkpot.places import Place, PlaceError, flow_place
+from berkpot.points import GAUSS, classical, classical_pair, disk, flow_point, infinity
 from berkpot.polys import poly_eval
 from berkpot.rmaps import HomogeneousLift, resultant_cofactors
 from berkpot.sweeps import circle_sample
@@ -39,12 +38,13 @@ def test_standard_potential_examples():
 
 
 def test_deviation_examples():
-    assert deviation_g(ARC, Z2, (1.3 + 0.4j, 1)) == pytest.approx(0.0)
-    assert deviation_g(ARC, F11, (0, 1)) == pytest.approx(0.0)
-    assert deviation_g(ARC, F11, (1 + 0j, 1)) == pytest.approx(math.log(2))
+    assert deviation_at_point(ARC, Z2, classical(1.3 + 0.4j)) == pytest.approx(0.0)
+    assert deviation_at_point(ARC, F11, classical(0j)) == pytest.approx(0.0)
+    assert deviation_at_point(ARC, F11, classical(1 + 0j)) == pytest.approx(math.log(2))
 
 
 def test_deviation_scale_invariance():
+    # g(x) = log||F(zhat)|| - d log||zhat|| at every lift zhat = (z, w) of x = z/w
     rng = random.Random(9)
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -52,9 +52,10 @@ def test_deviation_scale_invariance():
         if abs(z) + abs(w) == 0:
             continue
         c = complex(rng.uniform(0.1, 5), rng.uniform(-1, 1))
-        a = deviation_g(ARC, Z2P1, (z, w))
-        b = deviation_g(ARC, Z2P1, (c * z, c * w))
-        assert a == pytest.approx(b, abs=1e-9)
+        g = deviation_at_point(ARC, Z2P1, classical_pair(z, w))
+        for z0, z1 in ((z, w), (c * z, c * w)):
+            norm = max(abs(z0 * z0 + z1 * z1), abs(z1 * z1))  # F = (T0^2 + T1^2, T1^2)
+            assert math.log(norm) - 2 * math.log(max(abs(z0), abs(z1))) == pytest.approx(g, abs=1e-9)
 
 
 def test_lambda_examples():
@@ -197,7 +198,7 @@ def test_gmax_is_actually_a_bound():
             w = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if abs(z) + abs(w) < 1e-3:
                 continue
-            assert abs(deviation_g(ARC, lift, (z, w))) <= g + 1e-9
+            assert abs(deviation_at_point(ARC, lift, classical_pair(z, w))) <= g + 1e-9
 
 
 def test_heuristic_bound_for_complex_lifts():
@@ -472,18 +473,18 @@ def test_one_taylor_shift_of_f0_per_disk_orbit_point(monkeypatch):
     assert shifted == [trim(lift.f0), trim(lift.f1)]  # a non-constant F1 is still shifted
 
 
-# deviation_g at an archimedean place normalizes the given lift (z0, z1), not
-# the point z0/z1: these are the bits of that rounding
+# the bits of the archimedean deviation g at the points z0/z1 of four lifts
+# with |z0| != |z1|, which the float orbit normalizes to max norm 1
 _DEVIATION_G_PINNED = {
-    (1, "rabbit"): ["0x1.a5bc7c934ffb9p-3", "0x0.0p+0", "-0x1.5a051c4dc1700p-5", "-0x1.1f8a1baaf6f3ap-23"],
-    (1, "nonpoly"): ["0x1.907bf3d75f27cp-2", "0x1.80592b56df950p-3", "0x1.93eb91fd9de1ap-10",
+    (1, "rabbit"): ["0x1.a5bc7c934ffb9p-3", "0x0.0p+0", "-0x1.5a051c4dc16dep-5", "-0x1.1f8a1baaf6f3ap-23"],
+    (1, "nonpoly"): ["0x1.907bf3d75f27cp-2", "0x1.80592b56df950p-3", "0x1.93eb91fd9e219p-10",
                      "0x1.01b2b36497b66p-23"],
-    (1, "cubic"): ["0x1.5f91d3f31c15bp-1", "0x1.9c041f7ed8d33p+0", "0x1.621c6bbacae21p-1",
+    (1, "cubic"): ["0x1.5f91d3f31c15bp-1", "0x1.9c041f7ed8d33p+0", "0x1.621c6bbacae23p-1",
                    "0x1.62e429e5850dfp-1"],
-    (F(1, 3), "rabbit"): ["0x1.1928530cdffd0p-4", "0x0.0p+0", "-0x1.cd5c25bd01eaap-7", "-0x1.7f62cf8e9e9a2p-25"],
-    (F(1, 3), "nonpoly"): ["0x1.0afd4d3a3f6fdp-3", "0x1.003b7239ea635p-4", "0x1.0d47b6a913ebcp-11",
+    (F(1, 3), "rabbit"): ["0x1.1928530cdffd0p-4", "0x0.0p+0", "-0x1.cd5c25bd01e7dp-7", "-0x1.7f62cf8e9e9a2p-25"],
+    (F(1, 3), "nonpoly"): ["0x1.0afd4d3a3f6fdp-3", "0x1.003b7239ea635p-4", "0x1.0d47b6a914166p-11",
                            "0x1.5798ef30ca488p-25"],
-    (F(1, 3), "cubic"): ["0x1.d4c26feed01cep-3", "0x1.12ad6a54908ccp-1", "0x1.d825e4f90e82cp-3",
+    (F(1, 3), "cubic"): ["0x1.d4c26feed01cep-3", "0x1.12ad6a54908ccp-1", "0x1.d825e4f90e82ep-3",
                          "0x1.d93037dcb167ep-3"],
 }
 
@@ -491,9 +492,44 @@ _DEVIATION_G_PINNED = {
 @pytest.mark.parametrize("eps, name", sorted(_DEVIATION_G_PINNED, key=str))
 def test_arch_deviation_g_bits_pinned(eps, name):
     lift = {"rabbit": RABBIT, "nonpoly": NONPOLY, "cubic": CUBIC}[name]
-    lifts = [(1.3 + 0.4j, 1), (0.2 - 0.7j, 1.5j), (3, 0.5 + 0.5j), (2 - 1j, 1e-3)]  # |z0| != |z1|
-    got = [deviation_g(Place.archimedean(eps), lift, zhat).hex() for zhat in lifts]
+    lifts = [(1.3 + 0.4j, 1), (0.2 - 0.7j, 1.5j), (3, 0.5 + 0.5j), (2 - 1j, 1e-3)]
+    got = [deviation_at_point(Place.archimedean(eps), lift, classical_pair(*zhat)).hex() for zhat in lifts]
     assert got == _DEVIATION_G_PINNED[eps, name]
+
+
+def test_complex_lift_at_an_ultrametric_place_is_a_place_error():
+    lift = HomogeneousLift.polynomial([1 + 1j, 0, 1])
+    p3 = Place.padic(3)
+    with pytest.raises(PlaceError, match="archimedean-only"):
+        lambda_n(p3, lift, disk(1, -2), 3)
+    for call in (lambda: deviation_sequence(p3, lift, GAUSS, 2), lambda: deviation_at_point(p3, lift, GAUSS),
+                 lambda: lambda_limit(p3, lift, GAUSS, 1e-3)):
+        with pytest.raises(PlaceError, match="archimedean-only"):
+            call()
+
+
+def test_exact_orbit_reads_log_T_without_a_shift(monkeypatch):
+    # log|T| = max(log|a|, r) at eta_{a,r} is closed form (points.coord_log_abs)
+    import berkpot.green as green
+    import berkpot.points as points
+    import berkpot.rmaps as rmaps
+    from berkpot.polys import taylor_shift, trim
+
+    shifted = []
+
+    def counted(coeffs, z):
+        shifted.append(trim(coeffs))
+        return taylor_shift(coeffs, z)
+
+    for module in (green, points, rmaps):
+        monkeypatch.setattr(module, "taylor_shift", counted, raising=False)
+    p3 = Place.padic(3)
+    t23 = HomogeneousLift.from_coeffs(2, [0, 0, F(1, 3)], [1])  # T^2/3
+    for x in (disk(1, -2), disk(F(1, 3), 1), GAUSS, classical(F(7, 3)), infinity()):
+        shifted.clear()
+        lambda_n(p3, t23, x, 4)
+        lambda_limit(p3, _cubic(3), x, 1e-4)
+        assert [0, 1] not in shifted
 
 
 def test_one_term_on_a_disk_under_a_nonpolynomial_lift():
