@@ -131,18 +131,17 @@ class AffableFn:
 def _point_reader(place: Place, x: BerkPoint, chart: str, t_log):
     """log|g| at x for a term g of the chart's pieces, t_log = log|T|(x).
     Chart-inf terms are polynomials in S = 1/T, read through the reversed
-    list: |g(S)| = |ghat(T)| / |T|^m with m = len(g) - 1."""
-    if chart == "0":
-        return lambda g: eval_log_abs(place, x, g)
-    if x.t == INF:
-        return lambda g: eval_log_abs(place, classical(0), g)  # S = 0
+    list: |g(S)| = |ghat(T)| / |T|^m with m = len(g) - 1.  A term that reads
+    +inf (at a residue place) raises ``AffableError`` naming x."""
 
     def read(g):
-        v = eval_log_abs(place, x, g[::-1])
-        m = len(g) - 1
-        if m == 0 or is_neg_inf(v):
-            return v
-        return vplus(v, vscale(-m, t_log))
+        if chart == "0" or x.t == INF:  # S = 0 at infinity
+            v, m = eval_log_abs(place, x if chart == "0" else classical(0), g), 0
+        else:
+            v, m = eval_log_abs(place, x, g[::-1]), len(g) - 1
+        if is_pos_inf(v):
+            raise AffableError(f"infinite log value at {x!r}")
+        return v if m == 0 or is_neg_inf(v) else vplus(v, vscale(-m, t_log))
 
     return read
 

@@ -22,9 +22,10 @@ Res(F0, F1) != 0 when the lift is built (``rmaps.resultant_cofactors``).
 
 Each regime walks every orbit in one loop, ``_arch_limit`` or
 ``_exact_limit``, which returns the sum, the steps and the g values summed.
-The archimedean loop steps with one kernel, ``_arch_step``, which reads the
-lift's complex coefficients (``HomogeneousLift.complex_coeffs``) and works
-on complex scalars and ndarrays alike.  There ``lambda_n``, ``lambda_limit``
+The archimedean loop steps with one kernel, ``_arch_step``: one point on
+Python complex with ``math.log`` and ``max`` over the coefficient tuples
+``HomogeneousLift.scalar_coeffs``, an array on numpy over
+``HomogeneousLift.complex_coeffs``.  There ``lambda_n``, ``lambda_limit``
 and ``deviation_sequence`` take either a BerkPoint or a complex ndarray of
 points, ``points.ARCH_INF`` standing for the point at infinity as in
 ``preimages_arch``.  An array gives one ``PotentialState`` whose ``value``
@@ -73,6 +74,7 @@ the a priori bound.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -117,6 +119,7 @@ class GreenError(RuntimeError):
 _INFINITE_BOUND = "deviation bound is infinite at this place (coefficients blow up)"
 _VANISHING_RES = "deviation bound is infinite at this place (the resultant vanishes in the residue field)"
 _COMPLEX_LIFT = "complex-coefficient lifts are archimedean-only"
+_ZERO_NORM = "lift vanishes at a projective point; Res = 0"
 _MACH_EPS = float(np.finfo(float).eps)
 
 
@@ -137,45 +140,45 @@ def _form(coeffs, d: int, z0, z1):
     """sum_j coeffs[j] z0^j z1^(d-j), by Horner in z0."""
     acc = coeffs[d]
     power = 1
-    for j in range(d - 1, -1, -1):
+    for c in coeffs[d - 1::-1]:
         power = power * z1
         acc = acc * z0
-        if coeffs[j]:
-            acc = acc + coeffs[j] * power
+        if c:
+            acc = acc + c * power
     return acc
 
 
-def _arch_step(coeffs, d: int, eps: float, z0, z1):
+def _arch_step(coeffs, d: int, eps: float, z0, z1, log, maximum):
     """One step of the renormalized orbit at an archimedean place.
 
     Takes a lift (z0, z1) of max norm 1 and the lift's complex coefficients;
     returns g = eps (log||F(zhat)|| - d log||zhat||) = eps log||F(zhat)||
-    followed by the next point F(zhat) / ||F(zhat)||.  The operations work
-    on complex scalars and ndarrays alike.
+    followed by the next point F(zhat) / ||F(zhat)||, with ``math.log`` and
+    ``max`` for one point, ``np.log`` and ``np.maximum`` for an array.
     """
     w0 = _form(coeffs[0], d, z0, z1)
     w1 = _form(coeffs[1], d, z0, z1)
-    norm = np.maximum(abs(w0), abs(w1))
-    return eps * np.log(norm), w0 / norm, w1 / norm
-
-
-def _normalized(z0, z1):
-    norm = np.maximum(abs(z0), abs(z1))
-    return z0 / norm, z1 / norm
+    norm = maximum(abs(w0), abs(w1))
+    return eps * log(norm), w0 / norm, w1 / norm
 
 
 def _arch_lift(x):
     """Lift of max norm 1 of a point at an archimedean place: a BerkPoint,
-    or a complex ndarray of points with complex inf for infinity."""
+    as a pair of Python scalars, or a complex ndarray of points with complex
+    inf for infinity."""
     if isinstance(x, np.ndarray):
         x = np.asarray(x, dtype=complex)
         at_inf = np.isinf(x)
-        return _normalized(np.where(at_inf, 1.0, x), np.where(at_inf, 0.0, 1.0))
+        z0, z1 = np.where(at_inf, 1.0, x), np.where(at_inf, 0.0, 1.0)
+        norm = np.maximum(abs(z0), abs(z1))
+        return z0 / norm, z1 / norm
     if x.t == INF:
         return 1.0 + 0j, 0j
     if x.t != CLS:
         raise PlaceError("disk points live in ultrametric fibers only")
-    return _normalized(complex(x.z), 1.0)
+    z = complex(x.z)
+    norm = max(abs(z), 1.0)
+    return z / norm, 1.0 / norm
 
 
 def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
@@ -186,15 +189,20 @@ def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
     array retires the points that have left (a term then holds only those
     still running) and counts the most steps any summed.
     """
-    coeffs, d, eps = lift.complex_coeffs, lift.d, float(place.eps)
+    d, eps = lift.d, float(place.eps)
     rinv, c4a, log_top = _escape_constants(lift) or (0.0, 0.0, 0.0)  # 1/R = 0: no exit
     lim = stop * d  # exit at step k once eps 4A |z1| <= stop d^(k+1)
     z0, z1 = zhat
     scalar = not isinstance(z0, np.ndarray)
     total, n_used, terms = 0.0, 0, []  # the sums of the points still running
-    if not scalar:  # live: the flat indices of the points still running
+    if scalar:  # math.log(0.0) and w / 0.0 raise where numpy gives -inf and nan
+        coeffs, log, maximum, zero_norm = lift.scalar_coeffs, math.log, max, (ValueError, ZeroDivisionError)
+        quiet = contextlib.nullcontext()
+    else:  # live: the flat indices of the points still running
+        coeffs, log, maximum, zero_norm = lift.complex_coeffs, np.log, np.maximum, ()
+        quiet = np.errstate(divide="ignore", invalid="ignore")
         value, live, total = np.zeros(z0.shape), np.arange(z0.size).reshape(z0.shape), np.zeros(z0.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with quiet:
         for k in range(n):
             r1 = abs(z1)  # |z| = 1/|z1|
             out = (r1 < rinv) & (eps * c4a * r1 <= lim)
@@ -208,15 +216,18 @@ def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
                 live, z0, z1, total = live[~out], z0[~out], z1[~out], total[~out]
                 if not live.size:
                     break
-            g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1)
-            terms.append(float(g) if scalar else g)  # one point: plain floats
+            try:
+                g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1, log, maximum)
+            except zero_norm:
+                raise GreenError(_ZERO_NORM) from None
+            terms.append(g)
             total, n_used = total - 1 / d ** (k + 1) * g, k + 1
     if not scalar:
         value.flat[live] = total
         total = value
-    if not np.isfinite(total).all():
-        raise GreenError("lift vanishes at a projective point; Res = 0")
-    return (float(total) if scalar else total), n_used, terms
+    if not (math.isfinite(total) if scalar else np.isfinite(total).all()):
+        raise GreenError(_ZERO_NORM)
+    return total, n_used, terms
 
 
 # -- exact orbits ------------------------------------------------------------
@@ -246,7 +257,7 @@ def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log, f0_shift)
     n0 = newton_envelope(newton_lines(place, f0_shift), x.logr) if x.t == DISK else eval_log_abs(place, x, f0)
     n_out = vmax(n0, eval_log_abs(place, x, f1))
     if is_neg_inf(n_out):
-        raise GreenError("lift vanishes at a projective point; Res = 0")
+        raise GreenError(_ZERO_NORM)
     if is_pos_inf(n_out):  # a residue place where the map is not defined
         raise GreenError(_INFINITE_BOUND)
     return vplus(n_out, vscale(-lift.d, vmax(t_log, 0)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 # A log-magnitude coefficient: exact Fraction at ultrametric places, float at
@@ -57,6 +58,12 @@ class Place:
     kind: str
     p: int | None = None
     eps: Fraction = Fraction(1)
+
+    # hash(eps) once (places key the caches); hash(hash(q)) == hash(q) keeps the generated hash
+    _eps_hash = cached_property(lambda self: hash(self.eps))
+
+    def __hash__(self):
+        return hash((self.kind, self.p, self._eps_hash))
 
     def __post_init__(self):
         if self.kind not in (ARCH, PADIC, TADIC, TRIVIAL, RESIDUE):

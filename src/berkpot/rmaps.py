@@ -23,21 +23,13 @@ from . import polys
 from .places import Place, PlaceError, is_neg_inf
 from .points import (ARCH_INF, BerkPoint, CLS, INF, classical_pair, disk, newton_envelope,
                      newton_lines, reduce_center)
-from .polys import exact_det, poly_eval, sylvester_matrix, taylor_shift, trim
+from .polys import poly_eval, sylvester_matrix, taylor_shift, trim
 
 CLUSTER_REL = 1e-7  # roots closer than this, relative to 1 + |root|, are one root
 
 
 class MapError(ValueError):
     pass
-
-
-def sylvester_resultant(f, g, m: int, n: int) -> Fraction:
-    """Resultant of rational f, g at formal degrees (m, n): the exact
-    determinant of the Sylvester matrix."""
-    if not all(isinstance(c, (Fraction, int)) for c in list(f) + list(g)):
-        raise MapError("the resultant is computed for rational coefficients only")
-    return exact_det(sylvester_matrix(f, g, m, n))
 
 
 @dataclass(frozen=True)
@@ -131,16 +123,17 @@ class HomogeneousLift:
         return self._hash
 
     @cached_property
-    def resultant(self) -> Fraction:
-        return sylvester_resultant(list(self.f0), list(self.f1), self.d, self.d)
-
-    @cached_property
     def complex_coeffs(self) -> np.ndarray:
         """(F0, F1) coefficients as a read-only 2 x (d+1) complex array, the
         form every archimedean evaluation reads."""
         out = np.array([self.f0, self.f1], dtype=complex)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def scalar_coeffs(self) -> tuple:
+        """``complex_coeffs`` as tuples of Python complex, read by one-point orbits."""
+        return tuple(tuple(row) for row in self.complex_coeffs.tolist())
 
     @cached_property
     def is_rational(self) -> bool:

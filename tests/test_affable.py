@@ -342,6 +342,17 @@ def test_restrict_at_a_residue_place():
     assert u.values == [1, 1, 1] and not inserted
 
 
+@pytest.mark.parametrize("fid", ["min_clip_half", "clip_log_T_minus_2"])
+def test_affable_eval_at_a_residue_place(fid):
+    # |7/2| = +inf at |.|_2^{+inf}: a term that reads +inf fails typed,
+    # naming the point, as the restriction does
+    r2, x = Place.residue(2), disk(F(7, 2), -3)
+    by_id = {f.fn_id: f for f in BAT}
+    with pytest.raises(AffableError, match=r"infinite log value at Eta\(7/2,-3\)"):
+        affable_eval(r2, by_id[fid], x)
+    assert affable_eval(r2, by_id["one"], x) == 1
+
+
 def test_restrict_matches_frozen_padic_skeleta():
     # the seeded padic-skeleton benchmark skeleta (seed 3001) x the battery,
     # frozen as exact strings: labels, edges, values and inserted vertices

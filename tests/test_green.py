@@ -28,6 +28,7 @@ Z2P1 = HomogeneousLift.polynomial([1, 0, 1])
 F11 = HomogeneousLift.from_coeffs(2, [1, 0, 1], [1])  # (T0^2 + T1^2, T1^2)
 RABBIT = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
 Z2I = HomogeneousLift.from_coeffs(2, [complex(0, 1), 0, 1], [1])  # T^2 + i
+MACH_EPS = float(np.finfo(float).eps)
 
 
 def test_standard_potential_examples():
@@ -262,14 +263,20 @@ def test_lambda_limit_array_matches_scalar(lift, eps):
     z = np.concatenate([rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40), [0, complex("inf")]])
     batch = lambda_limit(place, lift, z, 1e-10)
     assert batch.value.shape == z.shape
+    terms = deviation_sequence(place, lift, z, 5)
+    # one point runs on Python complex, an array on numpy: they round apart
+    close = lambda a, b: abs(a - b) <= 8 * MACH_EPS * max(1.0, abs(b))
     scalar_steps = []
     for k, zk in enumerate(z):
-        st = lambda_limit(place, lift, infinity() if np.isinf(zk) else classical(complex(zk)), 1e-10)
+        x = infinity() if np.isinf(zk) else classical(complex(zk))
+        st = lambda_limit(place, lift, x, 1e-10)
         assert type(st.value) is float
-        assert abs(batch.value[k] - st.value) <= 1e-13
+        assert close(batch.value[k], st.value)
         assert (batch.certified_error, batch.certificate, batch.gmax) == (
             st.certified_error, st.certificate, st.gmax)
         scalar_steps.append(st.n_used)
+        gs = deviation_sequence(place, lift, x, 5)
+        assert all(type(g) is float and close(t[k], g) for t, g in zip(terms, gs, strict=True))
     assert batch.n_used == max(scalar_steps)  # the most steps any point summed
     assert lambda_n(place, lift, z, 0).shape == z.shape
 
@@ -313,6 +320,17 @@ def test_escape_tail_agrees_with_the_full_sum(lift, eps, tol):
         assert st.n_used <= n
         assert abs(st.value - lambda_n(place, lift, x, n)) <= 1e-13 + missed, x
     assert lambda_limit(place, lift, infinity(), tol).n_used == 0
+
+
+def test_vanishing_norm_in_an_orbit_is_a_green_error(monkeypatch):
+    # a zero ||F(zhat)||: math.log(0.0) raises for one point, numpy gives nan
+    # for an array; both read as the typed error of a vanishing resultant
+    import berkpot.green as green
+
+    monkeypatch.setattr(green, "_form", lambda coeffs, d, z0, z1: 0 * z0)
+    for x in (classical(0.5 + 0j), np.array([0.5, 2j, complex("inf")])):
+        with pytest.raises(GreenError, match="lift vanishes at a projective point"):
+            lambda_limit(ARC, CHEB, x, 1e-8)
 
 
 def test_escaped_orbit_stops_after_six_steps(monkeypatch):
