@@ -302,14 +302,13 @@ def _piece_slope(piece: Piece) -> Fraction:
                 for b in piece.branches if b.const is not None), default=Fraction(0))
 
 
-def mass_bound(place: Place, fn: AffableFn) -> float:
-    """Bound for |Delta f|(P^1) in real units: the slope sum over the charts
-    of s(plus) + s(minus), the same rational at every place, times
-    ``place.log_unit``.  A piece's Riesz mass is at most its top slope s;
-    the ``sweeps`` docstring derives the scale."""
-    slopes = sum((_piece_slope(piece) for chart in ("0", "inf") for piece in fn.pieces(chart)),
-                 Fraction(0))
-    return float(slopes) * place.log_unit
+def mass_bound(fn: AffableFn) -> float:
+    """Bound for |Delta f|(P^1): the slope sum over the charts of
+    s(plus) + s(minus), the same pure number at every place (a Laplacian
+    mass carries no log unit).  A piece's Riesz mass is at most its top
+    slope s; the ``sweeps`` docstring derives the scale."""
+    return float(sum((_piece_slope(piece) for chart in ("0", "inf") for piece in fn.pieces(chart)),
+                     Fraction(0)))
 
 
 # -- exact PL restriction to skeleta -------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .affable import AffableError
 from .graphs import GraphError, PLFunction, dirichlet_extend, graph_from_json, graph_laplacian
 from .green import GreenError, contraction_ratios, lambda_limit
-from .measures import MeasureError, equilibrium_arch, equilibrium_nonarch, measure_to_rows
+from .measures import MeasureError, energy_pairing, equilibrium_arch, equilibrium_nonarch, measure_to_rows
 from .places import Place, PlaceError, place_from_json
 from .points import point_from_json
 from .rmaps import MapError, lift_from_json
@@ -29,8 +29,8 @@ from .sweeps import (
     default_skeleton,
     sweep_chi,
     sweep_equilibrium,
+    unit_sphere_sample_padic,
 )
-from .measures import energy_pairing
 
 CONFIG_ERRORS = (SweepError, PlaceError, MapError, GraphError, AffableError,
                  json.JSONDecodeError, KeyError, ValueError, OSError)
@@ -133,8 +133,6 @@ def _cmd_contraction(args) -> int:
     count = int(parts[1]) if len(parts) > 1 else 64
     radius = float(parts[2]) if len(parts) > 2 else 1.0
     if place.is_ultrametric:
-        from .sweeps import unit_sphere_sample_padic
-
         sample = unit_sphere_sample_padic(place, count)
     else:
         sample = circle_sample(count, radius)

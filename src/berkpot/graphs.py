@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .points import MetricGraph
+from .points import MetricGraph, point_from_json
 from .polys import exact_solve
 
 
@@ -151,8 +151,6 @@ def measure_pairing(u: PLFunction, mu: GraphMeasure):
 # -- (de)serialization --------------------------------------------------------
 
 def graph_from_json(obj: dict) -> MetricGraph:
-    from .points import point_from_json
-
     labels = [point_from_json(v) if v else None for v in obj["vertices"]]
     edges = []
     for i, j, ln in obj["edges"]:

@@ -455,8 +455,6 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     while err > tol:
         n += 1
         err /= d
-        if n > 10_000:
-            raise GreenError("tolerance unreachable")
     if not place.is_ultrametric:
         stop = min(err, _MACH_EPS * bound.gmax / (d - 1))
         value, n_used, _ = _arch_limit(place, lift, _arch_lift(x), n, stop)

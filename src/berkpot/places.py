@@ -9,6 +9,11 @@ exact: at a p-adic place the stored value is the rational coefficient of
 log(p), at t-adic/trivial/residue places the coefficient of 1, and at
 archimedean places a plain float.  ``Place.log_unit`` converts to real
 numbers at the boundary (integration, CSV output).
+
+``valuation`` is the one p-adic valuation: v_p(q) read from the numerator
+and denominator of an int or Fraction.  ``abs_log_value`` reads -v_p(q) eps
+from it at p-adic places and its sign at residue places, and
+``points.reduce_center`` reads it for the digits a disk centre keeps.
 """
 
 from __future__ import annotations
@@ -132,33 +137,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _padic_valuation(n: int, p: int) -> int:
-    # n != 0
-    v = 0
+def valuation(q, p: int) -> int:
+    """v_p of a nonzero int or Fraction, read from its numerator and
+    denominator (coprime, so at most one of them is divisible by p)."""
+    n, d, v = q.numerator, q.denominator, 0
     while n % p == 0:
         n //= p
         v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
     return v
 
 
 def abs_log_value(place: Place, q) -> LogValue:
-    """Raw log|q| at the place, in coefficient units (see module docstring)."""
-    q = _as_fraction(q)
+    """Raw log|q| at the place, in coefficient units (see module docstring).
+
+    An int or Fraction is read as it is; anything else goes through
+    ``_as_fraction``."""
+    if not isinstance(q, (int, Fraction)):
+        q = _as_fraction(q)
     if q == 0:
         return NEG_INF
     if place.kind == ARCH:
         return float(place.eps) * (math.log(abs(q.numerator)) - math.log(q.denominator))
     if place.kind == PADIC:
-        v = _padic_valuation(q.numerator, place.p) - _padic_valuation(q.denominator, place.p)
-        return -v * place.eps
+        return -valuation(q, place.p) * place.eps
     if place.kind == RESIDUE:
-        vn = _padic_valuation(q.numerator, place.p)
-        vd = _padic_valuation(q.denominator, place.p)
-        if vn > 0:
-            return NEG_INF
-        if vd > 0:
-            return POS_INF
-        return Fraction(0)
+        v = valuation(q, place.p)
+        return NEG_INF if v > 0 else POS_INF if v < 0 else Fraction(0)
     # trivial and t-adic: rational constants have trivial valuation
     return Fraction(0)
 
@@ -214,8 +221,7 @@ def vplus(a: LogValue, b: LogValue) -> LogValue:
 
 
 def vscale(c, a: LogValue) -> LogValue:
-    """c * a for nonzero rational c, with infinities flipped when c < 0."""
-    c = _as_fraction(c)
+    """c * a for a nonzero int or Fraction c, with infinities flipped when c < 0."""
     if type(a) is float:
         if a == NEG_INF or a == POS_INF:
             return a if c > 0 else -a

@@ -13,18 +13,23 @@ the Newton lines (log|a_i|, i) of P(z + T), and their envelope at log r.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .places import (
     NEG_INF,
+    PADIC,
     POS_INF,
+    TADIC,
+    TRIVIAL,
     LogValue,
     Place,
     PlaceError,
     abs_log_value,
     is_neg_inf,
+    valuation,
     vmax,
     vplus,
     vscale,
@@ -147,8 +152,6 @@ def coord_log_abs(place: Place, point: BerkPoint) -> LogValue:
 
 
 def _arch_log(place: Place, val) -> LogValue:
-    import math
-
     a = abs(val)
     if a == 0:
         return NEG_INF
@@ -176,19 +179,13 @@ def reduce_center(place: Place, center: Fraction, logr) -> Fraction:
     grows with -logr, so an orbit whose radii shrink (a disk attracted to a
     fixed point) still gains digits at every step.
     """
-    import math
-
-    from .places import PADIC, TADIC, TRIVIAL, _padic_valuation
-
     center = _as_fraction(center)
     if place.kind == PADIC:
         if center == 0:
             return center
         # need v_p(z - z') >= K with K = ceil(-logr / eps)
         K = math.ceil(-Fraction(logr) / place.eps)
-        v = _padic_valuation(center.numerator, place.p) - _padic_valuation(
-            center.denominator, place.p
-        )
+        v = valuation(center, place.p)
         if v >= K:
             return Fraction(0)
         unit = center / Fraction(place.p) ** v

@@ -27,25 +27,16 @@ def poly_eval(coeffs, x):
 def taylor_shift(coeffs, z):
     """Coefficients of P(z + T) given those of P(T); exact for Fractions.
 
-    Synthetic-division form, O(deg^2).
+    Synthetic division by (T - z) in place, O(deg^2): pass i runs Horner's
+    rule down to c[i], which is then the i-th Taylor coefficient, and leaves
+    the quotient above it for the next pass.
     """
     c = list(coeffs)
     n = len(c)
-    out = []
-    for _ in range(n):
-        # divide c by (T - z) via Horner; remainder is next Taylor coefficient
-        rem = c[-1]
-        quotient = [c[-1]]
-        for k in range(n - 2, -1, -1):
-            rem = c[k] + rem * z
-            quotient.append(rem)
-        quotient.reverse()
-        out.append(quotient[0])
-        c = quotient[1:]
-        n -= 1
-        if n == 0:
-            break
-    return out
+    for i in range(n - 1):
+        for k in range(n - 2, i - 1, -1):
+            c[k] += z * c[k + 1]
+    return c
 
 
 def sylvester_matrix(f, g, m: int, n: int):

@@ -13,7 +13,7 @@ computes once: the preimage tree of each depth n; the eps-free
 ``affable.PointTable`` of each point set (tree atoms, circle quadrature
 levels), kept only up to ``atom_budget`` points, which bounds the memo by
 atom_budget points per tree and 2 atom_budget per circle; and each
-function's ``mass_bound`` per log unit.  Only the potential tail, and so
+function's ``mass_bound``.  Only the potential tail, and so
 the error bars, change with eps.  Ultrametric fibers are unchanged: each
 builds its own measure and reads its values exactly.  Nothing bounds the
 distance of a collapsed tree (``measures.tree_collapse``) to mu_phi, so
@@ -31,8 +31,9 @@ times ``affable.mass_bound``.  The scale, derived once:
   subharmonic on its chart, with Riesz mass at most its top slope).  The
   charts agree on the overlap ring, so the unit circle or the Gauss point
   adds no mass.  The slope sum does not depend on the place.
-- ``place.log_unit`` converts the product to the real scale of the rows;
-  ``mass_bound`` carries that factor.
+- ``place.log_unit`` converts the product to the real scale of the rows.
+  The potential tail is already on that scale (``deviation_bound``'s G_max
+  carries the unit), and the slope sum, a pure number, multiplies it as is.
 
 An archimedean row integrates the tree d^-n (phi^n)^* delta_a of its seed a:
 its potential differs from nu_n's by d^-n u_a o phi^n, u_a the potential of
@@ -59,8 +60,8 @@ from .measures import (
     integrate,
     tree_collapse,
 )
-from .places import Place, PlaceError, snap_rational
-from .points import GAUSS, MetricGraph, disk
+from .places import Place, PlaceError, place_from_json, snap_rational
+from .points import GAUSS, MetricGraph, classical, disk
 from .rmaps import HomogeneousLift, MapError, lift_from_json
 
 
@@ -125,23 +126,7 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list = field(default_factory=list)
-    modulus: dict = field(default_factory=dict)  # fn_id -> list of successive diffs
-
-    def compute_modulus(self, fn_ids, grid_len):
-        """Successive |row_{k+1} - row_k| per test function, grid order."""
-        by_fn = {fid: [None] * grid_len for fid in fn_ids}
-        seen = {}
-        for row in self.rows:
-            key = (row.place_kind, row.place_param)
-            if key not in seen:
-                seen[key] = len(seen)
-            if not row.error:
-                by_fn[row.fn_id][seen[key]] = row.value
-        for fid, vals in by_fn.items():
-            diffs = []
-            for a, b in zip(vals, vals[1:]):
-                diffs.append(abs(b - a) if a is not None and b is not None else None)
-            self.modulus[fid] = diffs
+    modulus: dict = field(default_factory=dict)  # fn_id -> successive |row_{k+1} - row_k|, grid order
 
     def value(self, place: Place, fn_id: str):
         kind, param = place.describe()
@@ -198,8 +183,6 @@ class SweepConfig:
     def from_json(obj: dict) -> "SweepConfig":
         try:
             if "grid" in obj and obj["grid"] != "default":
-                from .places import place_from_json
-
                 grid = [place_from_json(p) for p in obj["grid"]]
             else:
                 branch = obj.get("base", "hybrid")
@@ -247,6 +230,7 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
     validate_grid(config.grid)
     table = SweepTable()
     tables, bounds = {}, {}
+    values = {fn.fn_id: [None] * len(config.grid) for fn in config.battery}  # by grid position
 
     def points(key, make):
         if key in tables:
@@ -257,7 +241,7 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
             tables[key] = entry  # the entry holds z, so an id key stays unique
         return entry
 
-    for place in config.grid:
+    for g, place in enumerate(config.grid):
         kind, param = place.describe()
         try:
             mu, n_used, tail = measure_at(place)
@@ -267,13 +251,15 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
         for k, fn in enumerate(config.battery):
             try:
                 val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n, points)
-                if tail and (k, place.log_unit) not in bounds:
-                    bounds[k, place.log_unit] = mass_bound(place, fn)
-                cert = qerr + (tail * bounds[k, place.log_unit] if tail else 0.0)
+                if tail and k not in bounds:
+                    bounds[k] = mass_bound(fn)
+                cert = qerr + (tail * bounds[k] if tail else 0.0)
                 table.rows.append(SweepRow(kind, param, fn.fn_id, val, cert, n_used))
+                values[fn.fn_id][g] = val
             except ROW_ERRORS as exc:
                 table.rows.append(_failed_row(kind, param, fn, n_used, exc))
-    table.compute_modulus([f.fn_id for f in config.battery], len(config.grid))
+    table.modulus = {fid: [None if a is None or b is None else abs(b - a) for a, b in zip(v, v[1:])]
+                     for fid, v in values.items()}
     return table
 
 
@@ -325,8 +311,6 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
 
 
 def circle_sample(n: int = 64, radius: float = 1.0):
-    from .points import classical
-
     return [
         classical(radius * complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)))
         for k in range(n)
@@ -335,8 +319,6 @@ def circle_sample(n: int = 64, radius: float = 1.0):
 
 def unit_sphere_sample_padic(place: Place, count: int = 16):
     """Rational points with |z| = 1 plus the Gauss point."""
-    from .points import classical
-
     pts = [GAUSS]
     z = 1
     while len(pts) < count + 1 and z < 200:

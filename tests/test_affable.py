@@ -25,7 +25,7 @@ from berkpot.battery import load_battery, standard_battery
 from berkpot.graphs import graph_laplacian
 from berkpot.places import Place, abs_log_value
 from berkpot.points import GAUSS, build_skeleton, classical, disk, eval_log_abs
-from berkpot.sweeps import default_skeleton
+from berkpot.sweeps import RadiusSpec, SweepConfig, _chi_at, _sweep, default_skeleton
 
 ARC = Place.archimedean()
 TRIV = Place.trivial()
@@ -172,24 +172,27 @@ SLOPE_SUMS = {
 @pytest.mark.parametrize("place", [ARC, Place.archimedean(F(1, 2**10)), Place.padic(3)],
                          ids=["arch-1", "arch-2^-10", "padic-3"])
 def test_mass_bound_is_the_slope_sum(place):
-    # the same rational at every place, in real units
-    assert {f.fn_id: mass_bound(place, f) for f in BAT} == {
-        fid: float(s) * place.log_unit for fid, s in SLOPE_SUMS.items()
-    }
+    # one pure number at every place: a sweep adds tail x slope sum, with no log unit
+    assert {f.fn_id: mass_bound(f) for f in BAT} == {fid: float(s) for fid, s in SLOPE_SUMS.items()}
+    mu = _chi_at(place, F(0), RadiusSpec("const", F(1)))
+    bare, tailed = (_sweep(SweepConfig(grid=[place], battery=BAT), lambda _place: (mu, 0, tail))
+                    for tail in (0.0, 1.0))
+    for row, row_tailed in zip(bare.rows, tailed.rows):
+        assert row_tailed.cert_err == row.cert_err + float(SLOPE_SUMS[row.fn_id])
 
 
 def test_mass_bound_clipped_log():
     # Delta max(0, log|T|) on P^1 is Haar on |T| = 1 minus delta_inf: total
     # variation 2; the slope sum is 1 (chart 0) + 1 + 1 (chart inf)
     fn = next(f for f in BAT if f.fn_id == "log_plus_T")
-    bound = mass_bound(ARC, fn)
+    bound = mass_bound(fn)
     assert bound == 3
     assert bound >= 2
 
 
 def test_mass_bound_constant():
     one = next(f for f in BAT if f.fn_id == "one")
-    assert mass_bound(ARC, one) == 0
+    assert mass_bound(one) == 0
 
 
 def test_mass_bound_dominates_skeleton_laplacian():
@@ -205,7 +208,7 @@ def test_mass_bound_dominates_skeleton_laplacian():
     assert atoms == {below: 1, gauss: -1}
     total_variation = sum(abs(w) for _, w in lap.atoms)
     assert total_variation == 2
-    assert total_variation <= mass_bound(p3, fn)
+    assert total_variation <= mass_bound(fn)
 
 
 def test_restrict_examples():

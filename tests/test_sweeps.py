@@ -60,6 +60,34 @@ def test_sweep_chi_scaling_rows():
         assert b == pytest.approx(a / 2, rel=1e-6)
 
 
+def test_modulus_follows_grid_positions_when_a_place_repeats():
+    # a revisited place takes its own slot: rows 1.0986, 0.5493, 1.0986, 0
+    fn = [f for f in BAT if f.fn_id == "clip_log_T_minus_2"]
+    arc, half = Place.archimedean(1), Place.archimedean(F(1, 2))
+    cfg = SweepConfig(grid=[arc, half, arc, Place.trivial()], battery=fn,
+                      radius=RadiusSpec.parse({"pow_eps": "3"}))
+    table = sweep_chi(cfg)
+    log3 = math.log(3)
+    assert [r.value for r in table.rows] == pytest.approx([log3, log3 / 2, log3, 0.0], abs=1e-12)
+    assert table.modulus[fn[0].fn_id] == pytest.approx([log3 / 2, log3 / 2, log3], abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_padic_cert_err_is_tail_times_slope_sum(p):
+    # T^2/p at tol 0.7: every skeleton potential is certified at n = 0, with
+    # tail log 2 at p = 2 and (1/2) log 3 at p = 3; log_ratio_3_2 has slope
+    # sum 4, and the Laplacian mass takes no second log p
+    place = Place.padic(p)
+    fn = [f for f in BAT if f.fn_id == "log_ratio_3_2"]
+    cfg = SweepConfig(grid=[place], battery=fn, lift=HomogeneousLift.from_coeffs(2, [0, 0, F(1, p)], [1]),
+                      tol=0.7)
+    tail = _eq_measure_at(place, cfg)[2]
+    assert tail == pytest.approx({2: math.log(2), 3: math.log(3) / 2}[p], rel=1e-12)
+    (row,) = sweep_equilibrium(cfg).rows
+    assert not row.error and row.cert_err == tail * 4
+    assert row.cert_err == pytest.approx({2: 4 * math.log(2), 3: 2 * math.log(3)}[p], rel=1e-12)
+
+
 def test_sweep_chi_probability_rows():
     one = [f for f in BAT if f.fn_id == "one"]
     cfg = SweepConfig(grid=default_grid(4), battery=one)
@@ -562,7 +590,7 @@ def _fresh_arch_rows(cfg, measure_at):
         for fn in cfg.battery:
             try:
                 val, qerr = integrate(place, mu, affable_real(place, fn), cfg.quad_n)
-                cert = qerr + (tail * mass_bound(place, fn) if tail else 0.0)
+                cert = qerr + (tail * mass_bound(fn) if tail else 0.0)
                 rows.append((*place.describe(), fn.fn_id, (val, cert), n_used, ""))
             except ROW_ERRORS as exc:
                 rows.append((*place.describe(), fn.fn_id, None, n_used, str(exc)))

@@ -47,6 +47,19 @@ def test_no_unused_imports():
     assert not found
 
 
+def test_no_function_level_imports():
+    # every import sits at module level: no function defers one
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found
+
+
 def _is_infinity(node):
     """NEG_INF, POS_INF, math.inf or float("inf"), possibly negated."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
