@@ -12,7 +12,8 @@ nonnegative, so each piece is subharmonic: ``mass_bound`` is a slope sum.
 Evaluation follows the place: at ultrametric places one point at a time in
 exact arithmetic; at archimedean places on numpy arrays of points, with
 the chart picked per point by |T| > 1 and the chart-inf pieces evaluated at
-S = 1/T (S = 0 at infinity).
+S = 1/T (S = 0 at infinity); a ``PointTable`` holds the eps-free part, so
+a fiber only combines the table's plans with its eps.
 
 Restriction to a skeleton takes each edge once and reads the function
 there from affine lines in rho, not from the point evaluator: along
@@ -169,16 +170,19 @@ def _chart_value(fn: AffableFn, chart: str, read):
 
 
 class PointTable:
-    """The eps-free part of archimedean evaluation on the point array z: the
-    chart of each point (chart inf where |z| > 1), its chart coordinate (z,
-    or S = 1/z), and log|g(u)| per chart and term polynomial g, filled on
-    first use.  Every archimedean fiber reads the same table."""
+    """The eps-free part of archimedean evaluation on the point array z: each
+    point's chart (inf where |z| > 1) and coordinate (z or S = 1/z), log|g(u)|
+    per chart and term g, and per function a plan, all filled on first use.
+    A plan holds each piece's finite branches, (const, [(q, log|g(u)|)]) in
+    floats, and the first point in chart order where plus or minus is -inf,
+    the same at every eps since eps > 0 and each kept q > 0."""
 
     def __init__(self, z):
         self.z = np.asarray(z, dtype=complex)
         big = np.abs(self.z) > 1
-        self.charts = ((~big, "0", self.z[~big]), (big, "inf", 1 / self.z[big]))
+        self.charts = [c for c in ((~big, "0", self.z[~big]), (big, "inf", 1 / self.z[big])) if c[2].size]
         self.logs = {}  # (chart, coeffs) -> log|g(u)|
+        self.plans = {}  # id(fn) -> (fn, [(sel, plus, minus)], pole or None); fn pins the id
 
     def log_abs(self, chart: str, u, coeffs):
         if (chart, coeffs) not in self.logs:
@@ -189,19 +193,31 @@ class PointTable:
                 self.logs[chart, coeffs] = np.log(np.abs(g))
         return self.logs[chart, coeffs]
 
+    def plan(self, fn: AffableFn):
+        if id(fn) not in self.plans:
+            charts, pole = [], None
+            for sel, chart, u in self.charts:
+                plus, minus = ([(float(b.const), [(float(q), self.log_abs(chart, u, g)) for q, g in b.terms if q != 0])
+                                for b in piece.branches if b.const is not None] for piece in fn.pieces(chart))
+                # a branch is -inf where one of its terms is, at eps = 1 as at every eps > 0
+                poles = np.broadcast_to(np.isneginf(_arch_piece(1.0, plus)) | np.isneginf(_arch_piece(1.0, minus)),
+                                        u.shape)
+                if pole is None and poles.any():
+                    pole = self.z[sel][poles][0]
+                charts.append((sel, plus, minus))
+            self.plans[id(fn)] = fn, charts, pole
+        return self.plans[id(fn)][1:]
 
-def _arch_piece(eps: float, piece: Piece, read, shape):
-    """Piece values from ``read(coeffs)`` = log|g| at the chart coordinates,
-    eps log|.| scale; -inf where every branch is."""
-    best = np.full(shape, NEG_INF)
-    for b in piece.branches:
-        if b.const is None:
-            continue
-        total = np.full(shape, float(b.const))
-        for q, coeffs in b.terms:
-            if q != 0:
-                total = total + float(q) * (eps * read(coeffs))
-        best = np.maximum(best, total)
+
+def _arch_piece(eps: float, branches):
+    """The max of a plan's branches c + sum q (eps log|g|): an array, or a
+    scalar where every branch is constant."""
+    best = NEG_INF
+    for k, (const, terms) in enumerate(branches):
+        total = const
+        for q, logs in terms:
+            total = total + (eps * logs if q == 1.0 else q * (eps * logs))  # 1.0 * x is x
+        best = np.maximum(best, total) if k else total
     return best
 
 
@@ -219,14 +235,12 @@ def affable_eval(place: Place, fn: AffableFn, x):
             z = ARCH_INF if x.t == "inf" else complex(x.z)
             return float(affable_eval(place, fn, np.array([z]))[0])
         table = x if isinstance(x, PointTable) else PointTable(x)
+        charts, pole = table.plan(fn)
+        if pole is not None:
+            raise AffableError(f"affable value is -inf at {arch_point(pole)!r}")
         out = np.empty(table.z.shape)
-        for sel, chart, u in table.charts:
-            p, m = (_arch_piece(float(place.eps), piece, lambda g: table.log_abs(chart, u, g), u.shape)
-                    for piece in fn.pieces(chart))
-            poles = np.isneginf(p) | np.isneginf(m)
-            if poles.any():
-                raise AffableError(f"affable value is -inf at {arch_point(table.z[sel][poles][0])!r}")
-            out[sel] = p - m
+        for sel, plus, minus in charts:
+            out[sel] = _arch_piece(place.eps_float, plus) - _arch_piece(place.eps_float, minus)
         return out
     t_log = coord_log_abs(place, x)  # +inf at infinity
     chart = "inf" if t_log > 0 else "0"
@@ -239,9 +253,9 @@ def affable_eval(place: Place, fn: AffableFn, x):
 def affable_real(place: Place, fn: AffableFn):
     """Real-valued evaluator (coefficient scale times the place unit): on
     point arrays at archimedean places, on BerkPoints at ultrametric ones."""
+    if not place.is_ultrametric:  # the unit is 1
+        return lambda z: affable_eval(place, fn, z)
     unit = place.log_unit
-    if not place.is_ultrametric:
-        return lambda z: affable_eval(place, fn, z) * unit
 
     def f(x: BerkPoint) -> float:
         return float(affable_eval(place, fn, x)) * unit

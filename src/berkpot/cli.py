@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -103,17 +104,11 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
-def _sweep_rows(table):
-    return [
-        (r.place_kind, r.place_param, r.fn_id, r.value, r.cert_err, r.n_used)
-        for r in table.rows
-    ]
-
-
 def _cmd_sweep(args, which: str) -> int:
     cfg = SweepConfig.from_json(_load_json(args.config))
     table = sweep_chi(cfg) if which == "chi" else sweep_equilibrium(cfg)
-    _emit(_sweep_rows(table), ["place_kind", "place_param", "fn_id", "value", "cert_err", "n_used"],
+    rows = [(r.place_kind, r.place_param, r.fn_id, r.value, r.cert_err, r.n_used) for r in table.rows]
+    _emit(rows, ["place_kind", "place_param", "fn_id", "value", "cert_err", "n_used"],
           args.out, args.quiet)
     if not args.quiet:
         for reason, count in Counter(row.error for row in table.rows if row.error).items():
@@ -170,6 +165,7 @@ def _cmd_pairing(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="berkpot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -120,7 +120,7 @@ _INFINITE_BOUND = "deviation bound is infinite at this place (coefficients blow 
 _VANISHING_RES = "deviation bound is infinite at this place (the resultant vanishes in the residue field)"
 _COMPLEX_LIFT = "complex-coefficient lifts are archimedean-only"
 _ZERO_NORM = "lift vanishes at a projective point; Res = 0"
-_MACH_EPS = float(np.finfo(float).eps)
+MACH_EPS = float(np.finfo(float).eps)
 
 
 def standard_potential(place: Place, x: BerkPoint) -> LogValue:
@@ -189,7 +189,7 @@ def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
     array retires the points that have left (a term then holds only those
     still running) and counts the most steps any summed.
     """
-    d, eps = lift.d, float(place.eps)
+    d, eps = lift.d, place.eps_float
     rinv, c4a, log_top = _escape_constants(lift) or (0.0, 0.0, 0.0)  # 1/R = 0: no exit
     lim = stop * d  # exit at step k once eps 4A |z1| <= stop d^(k+1)
     z0, z1 = zhat
@@ -346,7 +346,7 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
         lower = vscale(-1, vmax(*[abs_log_value(place, c) for c in cof if c != 0]))
         unit = place.log_unit
         return DeviationBound(float(lower) * unit, float(upper) * unit)
-    eps, d = float(place.eps), lift.d
+    eps, d = place.eps_float, lift.d
     maxc = max(abs(complex(c)) for c in lift.coeff_list())
     maxcof = max(abs(complex(c)) for c in lift.cofactors.coeff_list())
     return DeviationBound(-eps * math.log(2 * d * maxcof), eps * (math.log(maxc) + math.log(d + 1)))
@@ -456,7 +456,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         n += 1
         err /= d
     if not place.is_ultrametric:
-        stop = min(err, _MACH_EPS * bound.gmax / (d - 1))
+        stop = min(err, MACH_EPS * bound.gmax / (d - 1))
         value, n_used, _ = _arch_limit(place, lift, _arch_lift(x), n, stop)
         return PotentialState(value, n_used, err, "certified", bound.gmax)
     tails = _tail_constants(place, lift) if lift.is_polynomial else None

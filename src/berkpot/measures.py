@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import PLFunction, graph_laplacian
-from .green import lambda_limit
+from .green import MACH_EPS, lambda_limit
 from .places import Place, PlaceError
 from .points import ARCH_INF, DISK, GAUSS, INF, BerkPoint, MetricGraph, arch_point, classical, disk
 from .rmaps import HomogeneousLift, MapError, preimages_arch
@@ -159,7 +159,9 @@ def _fresh(key, make):
 
 def _values(f, z, arg):
     """f(arg) on the point array z, one finite real per point."""
-    v = np.broadcast_to(np.asarray(f(arg), dtype=float), z.shape)
+    v = np.asarray(f(arg), dtype=float)
+    if v.shape != z.shape:
+        v = np.broadcast_to(v, z.shape)
     bad = ~np.isfinite(v)
     if bad.any():
         raise MeasureError(f"integrand is not finite at {arch_point(z[bad][0])!r}")
@@ -178,7 +180,7 @@ def _circle_quadrature(f, center, radius, n, tol, cap, points=_fresh):
 
     def estimate(m):
         vals = _values(f, *points((center, radius, m), lambda: nodes(m)))
-        return float(vals.sum()) / m, float(np.finfo(float).eps * np.abs(vals).sum())
+        return float(vals.sum()) / m, float(MACH_EPS * np.abs(vals).sum())
 
     cur, rounding = estimate(n)
     diff = math.inf

@@ -66,6 +66,7 @@ class Place:
 
     # hash(eps) once (places key the caches); hash(hash(q)) == hash(q) keeps the generated hash
     _eps_hash = cached_property(lambda self: hash(self.eps))
+    eps_float = cached_property(lambda self: float(self.eps))  # float(eps) once, correctly rounded
 
     def __hash__(self):
         return hash((self.kind, self.p, self._eps_hash))
@@ -160,7 +161,7 @@ def abs_log_value(place: Place, q) -> LogValue:
     if q == 0:
         return NEG_INF
     if place.kind == ARCH:
-        return float(place.eps) * (math.log(abs(q.numerator)) - math.log(q.denominator))
+        return place.eps_float * (math.log(abs(q.numerator)) - math.log(q.denominator))
     if place.kind == PADIC:
         return -valuation(q, place.p) * place.eps
     if place.kind == RESIDUE:

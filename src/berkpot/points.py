@@ -155,7 +155,7 @@ def _arch_log(place: Place, val) -> LogValue:
     a = abs(val)
     if a == 0:
         return NEG_INF
-    return float(place.eps) * math.log(a)
+    return place.eps_float * math.log(a)
 
 
 def flow_point(point: BerkPoint, eps) -> BerkPoint:

@@ -13,11 +13,13 @@ computes once: the preimage tree of each depth n; the eps-free
 ``affable.PointTable`` of each point set (tree atoms, circle quadrature
 levels), kept only up to ``atom_budget`` points, which bounds the memo by
 atom_budget points per tree and 2 atom_budget per circle; and each
-function's ``mass_bound``.  Only the potential tail, and so
-the error bars, change with eps.  Ultrametric fibers are unchanged: each
-builds its own measure and reads its values exactly.  Nothing bounds the
-distance of a collapsed tree (``measures.tree_collapse``) to mu_phi, so
-the rows of its places fail.
+function's ``mass_bound``.  A table holds log|g| arrays shared per term
+and one plan per function, its float branches and its eps-free pole set;
+a fiber only forms c + q (eps log|g|) per branch, the max, and plus -
+minus.  Only the potential tail, and so the error bars, change with eps.
+Ultrametric fibers are unchanged: each builds its own measure and reads
+its values exactly.  Nothing bounds the distance of a collapsed tree
+(``measures.tree_collapse``) to mu_phi, so the rows of its places fail.
 
 Equilibrium row errors are the quadrature error plus the potential tail
 times ``affable.mass_bound``.  The scale, derived once:
@@ -127,9 +129,14 @@ class SweepRow:
 class SweepTable:
     rows: list = field(default_factory=list)
     modulus: dict = field(default_factory=dict)  # fn_id -> successive |row_{k+1} - row_k|, grid order
+    places: list = field(default_factory=list)  # place.describe() by grid position
 
     def value(self, place: Place, fn_id: str):
+        """fn_id's value at a place the grid visits once (else ``SweepError``)."""
         kind, param = place.describe()
+        at = [g for g, key in enumerate(self.places) if key == (kind, param)]
+        if len(at) > 1:
+            raise SweepError(f"place {kind} {param} occurs at grid positions {at}")
         for row in self.rows:
             if (row.place_kind, row.place_param, row.fn_id) == (kind, param, fn_id):
                 return row.value
@@ -151,7 +158,7 @@ class RadiusSpec:
         if self.kind == "const":
             return math.log(self.value)
         if place.kind == "arch" or place.kind == "padic":
-            return float(place.eps) * math.log(self.value)
+            return place.eps_float * math.log(self.value)
         return 0.0
 
     @staticmethod
@@ -216,7 +223,7 @@ def _chi_at(place: Place, center: Fraction, radius: RadiusSpec) -> Measure:
         return chi_measure(place, center, snap_rational(log_r / place.log_unit))
     # the place-radius r names the Euclidean circle of radius r^(1/eps); for
     # the constant radius 1 and for the base^eps family this is eps-uniform
-    return chi_measure(place, center, None, euclid_radius=math.exp(log_r / float(place.eps)))
+    return chi_measure(place, center, None, euclid_radius=math.exp(log_r / place.eps_float))
 
 
 def _failed_row(kind: str, param: str, fn, n_used: int, exc: Exception) -> SweepRow:
@@ -228,7 +235,7 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
     (measure, n_used, potential tail bound), with one memo for the sweep
     (module docstring)."""
     validate_grid(config.grid)
-    table = SweepTable()
+    table = SweepTable(places=[place.describe() for place in config.grid])
     tables, bounds = {}, {}
     values = {fn.fn_id: [None] * len(config.grid) for fn in config.battery}  # by grid position
 

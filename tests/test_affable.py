@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from berkpot.affable import (
     AffableError,
     AffableFn,
+    Branch,
+    Piece,
     PIECE_ZERO,
     affable_combine,
     affable_eval,
@@ -24,7 +27,7 @@ from berkpot.affable import (
 from berkpot.battery import load_battery, standard_battery
 from berkpot.graphs import graph_laplacian
 from berkpot.places import Place, abs_log_value
-from berkpot.points import GAUSS, build_skeleton, classical, disk, eval_log_abs
+from berkpot.points import ARCH_INF, GAUSS, arch_point, build_skeleton, classical, disk, eval_log_abs
 from berkpot.sweeps import RadiusSpec, SweepConfig, _chi_at, _sweep, default_skeleton
 
 ARC = Place.archimedean()
@@ -73,6 +76,78 @@ def test_arch_array_eval_matches_closed_forms():
             got = affable_eval(place, fn, np.array(zs))
             want = [forms[fn.fn_id](z, float(eps)) for z in zs]
             assert got == pytest.approx(want, abs=1e-12), (fn.fn_id, eps)
+
+
+def _oracle_piece(piece, u, eps):
+    """A piece read term by term from its Branch data: full(const) plus
+    q (eps log|g(u)|) per weighted term, g by Horner, max over the branches."""
+    best = np.full(u.shape, -math.inf)
+    for b in piece.branches:
+        if b.const is None:
+            continue
+        total = np.full(u.shape, float(b.const))
+        for q, g in b.terms:
+            if q != 0:
+                with np.errstate(divide="ignore"):
+                    logs = np.log(np.abs(np.polyval([complex(c) for c in reversed(g)], u)))
+                total = total + float(q) * (eps * logs)
+        best = np.maximum(best, total)
+    return best
+
+
+def _oracle(fn, zs, eps):
+    """(values, first pole in chart order or None): chart inf, at S = 1/z,
+    where |z| > 1."""
+    out, poles = np.empty(zs.shape), []
+    big = np.abs(zs) > 1
+    for sel, chart, u in ((~big, "0", zs[~big]), (big, "inf", 1 / zs[big])):
+        p, m = (_oracle_piece(piece, u, eps) for piece in fn.pieces(chart))
+        poles += list(zs[sel][np.isneginf(p) | np.isneginf(m)])
+        out[sel] = p - m
+    return out, (poles[0] if poles else None)
+
+
+ORACLE_FNS = [
+    # (5/3) clip_log_T2_minus_2: weights that are not powers of 2
+    affable_combine("scale_q", BAT[4], q=F(5, 3)),
+    # log|T - 1| (the sweep tests' pole function): -inf at 1, its minus piece -inf at infinity
+    AffableFn(piece_max_log(None, [(1, [-1, 1])]), PIECE_ZERO,
+              piece_max_log(None, [(1, [1, -1])]), piece_max_log(None, [(1, [0, 1])]), fn_id="log_T_minus_1"),
+    # log|T - 1/2| - log|T + 1/2|: the plus piece -inf at 1/2, the minus piece at -1/2
+    AffableFn(piece_max_log(None, [(1, [F(-1, 2), 1])]), piece_max_log(None, [(1, [F(1, 2), 1])]),
+              piece_max_log(None, [(1, [1, F(-1, 2)])]), piece_max_log(None, [(1, [1, F(1, 2)])]),
+              fn_id="log_ratio_halves"),
+    # log|T| on chart 0, and a chart-inf plus piece with no finite branch: -inf on all of |T| > 1
+    AffableFn(piece_max_log(None, [(1, [0, 1])]), PIECE_ZERO, Piece((Branch(None, ()),)), PIECE_ZERO,
+              fn_id="no_finite_branch"),
+]
+# infinity, the unit circle, and exact zeros of terms: T, T - 1, T - 2, T - 3,
+# T -+ 1/2, 1 - 2S (T = 2) and 1 - 3S (T = 3)
+ORACLE_POINTS = np.array([0.3 + 0.2j, ARCH_INF, 1, -1, 1j, complex(math.cos(2), math.sin(2)), 0, 2, 3,
+                          0.5, -0.5, 1.5 - 2j, -4 + 0.1j, 0.99j, 1e-3])
+
+
+@pytest.mark.parametrize("eps", [F(1), F(1, 3), F(1, 1024)], ids=["1", "1/3", "2^-10"])
+def test_arch_eval_equals_a_per_term_oracle(eps):
+    # bitwise on the points where f is finite; a pole fails the array at the
+    # first pole in chart order, and each pole alone names itself
+    place = Place.archimedean(eps)
+    for fn in BAT + ORACLE_FNS:
+        want, pole = _oracle(fn, ORACLE_POINTS, float(eps))
+        if pole is None:
+            assert np.array_equal(affable_eval(place, fn, ORACLE_POINTS), want), fn.fn_id
+            continue
+        with pytest.raises(AffableError) as caught:
+            affable_eval(place, fn, ORACLE_POINTS)
+        assert str(caught.value) == f"affable value is -inf at {arch_point(pole)!r}"
+        finite = np.array([_oracle(fn, np.array([z]), float(eps))[1] is None for z in ORACLE_POINTS])
+        assert np.array_equal(affable_eval(place, fn, ORACLE_POINTS[finite]), want[finite]), fn.fn_id
+        for z in ORACLE_POINTS[~finite]:
+            with pytest.raises(AffableError, match=re.escape(repr(arch_point(z)))):
+                affable_eval(place, fn, np.array([z]))
+    # the minus piece's pole -1/2 comes before the plus piece's 1/2
+    with pytest.raises(AffableError, match=re.escape(f"-inf at {arch_point(-0.5)!r}")):
+        affable_eval(place, ORACLE_FNS[2], np.array([0.1, -0.5, 0.2, 0.5]))
 
 
 def overlap_ring(place):

@@ -72,6 +72,22 @@ def test_modulus_follows_grid_positions_when_a_place_repeats():
     assert table.modulus[fn[0].fn_id] == pytest.approx([log3 / 2, log3 / 2, log3], abs=1e-12)
 
 
+def test_value_refuses_a_revisited_place():
+    # value() cannot tell the rows of arch 1 apart: it names the place and its
+    # grid positions; a place seen once, or not at all, reads as before
+    fn = [f for f in BAT if f.fn_id == "clip_log_T_minus_2"]
+    arc, half = Place.archimedean(1), Place.archimedean(F(1, 2))
+    cfg = SweepConfig(grid=[arc, half, arc, Place.trivial()], battery=fn,
+                      radius=RadiusSpec.parse({"pow_eps": "3"}))
+    table = sweep_chi(cfg)
+    with pytest.raises(SweepError, match=r"place arch 1 occurs at grid positions \[0, 2\]"):
+        table.value(arc, fn[0].fn_id)
+    assert table.value(half, fn[0].fn_id) == table.rows[1].value
+    assert table.value(Place.trivial(), fn[0].fn_id) == table.rows[3].value
+    with pytest.raises(KeyError):
+        table.value(Place.archimedean(F(1, 4)), fn[0].fn_id)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_padic_cert_err_is_tail_times_slope_sum(p):
     # T^2/p at tol 0.7: every skeleton potential is certified at n = 0, with
@@ -692,3 +708,38 @@ def test_point_tables_kept_only_under_the_atom_budget(monkeypatch):
     sweep_chi(cfg)
     levels = [64 << k for k in range(10)]
     assert built == levels[:5] + levels[5:] * 3
+
+
+def test_eps_free_work_is_done_once_per_table(monkeypatch):
+    # every archimedean fiber of z^2 - 1 reads the one depth-14 tree: its
+    # log|g| arrays are filled once per distinct term and its plans once per
+    # function, and a longer grid adds fibers but no fills
+    import berkpot.sweeps as sweeps
+
+    counts = {}
+
+    class Counting(sweeps.PointTable):
+        def __init__(self, z):
+            super().__init__(z)
+            counts["tables"] = counts.get("tables", 0) + 1
+
+        def log_abs(self, chart, u, coeffs):
+            counts["fills"] = counts.get("fills", 0) + ((chart, coeffs) not in self.logs)
+            return super().log_abs(chart, u, coeffs)
+
+        def plan(self, fn):
+            counts["plans"] = counts.get("plans", 0) + (id(fn) not in self.plans)
+            return super().plan(fn)
+
+    monkeypatch.setattr(sweeps, "PointTable", Counting)
+    terms = {(chart, g) for fn in BAT for chart in ("0", "inf") for piece in fn.pieces(chart)
+             for b in piece.branches if b.const is not None for q, g in b.terms if q != 0}
+    seen = []
+    for depth in (10, 14):
+        counts.clear()
+        table = sweep_equilibrium(SweepConfig(grid=default_grid(depth), battery=BAT,
+                                              lift=HomogeneousLift.polynomial([-1, 0, 1])))
+        assert not any(r.error for r in table.rows)
+        assert counts == {"tables": 1, "fills": len(terms), "plans": len(BAT)}
+        seen.append(counts.copy())
+    assert seen[0] == seen[1]
