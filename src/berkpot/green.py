@@ -430,6 +430,15 @@ def _closed_tail(place: Place, lift: HomogeneousLift, tails, prev, y: BerkPoint,
     return None
 
 
+@functools.cache
+def _a_priori_depth(gmax: float, d: int, tol: float):
+    """(n, err): the least n with err = G_max / (d^n (d-1)) <= tol, divided down by d."""
+    n, err = 0, gmax / (d - 1)
+    while err > tol:
+        n, err = n + 1, err / d
+    return n, err
+
+
 def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> PotentialState:
     """Canonical potential at x with a certified tail.
 
@@ -450,11 +459,7 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
         raise GreenError(_VANISHING_RES if is_neg_inf(bound.lower) else _INFINITE_BOUND)
     if bound.gmax == 0.0:
         return PotentialState(lambda_n(place, lift, x, 0), 0, 0.0, "exact", 0.0)
-    n = 0
-    err = bound.gmax / (d - 1)
-    while err > tol:
-        n += 1
-        err /= d
+    n, err = _a_priori_depth(bound.gmax, d, tol)
     if not place.is_ultrametric:
         stop = min(err, MACH_EPS * bound.gmax / (d - 1))
         value, n_used, _ = _arch_limit(place, lift, _arch_lift(x), n, stop)

@@ -213,11 +213,6 @@ def pullback_measure(place: Place, lift: HomogeneousLift, mu) -> ArchMeasure:
     return ArchMeasure(pre.z, mu.w[pre.parent] * pre.mult)
 
 
-def _rounded(z):
-    """Atom keys: real and imaginary parts rounded to 12 decimals."""
-    return np.round(z.real, 12), np.round(z.imag, 12)
-
-
 def tree_collapse(n: int, mu: ArchMeasure) -> str:
     """Why the depth-n preimage tree mu is not mu_phi, or "": three or more
     levels and still at most two points.  Preimages of distinct targets are
@@ -230,26 +225,29 @@ def tree_collapse(n: int, mu: ArchMeasure) -> str:
     return ""
 
 
-def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int) -> ArchMeasure:
+def equilibrium_arch(place: Place, lift: HomogeneousLift, seed, n: int, levels: dict = None) -> ArchMeasure:
     """d^{-n} (phi^*)^n delta_seed as an atomic measure with d^n atoms,
     sorted by position (infinity last).
 
-    Warns when the tree has collapsed (``tree_collapse``).
+    ``levels``, a dict keyed by depths k <= n, gets the depth-k measure of the same pullback
+    chain at each key.  Warns for each measure kept whose tree has collapsed (``tree_collapse``).
     """
     if place.is_ultrametric:
         raise PlaceError("preimage-tree equilibrium is archimedean")
     if n < 0:
         raise MeasureError("n must be nonnegative")
     mu = _as_arch(dirac(seed if isinstance(seed, BerkPoint) else classical(complex(seed))))
-    for _ in range(n):
-        mu = pullback_measure(place, lift, mu)  # weights are multiplicity products
-    if reason := tree_collapse(n, mu):
-        warnings.warn(reason, ExceptionalSeedWarning)
-    # deterministic atom order
-    re, im = _rounded(mu.z)
-    order = np.lexsort((im, re))
-    scale = lift.d**n
-    return ArchMeasure(mu.z[order], mu.w[order] / scale)
+    levels = {} if levels is None else levels
+    for k in range(n + 1):
+        if k == n or k in levels:
+            if reason := tree_collapse(k, mu):
+                warnings.warn(reason, ExceptionalSeedWarning)
+            # deterministic atom order: by real, then imaginary part, rounded to 12 decimals
+            order = np.lexsort((np.round(mu.z.imag, 12), np.round(mu.z.real, 12)))
+            levels[k] = ArchMeasure(mu.z[order], mu.w[order] / lift.d**k)
+        if k < n:
+            mu = pullback_measure(place, lift, mu)  # weights are multiplicity products
+    return levels[n]
 
 
 @dataclass

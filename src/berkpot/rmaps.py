@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -227,8 +227,8 @@ def preimages_arch(lift: HomogeneousLift, a) -> PreimageSet:
 
     ``a`` is a complex target or a 1-D complex array of targets, solved as
     one batch; ``ARCH_INF`` is the point at infinity, whose row is F1.  The
-    roots of F0(t,1) - a F1(t,1) are the eigenvalues of stacked companion
-    matrices plus one Newton polish; infinity accounts for any degree drop.
+    roots of F0(t,1) - a F1(t,1) come from ``_solve_rows`` with one Newton
+    polish; infinity accounts for any degree drop.
     """
     f0, f1 = lift.complex_coeffs
     a = np.atleast_1d(np.asarray(a, dtype=complex))[:, None]
@@ -237,12 +237,12 @@ def preimages_arch(lift: HomogeneousLift, a) -> PreimageSet:
 
 
 def _solve_rows(rows, d: int) -> PreimageSet:
-    """Roots of each row of ascending coefficients, with the np.roots
-    conventions: top coefficients below 1e-12 of the row scale drop the
-    degree (roots at infinity), exactly zero low coefficients are roots at 0."""
+    """Roots of each row of ascending coefficients, in closed form up to two, else as companion
+    eigenvalues, with the np.roots conventions: top coefficients below 1e-12 of the row scale
+    drop the degree (roots at infinity), exactly zero low coefficients are roots at 0."""
     k = len(rows)
     size = np.abs(rows)
-    scale = size.max(axis=1)
+    scale = reduce(np.maximum, size.T)  # row maxima; max(axis=1) is slow on short rows
     if not (scale > 0).all():
         raise MapError("zero preimage polynomial; degenerate map")
     kept = size > 1e-12 * scale[:, None]
@@ -254,40 +254,42 @@ def _solve_rows(rows, d: int) -> PreimageSet:
     mult = np.zeros((k, d + 1), dtype=np.int64)
     mult[:, d] = d - deg
     flagged = False
-    for dg, lz in set(zip(deg.tolist(), low.tolist())):
-        if dg == 0:
-            continue
+    for key in set((deg * (d + 1) + low).tolist()):  # one group per (deg, low)
+        dg, lz = divmod(key, d + 1)
         idx = np.nonzero((deg == dg) & (low == lz))[0]
-        poly = rows[idx, : dg + 1][:, ::-1]  # highest coefficient first
+        poly = rows.T[dg::-1, idx]  # a column per row (coefficients broadcast), highest first
         n = dg - lz
-        r = np.zeros((len(idx), dg), dtype=complex)
-        if n:
+        r = np.zeros((dg, len(idx)), dtype=complex)
+        if n > 2:
             comp = np.zeros((len(idx), n, n), dtype=complex)
             comp[:, np.arange(1, n), np.arange(n - 1)] = 1
-            comp[:, 0, :] = -poly[:, 1 : n + 1] / poly[:, :1]
-            r[:, :n] = np.linalg.eigvals(comp)
+            comp[:, 0, :] = (-poly[1 : n + 1] / poly[0]).T
+            r[:n] = np.linalg.eigvals(comp).T
+        elif n == 2:  # z^2 - B z - C, (B, C) the companion's first row
+            b, c = -poly[1:3] / poly[0]
+            s = np.sqrt(b * b + 4 * c)  # roots q = (B +- s) / 2, the larger, and -C / q
+            q = (b + np.where((b * s.conj()).real < 0, -s, s)) / 2  # |q| > 1e-162 unless C = 0
+            r[:2] = np.add((q, -c / np.where(abs(q) < 1e-300, 1, q)), 0.0)  # 0 / tiny q is nan in numpy
+        elif n:  # z - B
+            r[0] = -poly[1] / poly[0] + 0.0  # adding 0.0 leaves no -0.0 part, as eigvals does
         # one Newton step where the derivative is not negligible
-        val = np.zeros_like(r)
-        der = np.zeros_like(r)
+        val, der = np.zeros_like(r), np.zeros_like(r)
         for j in range(dg + 1):
-            val = val * r + poly[:, j, None]
+            val = val * r + poly[j]
             if j < dg:
-                der = der * r + poly[:, j, None] * (dg - j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(np.abs(der) > 1e-12 * scale[idx, None], r - val / der, r)
-        roots[idx, :dg] = r
+                der = der * r + poly[j] * (dg - j)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # lanes the where drops
+            r = np.where(np.abs(der) > 1e-12 * scale[idx], r - val / der, r)
+        roots[idx, :dg] = r.T
         mult[idx, :dg] = 1
         # rows with two roots within 10x the cluster radius go through _cluster
-        gap = np.abs(r[:, :, None] - r[:, None, :])
-        big = np.maximum(np.abs(r[:, :, None]), np.abs(r[:, None, :]))
-        near = gap <= 10 * CLUSTER_REL * (1.0 + big)
-        near &= ~np.eye(dg, dtype=bool)
-        for i in np.nonzero(near.any(axis=(1, 2)))[0]:
-            entries, flag = _cluster([complex(x) for x in r[i]])
+        u, v = np.triu_indices(dg, 1)  # the pairs of roots
+        near = np.abs(r[u] - r[v]) <= 10 * CLUSTER_REL * (1.0 + np.maximum(abs(r[u]), abs(r[v])))
+        for i in np.nonzero(near.any(axis=0))[0]:
+            entries, flag = _cluster([complex(x) for x in r[:, i]])
             flagged = flagged or flag
             mult[idx[i], :d] = 0
-            roots[idx[i], : len(entries)] = [z for z, _ in entries]
-            mult[idx[i], : len(entries)] = [m for _, m in entries]
+            roots[idx[i], : len(entries)], mult[idx[i], : len(entries)] = zip(*entries)
     keep = mult > 0
     return PreimageSet(roots[keep], mult[keep], np.nonzero(keep)[0], flagged)
 

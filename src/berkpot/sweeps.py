@@ -9,7 +9,7 @@ never asserted: the tables are the witness.
 Every archimedean fiber is C with |.|^eps, so the equilibrium measure
 mu_phi, the points an integral reads and their log|g| values do not depend
 on eps; only a few float operations per point do.  A sweep therefore
-computes once: the preimage tree of each depth n; the eps-free
+computes once: one pullback chain and its tree of each depth n; the eps-free
 ``affable.PointTable`` of each point set (tree atoms, circle quadrature
 levels), kept only up to ``atom_budget`` points, which bounds the memo by
 atom_budget points per tree and 2 atom_budget per circle; and each
@@ -45,6 +45,7 @@ archimedean circle row is a doubling difference plus rounding, not a bound.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -275,33 +276,33 @@ def sweep_chi(config: SweepConfig) -> SweepTable:
     return _sweep(config, lambda place: (_chi_at(place, config.center, config.radius), 0, 0.0))
 
 
-def _eq_measure_at(place: Place, config: SweepConfig, trees: dict | None = None):
+def _arch_depth(place: Place, config: SweepConfig):
+    """(G_max, n, tail): the first depth n with tail = G_max / (d^n (d-1)) <= tol, within budget."""
+    gmax, d = deviation_bound(place, config.lift).gmax, config.lift.d
+    n, tail = 1, gmax / (d - 1) / d
+    while tail > config.tol and d ** (n + 1) <= config.atom_budget:
+        n, tail = n + 1, tail / d
+    return gmax, n, tail
+
+
+def _eq_measure_at(place: Place, config: SweepConfig, trees: dict | None = None, depth=None):
     """Equilibrium measure at one place: (measure, n_used, potential tail bound).
 
-    ``trees`` maps a depth n to the archimedean measure of that depth, which
-    does not depend on eps; a sweep passes one dict, so each depth is built
-    once per sweep.
+    ``depth`` is the place's ``_arch_depth`` if known; ``trees`` maps each
+    archimedean depth of a sweep to its measure, which does not depend on
+    eps, or to None until one pullback chain fills them all.
     """
     lift = config.lift
-    bound = deviation_bound(place, lift)
-    if bound.gmax == 0.0:
-        # canonical potential is identically zero: the measure is the circle
-        # family member itself, exactly
+    gmax, n, tail = depth or _arch_depth(place, config)
+    if gmax == 0.0:
+        # the canonical potential is identically zero: the measure is the circle family member
         return _chi_at(place, Fraction(0), RadiusSpec("const", Fraction(1))), 0, 0.0
     if place.is_ultrametric:
-        skel = default_skeleton(place)
-        mu, report = equilibrium_nonarch(place, lift, skel, config.tol)
+        mu, report = equilibrium_nonarch(place, lift, default_skeleton(place), config.tol)
         return mu, 0, max(st.certified_error for st in report.states)
-    d = lift.d
-    n = 1
-    tail = bound.gmax / (d - 1) / d
-    while tail > config.tol and d ** (n + 1) <= config.atom_budget:
-        n += 1
-        tail /= d
-    if trees is None:
-        trees = {}
-    if n not in trees:
-        trees[n] = equilibrium_arch(place, lift, config.seed_point, n)
+    trees = {n: None} if trees is None else trees
+    if trees[n] is None:
+        equilibrium_arch(place, lift, config.seed_point, max(trees), trees)
     if reason := tree_collapse(n, trees[n]):
         raise MeasureError(reason)
     return trees[n], n, tail
@@ -313,8 +314,12 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
         raise SweepError("equilibrium sweep needs a map")
     if not config.lift.is_rational:
         raise SweepError("sweep maps must have rational coefficients (shared across fibers)")
-    trees = {}
-    return _sweep(config, lambda place: _eq_measure_at(place, config, trees))
+    depths = {}  # every place's depth before the first tree
+    for place in config.grid:
+        with contextlib.suppress(*ROW_ERRORS):  # a place that fails here fails its rows
+            depths[place] = _arch_depth(place, config)
+    trees = dict.fromkeys(n for place, (gmax, n, _) in depths.items() if gmax and not place.is_ultrametric)
+    return _sweep(config, lambda place: _eq_measure_at(place, config, trees, depths.get(place)))
 
 
 def circle_sample(n: int = 64, radius: float = 1.0):

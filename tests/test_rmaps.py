@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from berkpot import polys
 from berkpot.green import deviation_bound
+from berkpot.measures import equilibrium_arch
 from berkpot.places import Place, flow_place
 from berkpot.points import (ARCH_INF, GAUSS, arch_point, classical, disk, eval_log_abs, flow_point, infinity,
                             same_point)
@@ -17,6 +19,7 @@ from berkpot.rmaps import (
     lift_from_json,
     lift_to_json,
     preimages_arch,
+    _solve_rows,
 )
 
 ARC = Place.archimedean()
@@ -247,6 +250,86 @@ def test_preimages_batch_degree_drop():
     assert pre.z[2] == ARCH_INF  # both preimages of 0, as one entry of multiplicity 2
     assert sorted(pre.z[:2].real) == pytest.approx([-0.5, 0.5], abs=1e-15)
     assert pre.entries[-1] == (ARCH_INF, 2) and pre.total_multiplicity == 4
+
+
+def _row_roots(pre, i):
+    """The roots of row i of a ``_solve_rows`` result, each repeated by its multiplicity."""
+    return [z for z, m in zip(pre.z[pre.parent == i], pre.mult[pre.parent == i]) for _ in range(m)]
+
+
+def _same_multiset(got, want):
+    """got and want agree with multiplicity, within 1e-12 (1 + |r|)."""
+    got = list(got)
+    for w in want:
+        k = min(range(len(got)), key=lambda i: abs(got[i] - w))
+        assert abs(got[k] - w) <= 1e-12 * (1 + abs(w)), (got, want)
+        got.pop(k)
+    assert not got
+
+
+def _no_negative_zero(z):
+    """Zero parts are +0.0, as eigvals returns them."""
+    for part in (z.real, z.imag):
+        assert not np.signbit(part[part == 0]).any()
+
+
+# ascending column factors: whole rows at 1e-8 and 1e8, roots near 1e+-4, and
+# roots 1e16 apart, where the textbook formula cancels
+@pytest.mark.parametrize("factors", [(1, 1, 1), (1e-8,) * 3, (1e8,) * 3, (1e8, 1, 1), (1e-8, 1, 1),
+                                     (1, 1e8, 1)])
+def test_closed_form_quadratics_match_np_roots(factors):
+    rng = np.random.default_rng(27)
+    rows = (rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3))) * np.array(factors)
+    pre = _solve_rows(rows, 2)
+    for i, row in enumerate(rows):
+        _same_multiset(_row_roots(pre, i), np.roots(row[::-1]))
+
+
+def test_closed_form_double_roots_zero_constant_and_degree_drop():
+    rng = np.random.default_rng(28)
+    # exact double roots a (z - w)^2 on dyadic w: one root of multiplicity 2
+    w = (rng.integers(-8, 9, 40) + 1j * rng.integers(-8, 9, 40)) / 4
+    a = rng.integers(1, 5, 40) * (1 + 0j)
+    pre = _solve_rows(np.stack([a * w * w, -2 * a * w, a], axis=1), 2)
+    assert pre.mult.tolist() == [2] * 40 and pre.parent.tolist() == list(range(40))
+    assert (abs(pre.z - w) <= 1e-12 * (1 + abs(w))).all() and not pre.flagged
+    _no_negative_zero(pre.z)
+    # coefficients 330 decades apart: C underflows to 0 and q is subnormal, where
+    # complex division overflows; the roots stay finite, one cluster as from eigvals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pre = _solve_rows(np.array([[1e-320, 1e-300, 1e10], [1e-320, 1e-300, 1e10j]]), 2)
+    assert np.isfinite(pre.z).all() and pre.mult.tolist() == [2, 2]
+    # a zero constant term leaves one root to solve (n = 1) beside the root 0
+    rows = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    rows[:, 0] = 0
+    rows[:20] = rows[:20].real
+    pre = _solve_rows(rows, 2)
+    _no_negative_zero(pre.z)
+    for i, row in enumerate(rows):
+        assert 0j in _row_roots(pre, i)
+        _same_multiset(_row_roots(pre, i), np.roots(row[::-1]))
+    # a top coefficient below 1e-12 of the row scale is a degree drop: one
+    # root at infinity, and the rest are the roots of the lower row
+    rows = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    rows[:, 2] *= 1e-13 * np.abs(rows).max(axis=1) / np.abs(rows[:, 2])
+    pre = _solve_rows(rows, 2)
+    for i, row in enumerate(rows):
+        got = _row_roots(pre, i)
+        assert got[-1] == ARCH_INF
+        _same_multiset(got[:-1], np.roots(row[1::-1]))
+
+
+def test_quadratic_trees_call_no_eigvals(monkeypatch):
+    # at most two finite roots are solved in closed form; companions above that
+    shapes = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: shapes.append(m.shape) or eigvals(m))
+    equilibrium_arch(ARC, HomogeneousLift.polynomial([-1, 0, 1]), 2, 8)
+    equilibrium_arch(ARC, HomogeneousLift.from_coeffs(2, [0, 1], [1, 0, 1]), 0.5, 6)
+    assert shapes == []
+    preimages_arch(HomogeneousLift.polynomial([1, -3, 0, 1]), np.array([2j, 5 + 0j]))
+    assert shapes == [(2, 3, 3)]
 
 
 def _pushforward(lift, f, a):

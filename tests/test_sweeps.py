@@ -553,9 +553,27 @@ def test_one_preimage_tree_per_hybrid_sweep(monkeypatch, coeffs):
     assert not any(r.error for r in table.rows)
 
 
+def test_one_pullback_chain_per_sweep(monkeypatch):
+    # default_grid(20) needs the depths 14 down to 8 for z^2 - 1: one chain to
+    # depth 14 keeps each level, where a tree per depth pulled back 77 times
+    import berkpot.measures as measures
+    import berkpot.sweeps as sweeps
+
+    calls = []
+    pull = measures.pullback_measure
+    monkeypatch.setattr(measures, "pullback_measure", lambda *args: calls.append(args) or pull(*args))
+    cfg = SweepConfig(grid=default_grid(20), battery=F1, lift=HomogeneousLift.polynomial([-1, 0, 1]))
+    table = sweep_equilibrium(cfg)
+    assert len(calls) == 14
+    assert sorted({r.n_used for r in table.rows[:-1]}) == list(range(8, 15))
+    # the rows of a tree built from the seed for each place
+    per_place = sweeps._sweep(cfg, lambda place: _eq_measure_at(place, cfg))
+    assert not any(r.error for r in table.rows) and table.rows == per_place.rows
+
+
 def test_cli_sweep_eq_matches_reference_bytes(tmp_path):
-    # `sweep-eq` rows for z^2 - 1 at depth 3, atom budget 256, as written when
-    # every archimedean place built its own preimage tree
+    # `sweep-eq` rows for z^2 - 1 at depth 3, atom budget 256, as written once
+    # preimage levels with at most two finite roots were solved in closed form
     ref_path = os.path.join(os.path.dirname(__file__), "data", "sweep_eq_z2m1_depth3.csv")
     cfg = _write(tmp_path, "cfg.json", {"depth": 3, "atom_budget": 256,
                                         "map": lift_to_json(HomogeneousLift.polynomial([-1, 0, 1]))})
