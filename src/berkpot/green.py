@@ -36,13 +36,15 @@ escape tail below).
 
 Ultrametric places walk an exact orbit of BerkPoints: ``rmaps.apply_point``
 is the one step, for classical points, infinity and disks alike, and g is
-the seminorm formula log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x) of
-``deviation_at_point``, read in the chart (T, 1) for disks and |z| <= 1,
-and in the chart (1, S = 1/T) for |z| > 1 and infinity.  A disk point
-eta_{a,r} evaluates F once: the one Taylor shift F0(a + T) gives |F0| for g
-and, divided by f1[0], the image disk; the constant F1 of a polynomial lift
-needs no shift, nor does log|T| = max(log|a|, r) (``points.coord_log_abs``).
-The n terms of a sum take n - 1 steps.
+the seminorm formula log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x), read
+in the chart (T, 1) for disks and |z| <= 1, and in the chart (1, S = 1/T),
+where max(|S|, 1) = 1, for |z| > 1 and infinity.  Every orbit point
+evaluates F once, for g and for its image: a classical point or infinity
+the pair (F0, F1) in its chart (``rmaps.pair_at``), a disk eta_{a,r} the
+one Taylor shift F0(a + T), which divided by f1[0] gives the image disk.
+The constant F1 of a polynomial lift needs no shift, nor does log|T| =
+max(log|a|, r) (``points.coord_log_abs``).  The n terms of a sum take
+n - 1 steps.
 
 A polynomial map phi = F0 / f1[0] has two closed tails, where g is constant
 on the rest of the orbit and the series sums to g / (d^k (d-1)) from step k
@@ -100,7 +102,6 @@ from .points import (
     GAUSS,
     INF,
     BerkPoint,
-    classical,
     contains,
     coord_log_abs,
     eval_log_abs,
@@ -109,7 +110,7 @@ from .points import (
     newton_lines,
 )
 from .polys import taylor_shift
-from .rmaps import HomogeneousLift, apply_point
+from .rmaps import HomogeneousLift, apply_point, pair_at
 
 
 class GreenError(RuntimeError):
@@ -233,29 +234,15 @@ def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
 # -- exact orbits ------------------------------------------------------------
 
 
-def deviation_at_point(place: Place, lift: HomogeneousLift, x: BerkPoint) -> LogValue:
-    """g(x) = log max(|F0|, |F1|)(x) - d log max(|T|, 1)(x), from the seminorm of x.
-
-    Exact places read a disk, or a classical point with log|z| <= 0, in the
-    chart (T, 1); a classical point with log|z| > 0 and infinity in the
-    chart (1, S), S = 1/T, where F_i(1, S) has the reversed coefficient
-    list and max(|S|, 1) = 1.  Raises GreenError where the map is not
-    defined on the fiber: |F| = +inf at a residue place.
-    """
-    return deviation_sequence(place, lift, x, 1)[0]
-
-
-def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log, f0_shift) -> LogValue:
-    """g(x) at an exact place (``deviation_at_point``), given t_log =
-    log|T|(x) and, at a disk eta_{a,r}, f0_shift = F0(a + T)."""
-    f0, f1 = list(lift.f0), list(lift.f1)
-    if x.t != DISK and t_log > 0:
-        x = classical(0 if x.t == INF else 1 / x.z)
-        f0.reverse()
-        f1.reverse()
-        t_log = 0
-    n0 = newton_envelope(newton_lines(place, f0_shift), x.logr) if x.t == DISK else eval_log_abs(place, x, f0)
-    n_out = vmax(n0, eval_log_abs(place, x, f1))
+def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log, read) -> LogValue:
+    """g(x) at an exact place (module docstring), from what the orbit step
+    read at x: F0(a + T) at a disk eta_{a,r}, where t_log = log|T|(x), and
+    (F0, F1) in x's own chart elsewhere.  GreenError where the map is not
+    defined on the fiber: |F| = +inf at a residue place."""
+    if x.t == DISK:
+        n_out = vmax(newton_envelope(newton_lines(place, read), x.logr), eval_log_abs(place, x, lift.f1))
+    else:
+        n_out, t_log = vmax(*(abs_log_value(place, w) for w in read)), 0
     if is_neg_inf(n_out):
         raise GreenError(_ZERO_NORM)
     if is_pos_inf(n_out):  # a residue place where the map is not defined
@@ -265,8 +252,8 @@ def _exact_g(place: Place, lift: HomogeneousLift, x: BerkPoint, t_log, f0_shift)
 
 def _exact_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int, tails):
     """(value, steps summed, terms) of lambda_n(x) at an exact place, terms
-    being the g values summed; a disk point eta_{a,r} shifts F0 to a once,
-    for g and for its image.  Closed at the first step k < n where
+    being the g values summed; each orbit point reads F once, for g and for
+    its image (module docstring).  Closed at the first step k < n where
     ``_closed_tail`` finds a tail (never if tails is None)."""
     if not lift.is_rational:
         raise PlaceError(_COMPLEX_LIFT)
@@ -280,12 +267,12 @@ def _exact_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int, tail
             if g_tail is not None:
                 # exact geometric tail: g stays at g_tail from step k on
                 return total - Fraction(1, d**k * (d - 1)) * g_tail, k, terms
-        shifted = taylor_shift(lift.f0, x.center) if x.t == DISK else None
-        terms.append(_exact_g(place, lift, x, t_log, shifted))
+        read = taylor_shift(lift.f0, x.center) if x.t == DISK else pair_at(lift, x, t_log > 0)
+        terms.append(_exact_g(place, lift, x, t_log, read))
         total = total - Fraction(1, d ** (k + 1)) * terms[-1]
         prev = x if t_log <= 0 else None
         if k < n - 1:
-            x = apply_point(place, lift, x, shifted)
+            x = apply_point(place, lift, x, read)
     return total, n, terms
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import polys
 from .places import Place, PlaceError, is_neg_inf
-from .points import (ARCH_INF, BerkPoint, CLS, INF, classical_pair, disk, newton_envelope,
+from .points import (ARCH_INF, BerkPoint, DISK, INF, classical_pair, disk, newton_envelope,
                      newton_lines, reduce_center)
 from .polys import poly_eval, sylvester_matrix, taylor_shift, trim
 
@@ -171,26 +171,29 @@ def _pad(coeffs, d):
     return list(coeffs) + [zero] * (d + 1 - len(coeffs))
 
 
-def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint, _f0_shift=None) -> BerkPoint:
+def pair_at(lift: HomogeneousLift, x: BerkPoint, far: bool) -> tuple:
+    """(F0, F1) at a classical point at (z, 1), or if far at (1, S = 1/z); at infinity at (1, 0)."""
+    if x.t == INF:
+        return lift.f0[lift.d], lift.f1[lift.d]
+    f0, f1, s = (lift.f0[::-1], lift.f1[::-1], 1 / x.z) if far else (lift.f0, lift.f1, x.z)
+    return poly_eval(f0, s), poly_eval(f1, s)
+
+
+def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint, _read=None) -> BerkPoint:
     """Image of a point: evaluation for classical points, exact disk
     transport eta_{a,r} -> eta_{phi(a), r'} for polynomial maps.
 
     The new log-radius is max_{i>=1}(log|c_i| + i r) for phi(a+T) = sum c_i T^i,
-    c_i the coefficients of F0(a + T) divided by f1[0].  An exact orbit that
-    has shifted F0 to a already passes that shift as ``_f0_shift``.
+    c_i the coefficients of F0(a + T) divided by f1[0].  An exact orbit
+    passes what it read at x as ``_read``: that shift, or ``pair_at``.
     """
-    if x.t == INF:
-        return classical_pair(lift.f0[lift.d], lift.f1[lift.d])
-    if x.t == CLS:
-        z0 = poly_eval(lift.f0, x.z)
-        z1 = poly_eval(lift.f1, x.z)
-        return classical_pair(z0, z1)
+    if x.t != DISK:
+        return classical_pair(*(_read or pair_at(lift, x, x.t == INF)))
     if not place.is_ultrametric:
         raise PlaceError("disk points live in ultrametric fibers only")
     if not lift.is_polynomial:
         raise MapError("disk transport implemented for polynomial maps only")
-    f0_shift = taylor_shift(lift.f0, x.center) if _f0_shift is None else _f0_shift
-    shifted = [c / lift.f1[0] for c in f0_shift]
+    shifted = [c / lift.f1[0] for c in _read or taylor_shift(lift.f0, x.center)]
     new_logr = newton_envelope(newton_lines(place, [0] + shifted[1:]), x.logr)  # log|phi - phi(a)|
     if is_neg_inf(new_logr):
         raise MapError("disk image degenerated to a classical point")
@@ -245,6 +248,9 @@ def _solve_rows(rows, d: int) -> PreimageSet:
     scale = reduce(np.maximum, size.T)  # row maxima; max(axis=1) is slow on short rows
     if not (scale > 0).all():
         raise MapError("zero preimage polynomial; degenerate map")
+    if (tiny := scale < 2.0**-960).any():  # numpy's complex division by so small a top coefficient gives nan,
+        e = np.where(tiny, -np.frexp(scale)[1], 0)[:, None]  # so scale those rows by 2^e, which moves no root
+        return _solve_rows(np.ldexp(np.ascontiguousarray(rows, complex).view(float), e).view(complex), d)
     kept = size > 1e-12 * scale[:, None]
     kept[:, 0] = True
     deg = d - np.argmax(kept[:, ::-1], axis=1)

@@ -237,7 +237,7 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
     (module docstring)."""
     validate_grid(config.grid)
     table = SweepTable(places=[place.describe() for place in config.grid])
-    tables, bounds = {}, {}
+    tables, bounds = {}, [mass_bound(fn) for fn in config.battery]
     values = {fn.fn_id: [None] * len(config.grid) for fn in config.battery}  # by grid position
 
     def points(key, make):
@@ -259,9 +259,7 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
         for k, fn in enumerate(config.battery):
             try:
                 val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n, points)
-                if tail and k not in bounds:
-                    bounds[k] = mass_bound(fn)
-                cert = qerr + (tail * bounds[k] if tail else 0.0)
+                cert = qerr + tail * bounds[k]
                 table.rows.append(SweepRow(kind, param, fn.fn_id, val, cert, n_used))
                 values[fn.fn_id][g] = val
             except ROW_ERRORS as exc:

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,6 @@ import pytest
 from berkpot.green import (
     GreenError,
     contraction_ratios,
-    deviation_at_point,
     deviation_bound,
     deviation_sequence,
     lambda_limit,
@@ -19,7 +19,7 @@ from berkpot.measures import equilibrium_arch
 from berkpot.places import Place, PlaceError, flow_place
 from berkpot.points import GAUSS, classical, classical_pair, disk, flow_point, infinity
 from berkpot.polys import poly_eval
-from berkpot.rmaps import HomogeneousLift, resultant_cofactors
+from berkpot.rmaps import HomogeneousLift, apply_point, resultant_cofactors
 from berkpot.sweeps import circle_sample
 
 ARC = Place.archimedean()
@@ -39,9 +39,9 @@ def test_standard_potential_examples():
 
 
 def test_deviation_examples():
-    assert deviation_at_point(ARC, Z2, classical(1.3 + 0.4j)) == pytest.approx(0.0)
-    assert deviation_at_point(ARC, F11, classical(0j)) == pytest.approx(0.0)
-    assert deviation_at_point(ARC, F11, classical(1 + 0j)) == pytest.approx(math.log(2))
+    assert deviation_sequence(ARC, Z2, classical(1.3 + 0.4j), 1)[0] == pytest.approx(0.0)
+    assert deviation_sequence(ARC, F11, classical(0j), 1)[0] == pytest.approx(0.0)
+    assert deviation_sequence(ARC, F11, classical(1 + 0j), 1)[0] == pytest.approx(math.log(2))
 
 
 def test_deviation_scale_invariance():
@@ -53,7 +53,7 @@ def test_deviation_scale_invariance():
         if abs(z) + abs(w) == 0:
             continue
         c = complex(rng.uniform(0.1, 5), rng.uniform(-1, 1))
-        g = deviation_at_point(ARC, Z2P1, classical_pair(z, w))
+        g = deviation_sequence(ARC, Z2P1, classical_pair(z, w), 1)[0]
         for z0, z1 in ((z, w), (c * z, c * w)):
             norm = max(abs(z0 * z0 + z1 * z1), abs(z1 * z1))  # F = (T0^2 + T1^2, T1^2)
             assert math.log(norm) - 2 * math.log(max(abs(z0), abs(z1))) == pytest.approx(g, abs=1e-9)
@@ -74,7 +74,7 @@ def test_one_step_identity_arch():
         x = classical(z)
         n = rng.randint(0, 6)
         lhs = lambda_n(ARC, Z2P1, x, n + 1)
-        rhs = lambda_n(ARC, Z2P1, apply_point(ARC, Z2P1, x), n) / 2 - deviation_at_point(ARC, Z2P1, x) / 2
+        rhs = lambda_n(ARC, Z2P1, apply_point(ARC, Z2P1, x), n) / 2 - deviation_sequence(ARC, Z2P1, x, 1)[0] / 2
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -86,7 +86,8 @@ def test_one_step_identity_exact_ultrametric():
     for x in (GAUSS, disk(0, F(-1)), disk(0, F(2)), disk(1, F(-1, 2)), classical(F(2))):
         for n in (0, 1, 3):
             lhs = lambda_n(p5, lift, x, n + 1)
-            rhs = F(1, 2) * lambda_n(p5, lift, apply_point(p5, lift, x), n) - F(1, 2) * deviation_at_point(p5, lift, x)
+            rhs = (F(1, 2) * lambda_n(p5, lift, apply_point(p5, lift, x), n)
+                   - F(1, 2) * deviation_sequence(p5, lift, x, 1)[0])
             assert lhs == rhs
 
 
@@ -199,7 +200,7 @@ def test_gmax_is_actually_a_bound():
             w = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if abs(z) + abs(w) < 1e-3:
                 continue
-            assert abs(deviation_at_point(ARC, lift, classical_pair(z, w))) <= g + 1e-9
+            assert abs(deviation_sequence(ARC, lift, classical_pair(z, w), 1)[0]) <= g + 1e-9
 
 
 def test_heuristic_bound_for_complex_lifts():
@@ -511,7 +512,7 @@ _DEVIATION_G_PINNED = {
 def test_arch_deviation_g_bits_pinned(eps, name):
     lift = {"rabbit": RABBIT, "nonpoly": NONPOLY, "cubic": CUBIC}[name]
     lifts = [(1.3 + 0.4j, 1), (0.2 - 0.7j, 1.5j), (3, 0.5 + 0.5j), (2 - 1j, 1e-3)]
-    got = [deviation_at_point(Place.archimedean(eps), lift, classical_pair(*zhat)).hex() for zhat in lifts]
+    got = [deviation_sequence(Place.archimedean(eps), lift, classical_pair(*zhat), 1)[0].hex() for zhat in lifts]
     assert got == _DEVIATION_G_PINNED[eps, name]
 
 
@@ -520,7 +521,7 @@ def test_complex_lift_at_an_ultrametric_place_is_a_place_error():
     p3 = Place.padic(3)
     with pytest.raises(PlaceError, match="archimedean-only"):
         lambda_n(p3, lift, disk(1, -2), 3)
-    for call in (lambda: deviation_sequence(p3, lift, GAUSS, 2), lambda: deviation_at_point(p3, lift, GAUSS),
+    for call in (lambda: deviation_sequence(p3, lift, GAUSS, 2), lambda: deviation_sequence(p3, lift, GAUSS, 1)[0],
                  lambda: lambda_limit(p3, lift, GAUSS, 1e-3)):
         with pytest.raises(PlaceError, match="archimedean-only"):
             call()
@@ -555,21 +556,21 @@ def test_one_term_on_a_disk_under_a_nonpolynomial_lift():
     for p in (3, 5):
         place, lift = Place.padic(p), _nonpoly(p)
         for x in (GAUSS, disk(0, -1), disk(1, F(1, 2))):
-            assert lambda_n(place, lift, x, 1) == -deviation_at_point(place, lift, x) / 2
+            assert lambda_n(place, lift, x, 1) == -deviation_sequence(place, lift, x, 1)[0] / 2
 
 
 def test_lambda_n_at_a_residue_place_beyond_the_unit_disk():
     # |1/3| = +inf at the residue place: read in the chart (1, S), S = 3
     res = Place.residue(3)
     assert lambda_n(res, Z2P1, classical(F(1, 3)), 4) == 0
-    assert deviation_at_point(res, _cubic(5), classical(F(1, 3))) == 0
+    assert deviation_sequence(res, _cubic(5), classical(F(1, 3)), 1)[0] == 0
 
 
 def test_undefined_map_at_a_residue_place_raises():
     # T^2/2 is not defined on the fiber over the residue place at 2
     res, t22 = Place.residue(2), HomogeneousLift.from_coeffs(2, [0, 0, F(1, 2)], [1])
     for x in (classical(1), classical(F(1, 2)), GAUSS):
-        for call in (lambda: deviation_at_point(res, t22, x), lambda: lambda_n(res, t22, x, 1),
+        for call in (lambda: deviation_sequence(res, t22, x, 1)[0], lambda: lambda_n(res, t22, x, 1),
                      lambda: deviation_sequence(res, t22, x, 3)):
             with pytest.raises(GreenError, match="coefficients blow up"):
                 call()
@@ -627,3 +628,87 @@ def test_trapped_tail_of_a_nonmonic_lift(p, eps):
         assert (st.certified_error, st.certificate) == (0.0, "exact"), x
         for n in range(st.n_used, 11):
             assert lambda_n(place, lift, x, n) == st.value + F(-eps, d**n * (d - 1)), (x, n)
+
+
+# -- one reading of F per exact orbit point ------------------------------------
+
+
+def test_classical_orbit_points_read_f_once(monkeypatch):
+    # each classical orbit point reads (F0, F1) once, for g and for its image
+    import berkpot.green as green
+    import berkpot.points as points
+    import berkpot.polys as polys
+    import berkpot.rmaps as rmaps
+
+    calls = []
+
+    def counted(coeffs, z):
+        calls.append(z)
+        return poly_eval(coeffs, z)
+
+    for module in (green, points, polys, rmaps):
+        monkeypatch.setattr(module, "poly_eval", counted, raising=False)
+    p3, t23 = Place.padic(3), _t2p(3)
+    for z in (F(1, 3), 3, F(7, 3)):
+        for n in (1, 4, 6):
+            calls.clear()
+            lambda_n(p3, t23, classical(z), n)
+            assert len(calls) == 2 * n, (z, n)
+
+
+_FROZEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "exact_orbit_values.txt")
+
+
+def _frozen_cases():
+    """(name, place, lift, x) of the exact orbits the frozen values cover: T^2/p,
+    (T^3 - T)/p, T^2 + p, T^2 + 1 and (T^2/7 + 1, T) at classical points with
+    |z| < 1, |z| = 1 and |z| > 1 at Q_p, and at infinity."""
+    places = [("Q2", Place.padic(2), 2), ("Q3", Place.padic(3), 3), ("Q3^1/2", Place.padic(3, F(1, 2)), 3),
+              ("Q7", Place.padic(7), 7), ("res3", Place.residue(3), 3), ("trivial", Place.trivial(), 3)]
+    for pname, place, p in places:
+        lifts = {"T2/p": _t2p(p), "(T3-T)/p": _cubic(p), "T2+p": HomogeneousLift.polynomial([p, 0, 1]),
+                 "T2+1": Z2P1, "(T2/7+1,T)": _nonpoly(7)}
+        for lname, lift in lifts.items():
+            for z in (p, p + 1, F(p + 1, p), None):
+                x = infinity() if z is None else classical(z)
+                yield f"{pname} {lname} {'inf' if z is None else z}", place, lift, x
+
+
+def _frozen_line(name, place, lift, x):
+    """name | lambda_n at n = 5 | the first four g | lambda_limit at tol 1e-3 as
+    value, n_used, certified_error and certificate; a typed error as type: message."""
+    cols = []
+    for call in (lambda: lambda_n(place, lift, x, 5), lambda: deviation_sequence(place, lift, x, 4),
+                 lambda: lambda_limit(place, lift, x, 1e-3)):
+        try:
+            got = call()
+        except (GreenError, PlaceError) as exc:
+            cols.append(f"{type(exc).__name__}: {exc}")
+            continue
+        if isinstance(got, list):
+            cols.append(" ".join(map(str, got)))
+        elif hasattr(got, "certificate"):
+            cols.append(f"{got.value} {got.n_used} {got.certified_error!r} {got.certificate}")
+        else:
+            cols.append(str(got))
+    return " | ".join([name] + cols)
+
+
+def _frozen_arch_lines():
+    """name | apply_point's image, as the repr of its coordinate, at an archimedean place."""
+    lifts = {"T2+1": Z2P1, "F11": F11, "rabbit": RABBIT, "T2+i": Z2I, "nonpoly": NONPOLY, "cubic": CUBIC,
+             "(T2-1,iT2+2)": HomogeneousLift.from_coeffs(2, [-1, 0, 1], [2, 0, 1j])}
+    for lname, lift in lifts.items():
+        for z in (1.3 + 0.4j, 0.2 - 0.7j, 3 + 0j, 0j, None):
+            img = apply_point(ARC, lift, infinity() if z is None else classical(z))
+            yield f"arch {lname} {'inf' if z is None else z} | {'inf' if img.t == 'inf' else repr(img.z)}"
+
+
+def test_exact_orbit_values_frozen():
+    # the values of the evaluator that read F twice per classical point and at
+    # infinity, once for g in its own chart and once for the image: every value
+    # exact or bit for bit, every typed error with its message
+    with open(_FROZEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = [_frozen_line(*case) for case in _frozen_cases()] + list(_frozen_arch_lines())
+    assert got == want

@@ -320,6 +320,24 @@ def test_closed_form_double_roots_zero_constant_and_degree_drop():
         _same_multiset(got[:-1], np.roots(row[1::-1]))
 
 
+def test_tiny_rows_are_scaled_exactly():
+    # a top coefficient near 1e-320 makes numpy's complex division overflow to
+    # nan; the row is scaled by a power of two first, which moves no root
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pre = _solve_rows(np.array([[-4e-320, 0, 1e-320]], dtype=complex), 2)
+    assert sorted(pre.entries, key=lambda e: e[0].real) == [(-2, 1), (2, 1)]
+    s = F(1, 2**1070)  # every coefficient times 2^-1070, exactly
+    for f0, f1 in (([-2, 0, 1], [1]), ([1, -3, 0, 1], [1]), ([-1, 0, 1], [2, 0, 1])):
+        lift = HomogeneousLift.from_coeffs(len(f0) - 1, f0, f1)
+        tiny = HomogeneousLift.from_coeffs(lift.d, [c * s for c in f0], [c * s for c in f1])
+        targets = np.array([2, ARCH_INF, 0.5 + 1j])
+        assert preimages_arch(tiny, targets).entries == preimages_arch(lift, targets).entries
+    # a normal row keeps its bits beside a scaled one
+    rows = np.array([[-4e-320, 0, 1e-320], [0.3 - 1j, 2, 1.5j]])
+    assert _solve_rows(rows, 2).entries[2:] == _solve_rows(rows[1:], 2).entries
+
+
 def test_quadratic_trees_call_no_eigvals(monkeypatch):
     # at most two finite roots are solved in closed form; companions above that
     shapes = []

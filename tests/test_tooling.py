@@ -120,3 +120,28 @@ def test_readme_cli_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             raise AssertionError(f"README command does not parse: berkpot {' '.join(argv)}") from None
+
+
+def _docstrings(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return [doc for node in ast.walk(tree) if isinstance(node, kinds) and (doc := ast.get_docstring(node))]
+
+
+def test_cited_names_resolve():
+    # every module-qualified name the docs cite, ``module.name`` in a docstring
+    # and `module.name` or `berkpot.module.name` in the README, is an attribute
+    # of that module: a deleted helper cannot stay documented
+    modules = {os.path.basename(p)[:-3] for p in glob.glob(os.path.join(SRC, "*.py"))} - {"__init__", "__main__"}
+    cited = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        for doc in _docstrings(path):
+            cited += re.findall(r"``(\w+)\.(\w+)``", doc)
+    with open(README, encoding="utf-8") as fh:
+        cited += re.findall(r"`(?:berkpot\.)?(\w+)\.(\w+)(?:\(.*?\))?`", fh.read())
+    cited = [(mod, name) for mod, name in cited if mod in modules]
+    assert len(cited) > 10
+    missing = sorted({f"{mod}.{name}" for mod, name in cited
+                      if not hasattr(importlib.import_module(f"berkpot.{mod}"), name)})
+    assert not missing
