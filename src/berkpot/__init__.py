@@ -16,12 +16,7 @@ from .points import (
 )
 from .graphs import PLFunction, GraphMeasure, dirichlet_extend, graph_laplacian, mass_in
 from .rmaps import HomogeneousLift, preimages_arch, apply_point
-from .green import (
-    contraction_ratios,
-    lambda_limit,
-    lambda_n,
-    standard_potential,
-)
+from .green import contraction_ratios, lambda_limit, lambda_n
 from .measures import (
     ArchMeasure,
     Measure,

@@ -6,8 +6,10 @@ rational constant plus a nonnegative-rational combination of log|g| terms
 function carries one (plus, minus) pair of pieces per standard chart of
 P^1; chart0 terms are polynomials in T, chartInf terms polynomials in
 S = 1/T, and the two descriptions must agree on the overlap ring.
-Minus-infinity constants are kept symbolic (None).  Branch weights are
-nonnegative, so each piece is subharmonic: ``mass_bound`` is a slope sum.
+Pieces are normalised at construction: finite branches only; an empty
+piece is -inf; zero weights dropped; ints where exact.  Branch weights are
+positive, so each piece is subharmonic: ``mass_bound`` is a slope sum,
+computed once per function (``AffableFn.slope_sum``).
 
 Evaluation follows the place: at ultrametric places one point at a time in
 exact arithmetic; at archimedean places on numpy arrays of points, with
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -43,47 +46,49 @@ class AffableError(ValueError):
     pass
 
 
+def _num(x):
+    """An exact number as an int where its denominator is 1."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Branch:
-    """const + sum q_i log|g_i| with q_i >= 0; const None means -inf."""
+    """const + sum q_i log|g_i| with q_i > 0, stored as ints where exact and
+    Fractions otherwise; zero-weight terms are dropped.  const None means
+    -inf, a branch ``Piece`` drops."""
 
-    const: object                 # Fraction | None
-    terms: tuple                  # ((Fraction q, tuple coeffs), ...)
+    const: object                 # int | Fraction | None
+    terms: tuple                  # ((q, tuple coeffs), ...)
 
     def __post_init__(self):
-        for q, _ in self.terms:
-            if q < 0:
-                raise AffableError("term weights must be nonnegative")
+        if self.const is not None:
+            object.__setattr__(self, "const", _num(Fraction(self.const)))
+        terms = tuple((Fraction(q), tuple(_num(Fraction(c)) for c in g)) for q, g in self.terms)
+        if any(q < 0 for q, _ in terms):
+            raise AffableError("term weights must be nonnegative")
+        object.__setattr__(self, "terms", tuple((_num(q), g) for q, g in terms if q))
 
 
 @dataclass(frozen=True)
 class Piece:
-    """Positively affable: max over branches."""
+    """Positively affable: max over its finite branches; the -inf ones are
+    dropped, so an empty piece is -inf."""
 
     branches: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "branches", tuple(b for b in self.branches if b.const is not None))
 
     def scaled(self, q: Fraction) -> "Piece":
         if q < 0:
             raise AffableError("pieces scale by nonnegative rationals")
         if q == 0:
-            return Piece((Branch(Fraction(0), ()),))
-        out = []
-        for b in self.branches:
-            const = None if b.const is None else b.const * q
-            out.append(Branch(const, tuple((qi * q, g) for qi, g in b.terms)))
-        return Piece(tuple(out))
+            return PIECE_ZERO
+        return Piece(tuple(Branch(b.const * q, tuple((qi * q, g) for qi, g in b.terms)) for b in self.branches))
 
 
 def piece_add(a: Piece, b: Piece) -> Piece:
-    branches = []
-    for x in a.branches:
-        for y in b.branches:
-            if x.const is None or y.const is None:
-                continue  # a -inf branch never attains the max
-            branches.append(Branch(x.const + y.const, x.terms + y.terms))
-    if not branches:
-        branches.append(Branch(None, ()))
-    return Piece(tuple(branches))
+    return Piece(tuple(Branch(x.const + y.const, x.terms + y.terms) for x in a.branches for y in b.branches))
 
 
 def piece_vmax(a: Piece, b: Piece) -> Piece:
@@ -91,22 +96,36 @@ def piece_vmax(a: Piece, b: Piece) -> Piece:
 
 
 def piece_const(c) -> Piece:
-    return Piece((Branch(Fraction(c), ()),))
+    return Piece((Branch(c, ()),))
 
 
 def piece_max_log(q0, terms) -> Piece:
     """max(q0, q_1 log|g_1|, ..., q_n log|g_n|); q0 None means -inf."""
-    branches = []
-    if q0 is not None:
-        branches.append(Branch(Fraction(q0), ()))
-    for q, coeffs in terms:
-        branches.append(Branch(Fraction(0), ((Fraction(q), tuple(Fraction(c) for c in coeffs)),)))
+    branches = [Branch(q0, ())] if q0 is not None else []
+    branches += [Branch(0, ((q, coeffs),)) for q, coeffs in terms]
     if not branches:
         raise AffableError("empty piece")
     return Piece(tuple(branches))
 
 
 PIECE_ZERO = piece_const(0)
+
+
+# -- the Laplacian-mass bound --------------------------------------------------
+
+
+def _piece_slope(piece: Piece):
+    """Top slope: max over the branches of sum q_i deg g_i (0 if none), exact."""
+    return max((sum(q * (len(g) - 1) for q, g in b.terms) for b in piece.branches), default=0)
+
+
+def mass_bound(fn: AffableFn) -> float:
+    """Bound for |Delta f|(P^1): the slope sum over the charts of
+    s(plus) + s(minus), the same pure number at every place (a Laplacian
+    mass carries no log unit).  A piece's Riesz mass is at most its top
+    slope s; the ``sweeps`` docstring derives the scale.  A function
+    caches it as ``AffableFn.slope_sum``."""
+    return float(sum(_piece_slope(piece) for chart in ("0", "inf") for piece in fn.pieces(chart)))
 
 
 @dataclass(frozen=True)
@@ -124,6 +143,8 @@ class AffableFn:
         if chart == "0":
             return self.chart0_plus, self.chart0_minus
         return self.chartinf_plus, self.chartinf_minus
+
+    slope_sum = cached_property(mass_bound)  # the Laplacian-mass bound, once per function
 
 
 # -- the exact evaluator -------------------------------------------------------
@@ -148,12 +169,8 @@ def _point_reader(place: Place, x: BerkPoint, chart: str, t_log):
 
 
 def _branch_value(branch: Branch, read):
-    if branch.const is None:
-        return NEG_INF
     total = branch.const
     for q, coeffs in branch.terms:
-        if q == 0:
-            continue
         v = read(coeffs)
         if is_neg_inf(v):
             return NEG_INF
@@ -173,9 +190,9 @@ class PointTable:
     """The eps-free part of archimedean evaluation on the point array z: each
     point's chart (inf where |z| > 1) and coordinate (z or S = 1/z), log|g(u)|
     per chart and term g, and per function a plan, all filled on first use.
-    A plan holds each piece's finite branches, (const, [(q, log|g(u)|)]) in
+    A plan holds each piece's branches, (const, [(q, log|g(u)|)]) in
     floats, and the first point in chart order where plus or minus is -inf,
-    the same at every eps since eps > 0 and each kept q > 0."""
+    the same at every eps since eps > 0 and each q > 0."""
 
     def __init__(self, z):
         self.z = np.asarray(z, dtype=complex)
@@ -197,8 +214,8 @@ class PointTable:
         if id(fn) not in self.plans:
             charts, pole = [], None
             for sel, chart, u in self.charts:
-                plus, minus = ([(float(b.const), [(float(q), self.log_abs(chart, u, g)) for q, g in b.terms if q != 0])
-                                for b in piece.branches if b.const is not None] for piece in fn.pieces(chart))
+                plus, minus = ([(float(b.const), [(float(q), self.log_abs(chart, u, g)) for q, g in b.terms])
+                                for b in piece.branches] for piece in fn.pieces(chart))
                 # a branch is -inf where one of its terms is, at eps = 1 as at every eps > 0
                 poles = np.broadcast_to(np.isneginf(_arch_piece(1.0, plus)) | np.isneginf(_arch_piece(1.0, minus)),
                                         u.shape)
@@ -247,7 +264,7 @@ def affable_eval(place: Place, fn: AffableFn, x):
     v = _chart_value(fn, chart, _point_reader(place, x, chart, t_log))
     if v is None:
         raise AffableError(f"affable value is -inf at {x!r}")
-    return v
+    return Fraction(v)
 
 
 def affable_real(place: Place, fn: AffableFn):
@@ -307,24 +324,6 @@ def affable_combine(op: str, f: AffableFn, g=None, q=None) -> AffableFn:
     raise AffableError(f"unknown combine op {op!r}")
 
 
-# -- the Laplacian-mass bound --------------------------------------------------
-
-
-def _piece_slope(piece: Piece) -> Fraction:
-    """Top slope max over finite branches of sum q_i deg g_i (0 if none)."""
-    return max((sum((q * (len(g) - 1) for q, g in b.terms), Fraction(0))
-                for b in piece.branches if b.const is not None), default=Fraction(0))
-
-
-def mass_bound(fn: AffableFn) -> float:
-    """Bound for |Delta f|(P^1): the slope sum over the charts of
-    s(plus) + s(minus), the same pure number at every place (a Laplacian
-    mass carries no log unit).  A piece's Riesz mass is at most its top
-    slope s; the ``sweeps`` docstring derives the scale."""
-    return float(sum((_piece_slope(piece) for chart in ("0", "inf") for piece in fn.pieces(chart)),
-                     Fraction(0)))
-
-
 # -- exact PL restriction to skeleta -------------------------------------------
 
 
@@ -342,17 +341,13 @@ def restrict_to_skeleton(place: Place, fn: AffableFn, skeleton: MetricGraph):
     labels = list(skeleton.labels)
     values = [None] * skeleton.n
     edges, inserted = [], []
-    # per chart and piece: [(const, [(q, g)])] over finite branches and weighted terms, ints where exact
-    charts = {chart: [[(_num(br.const), [(_num(q), tuple(map(_num, g))) for q, g in br.terms if q != 0])
-                       for br in piece.branches if br.const is not None] for piece in fn.pieces(chart)]
-              for chart in ("0", "inf")}
     for i, j, _ln in skeleton.edges:
         a, b = labels[i], labels[j]
         if a is None or b is None or a.t != DISK or b.t != DISK:
             raise AffableError("skeleton edges must join labeled disk points")
         if a.logr > b.logr:
             i, j, a, b = j, i, b, a
-        pts = _edge_vertices(place, charts, a.center, a.logr, b.logr)
+        pts = _edge_vertices(place, fn, a.center, a.logr, b.logr)
         chain = [i]
         for rho, v in pts[1:-1]:
             labels.append(disk(a.center, rho))
@@ -369,7 +364,7 @@ def restrict_to_skeleton(place: Place, fn: AffableFn, skeleton: MetricGraph):
     return PLFunction(graph, values), inserted
 
 
-def _edge_vertices(place: Place, charts, z, lo, hi):
+def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
     """[(rho, f(eta_{z,rho}))] at lo, at every kink in (lo, hi), and at hi.
 
     f is read from affine lines in rho.  The edge splits into stretches at
@@ -383,9 +378,10 @@ def _edge_vertices(place: Place, charts, z, lo, hi):
     between consecutive crossings.  A kink is a boundary where the line of
     f changes (its slope, where the two charts agree); its value is read
     from the line on its left, in the pointwise chart, as is the value at
-    lo.  Intercepts, slopes, radii and weights stay ints until a crossing
-    or a weight leaves a denominator (``_num``).  An infinite log value,
-    read at a residue place, raises ``AffableError``.
+    lo.  The pieces are read as ``fn.pieces`` stores them (``Branch``: ints
+    where exact), so intercepts, slopes, radii and weights stay ints until
+    a crossing or a weight leaves a denominator (``_num``).  An infinite
+    log value, read at a residue place, raises ``AffableError``.
     """
     zl, zc = _num(abs_log_value(place, z)), _num(z)
     memo = {}
@@ -400,18 +396,18 @@ def _edge_vertices(place: Place, charts, z, lo, hi):
         rev = zl > 0 or b > 0  # chart inf on (a, b), and at the point a = b: reversed lists
         tc, ts = (0, 1) if is_neg_inf(zl) or zl <= a else (zl, 0)  # log|T| on [a, b]
         pieces = []
-        for piece in charts["inf" if rev else "0"]:
+        for piece in fn.pieces("inf" if rev else "0"):
             branches = []
-            for const, weighted in piece:
+            for branch in piece.branches:
                 terms = []
-                for q, g in weighted:
+                for q, g in branch.terms:
                     m, raw = (len(g) - 1 if rev else 0), lines(g, rev)
                     if (any(is_pos_inf(c) or (is_inf(b) and i != m * ts) for c, i in raw)
                             or (m and is_pos_inf(tc))):  # a residue place
                         raise AffableError(f"infinite log value at {disk(z, b)!r}")
                     terms.append((q, [(c - m * tc, i - m * ts) for c, i in raw] if m else raw))
                 if all(ls for _, ls in terms):  # else a vanishing term: -inf
-                    branches.append((const, terms))
+                    branches.append((branch.const, terms))
             if not branches:
                 raise AffableError(f"affable value is -inf at {disk(z, a)!r}")
             pieces.append(branches)
@@ -438,11 +434,6 @@ def _edge_vertices(place: Place, charts, z, lo, hi):
         if left != right:
             out.append((Fraction(x), _at(left, x)))
     return out + [(hi, _at(segs[-1][1], cuts[-1]))]
-
-
-def _num(x):
-    """An exact number as an int where its denominator is 1."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _at(line, x) -> Fraction:
@@ -478,13 +469,12 @@ def _crossings(lines, a, b):
 
 def _branch_from_json(obj: dict) -> Branch:
     c = obj.get("c", "0")
-    const = None if c == "-inf" else Fraction(str(c))
-    terms = tuple((Fraction(str(q)), tuple(Fraction(str(x)) for x in g)) for q, g in obj.get("terms", []))
-    return Branch(const, terms)
+    terms = tuple((str(q), tuple(map(str, g))) for q, g in obj.get("terms", []))
+    return Branch(None if c == "-inf" else str(c), terms)
 
 
 def _piece_from_json(obj: dict) -> Piece:
-    return Piece(tuple(_branch_from_json(b) for b in obj.get("branches", [])))
+    return Piece(tuple(_branch_from_json(b) for b in obj["branches"]))
 
 
 def affable_from_json(obj: dict) -> AffableFn:

@@ -85,7 +85,6 @@ from fractions import Fraction
 import numpy as np
 
 from .places import (
-    POS_INF,
     LogValue,
     Place,
     PlaceError,
@@ -122,16 +121,6 @@ _VANISHING_RES = "deviation bound is infinite at this place (the resultant vanis
 _COMPLEX_LIFT = "complex-coefficient lifts are archimedean-only"
 _ZERO_NORM = "lift vanishes at a projective point; Res = 0"
 MACH_EPS = float(np.finfo(float).eps)
-
-
-def standard_potential(place: Place, x: BerkPoint) -> LogValue:
-    """-log of the standard norm of T0 at x: max(-log|T|, 0), coefficient units."""
-    if x.t == INF:
-        return 0 if place.is_ultrametric else 0.0
-    t = eval_log_abs(place, x, [0, 1])
-    if is_neg_inf(t):
-        return POS_INF
-    return vmax(vscale(-1, t), 0)
 
 
 # -- archimedean orbit kernel ----------------------------------------------------

@@ -12,8 +12,9 @@ on eps; only a few float operations per point do.  A sweep therefore
 computes once: one pullback chain and its tree of each depth n; the eps-free
 ``affable.PointTable`` of each point set (tree atoms, circle quadrature
 levels), kept only up to ``atom_budget`` points, which bounds the memo by
-atom_budget points per tree and 2 atom_budget per circle; and each
-function's ``mass_bound``.  A table holds log|g| arrays shared per term
+atom_budget points per tree and 2 atom_budget per circle.  The slope sum
+``affable.mass_bound`` is computed once per function, not per sweep: a
+function caches it.  A table holds log|g| arrays shared per term
 and one plan per function, its float branches and its eps-free pole set;
 a fiber only forms c + q (eps log|g|) per branch, the max, and plus -
 minus.  Only the potential tail, and so the error bars, change with eps.
@@ -22,7 +23,8 @@ its values exactly.  Nothing bounds the distance of a collapsed tree
 (``measures.tree_collapse``) to mu_phi, so the rows of its places fail.
 
 Equilibrium row errors are the quadrature error plus the potential tail
-times ``affable.mass_bound``.  The scale, derived once:
+times ``affable.mass_bound``.  A battery's ids must be distinct: rows and
+the modulus are keyed by id.  The scale, derived once:
 
 - Values of f and of the potentials live on the place's coefficient scale,
   and the fiber Laplacian on that scale sends the potential to mu.  So for
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affable import AffableError, PointTable, affable_real, mass_bound
+from .affable import AffableError, PointTable, affable_real
 from .battery import load_battery, standard_battery
 from .graphs import GraphError
 from .green import GreenError, deviation_bound
@@ -236,8 +238,11 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
     (measure, n_used, potential tail bound), with one memo for the sweep
     (module docstring)."""
     validate_grid(config.grid)
+    ids = [fn.fn_id for fn in config.battery]
+    if repeated := sorted({i for i in ids if ids.count(i) > 1}):
+        raise SweepError(f"battery ids must be distinct, repeated: {repeated}")
     table = SweepTable(places=[place.describe() for place in config.grid])
-    tables, bounds = {}, [mass_bound(fn) for fn in config.battery]
+    tables = {}
     values = {fn.fn_id: [None] * len(config.grid) for fn in config.battery}  # by grid position
 
     def points(key, make):
@@ -256,11 +261,10 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
         except ROW_ERRORS as exc:
             table.rows += [_failed_row(kind, param, fn, 0, exc) for fn in config.battery]
             continue
-        for k, fn in enumerate(config.battery):
+        for fn in config.battery:
             try:
                 val, qerr = integrate(place, mu, affable_real(place, fn), config.quad_n, points)
-                cert = qerr + tail * bounds[k]
-                table.rows.append(SweepRow(kind, param, fn.fn_id, val, cert, n_used))
+                table.rows.append(SweepRow(kind, param, fn.fn_id, val, qerr + tail * fn.slope_sum, n_used))
                 values[fn.fn_id][g] = val
             except ROW_ERRORS as exc:
                 table.rows.append(_failed_row(kind, param, fn, n_used, exc))

@@ -18,6 +18,7 @@ from berkpot.affable import (
     affable_eval,
     affable_from_json,
     mass_bound,
+    piece_add,
     piece_const,
     piece_max_log,
     _chart_value,
@@ -495,3 +496,36 @@ def test_affable_json_round_trip():
     assert [affable_from_json(obj) for obj in _BATTERY_JSON] == BAT[:3]
     with pytest.raises(AffableError, match="missing"):
         affable_from_json({"id": "x", "chart0": _BATTERY_JSON[1]["chart0"]})
+
+
+def test_missing_branches_key_is_an_error():
+    # a misspelled key is not an empty, -inf piece; an explicit [] still is
+    obj = json.loads(json.dumps(_BATTERY_JSON[1]))
+    obj["chart0"]["minus"] = {"branches": []}
+    assert affable_from_json(obj).chart0_minus == Piece(())
+    obj["chart0"]["minus"] = {"branch": [_branch("0")]}
+    with pytest.raises(AffableError) as caught:
+        affable_from_json(obj)
+    assert str(caught.value) == "bad affable JSON: missing 'branches'"
+
+
+def test_pieces_are_canonical_at_construction():
+    # a -inf branch and a zero-weight term vanish when built; exact numbers
+    # are ints where the denominator is 1, Fractions otherwise
+    piece = Piece((Branch(None, ((1, (0, 1)),)), Branch(F(2), ((0, (1, 1)), (F(3), (F(-2), F(1)))))))
+    (b,) = piece.branches
+    assert b == Branch(2, ((3, (-2, 1)),))
+    assert [type(x) for x in (b.const, b.terms[0][0], *b.terms[0][1])] == [int] * 4
+    assert Branch("1/2", (("3/2", (F(1, 3), F(4, 2))),)).terms == ((F(3, 2), (F(1, 3), 2)),)
+    # an empty piece is -inf, and a sum with it has no branch either
+    assert piece_add(PIECE_ZERO, Piece((Branch(None, ()),))) == Piece(())
+    assert piece_add(Piece(()), piece) == Piece(())
+    # a JSON "-inf" branch is dropped on reading
+    obj = json.loads(json.dumps(_BATTERY_JSON[0]))
+    obj["chart0"]["plus"]["branches"].insert(0, _branch("-inf", _LOG_T))
+    assert affable_from_json(obj).chart0_plus == BAT[0].chart0_plus
+    assert len(affable_from_json(obj).chart0_plus.branches) == 2
+    # exact values stay Fractions at ultrametric places
+    one = next(f for f in BAT if f.fn_id == "one")
+    v = affable_eval(Place.padic(3), one, GAUSS)
+    assert type(v) is F and v == 1

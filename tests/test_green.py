@@ -13,7 +13,6 @@ from berkpot.green import (
     deviation_sequence,
     lambda_limit,
     lambda_n,
-    standard_potential,
 )
 from berkpot.measures import equilibrium_arch
 from berkpot.places import Place, PlaceError, flow_place
@@ -29,13 +28,6 @@ F11 = HomogeneousLift.from_coeffs(2, [1, 0, 1], [1])  # (T0^2 + T1^2, T1^2)
 RABBIT = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
 Z2I = HomogeneousLift.from_coeffs(2, [complex(0, 1), 0, 1], [1])  # T^2 + i
 MACH_EPS = float(np.finfo(float).eps)
-
-
-def test_standard_potential_examples():
-    assert standard_potential(ARC, classical(2 + 0j)) == 0
-    assert standard_potential(ARC, classical(0.5 + 0j)) == pytest.approx(math.log(2))
-    assert standard_potential(Place.padic(3), GAUSS) == 0
-    assert standard_potential(ARC, classical(0j)) == float("inf")
 
 
 def test_deviation_examples():

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import math
 import os
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -721,7 +723,8 @@ def test_point_tables_kept_only_under_the_atom_budget(monkeypatch):
     make = sweeps.PointTable
     monkeypatch.setattr(sweeps, "PointTable", lambda z: built.append(len(z)) or make(z))
     fn = next(f for f in BAT if f.fn_id == "log_plus_T")
-    cfg = SweepConfig(grid=[Place.archimedean(), Place.trivial()], battery=[fn] * 3, center=F(1),
+    copies = [dataclasses.replace(fn, fn_id=f"{fn.fn_id}_{k}") for k in range(3)]
+    cfg = SweepConfig(grid=[Place.archimedean(), Place.trivial()], battery=copies, center=F(1),
                       atom_budget=1024)
     sweep_chi(cfg)
     levels = [64 << k for k in range(10)]
@@ -761,3 +764,38 @@ def test_eps_free_work_is_done_once_per_table(monkeypatch):
         assert counts == {"tables": 1, "fills": len(terms), "plans": len(BAT)}
         seen.append(counts.copy())
     assert seen[0] == seen[1]
+
+
+def test_repeated_battery_ids_are_a_config_error(tmp_path, capsys, monkeypatch):
+    # rows and the modulus are keyed by id, and a battery entry without one
+    # reads "": the sweep refuses a repeated id before it computes any row
+    import berkpot.sweeps as sweeps
+
+    monkeypatch.setattr(sweeps, "integrate", lambda *args: pytest.fail("a row was computed"))
+    by_id = {f.fn_id: f for f in BAT}
+    bat = [dataclasses.replace(by_id[i], fn_id="") for i in ("clip_log_T_minus_2", "log_plus_T")]
+    for sweep in (sweep_chi, sweep_equilibrium):
+        with pytest.raises(SweepError, match=re.escape("repeated: ['']")):
+            sweep(SweepConfig(grid=default_grid(3), battery=bat, lift=Z2))
+    piece = {"branches": [{"c": "0"}]}
+    entry = {"chart0": {"plus": piece, "minus": piece}, "chartInf": {"plus": piece, "minus": piece}}
+    bat_path = _write(tmp_path, "bat.json", {"functions": [entry, entry]})
+    cfg = _write(tmp_path, "cfg.json", {"depth": 3, "battery": bat_path})
+    assert main(["sweep-chi", "--config", cfg]) == 2
+    assert "repeated: ['']" in capsys.readouterr().err
+
+
+def test_slope_sum_is_computed_once_per_function(monkeypatch):
+    # a circle sweep and then an equilibrium sweep of one battery: each
+    # function's slope sum is computed on its first read and kept on it
+    import berkpot.affable as affable
+
+    calls = []
+    slope = affable._piece_slope
+    monkeypatch.setattr(affable, "_piece_slope", lambda piece: calls.append(piece) or slope(piece))
+    bat = [dataclasses.replace(f) for f in BAT]  # fresh functions: nothing cached yet
+    cfg = SweepConfig(grid=default_grid(2), battery=bat, lift=Z2, atom_budget=256)
+    for sweep in (sweep_chi, sweep_equilibrium):
+        assert not any(row.error for row in sweep(cfg).rows)
+    assert len(calls) == 4 * len(bat)  # the four pieces of each function, once
+    assert [f.slope_sum for f in bat] == [mass_bound(f) for f in BAT]

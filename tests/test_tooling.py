@@ -145,3 +145,29 @@ def test_cited_names_resolve():
     missing = sorted({f"{mod}.{name}" for mod, name in cited
                       if not hasattr(importlib.import_module(f"berkpot.{mod}"), name)})
     assert not missing
+
+
+def _reads(path):
+    """The names a module reads, loaded names and attribute names, each
+    outside the module-level definition of the same name."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    out = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)  # a def or class does not read itself
+        out |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)} - {own}
+    return out
+
+
+def test_exported_names_have_a_reader():
+    # every name berkpot/__init__.py exports is read by the library outside
+    # its own definition, by the acceptance suite or by the benchmark: no
+    # export is kept for unit tests alone
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        exported = {alias.asname or alias.name for node in ast.parse(fh.read()).body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+    paths = [p for p in glob.glob(os.path.join(SRC, "*.py")) if os.path.basename(p) != "__init__.py"]
+    paths += [os.path.join(ROOT, "tests", "test_acceptance.py")] + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    assert len(exported) > 30
+    assert sorted(exported - set().union(*map(_reads, paths))) == []
