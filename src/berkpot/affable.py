@@ -51,6 +51,14 @@ def _num(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
+_EXACT = (int, Fraction)  # passed as they are: canonical data is not converted again
+
+
+def _exact(x):
+    """A rational as ``_num`` stores it, through Fraction if not an int or a Fraction."""
+    return _num(x if type(x) in _EXACT else Fraction(x))
+
+
 @dataclass(frozen=True)
 class Branch:
     """const + sum q_i log|g_i| with q_i > 0, stored as ints where exact and
@@ -62,11 +70,11 @@ class Branch:
 
     def __post_init__(self):
         if self.const is not None:
-            object.__setattr__(self, "const", _num(Fraction(self.const)))
-        terms = tuple((Fraction(q), tuple(_num(Fraction(c)) for c in g)) for q, g in self.terms)
+            object.__setattr__(self, "const", _exact(self.const))
+        terms = tuple((_exact(q), tuple(map(_exact, g))) for q, g in self.terms)
         if any(q < 0 for q, _ in terms):
             raise AffableError("term weights must be nonnegative")
-        object.__setattr__(self, "terms", tuple((_num(q), g) for q, g in terms if q))
+        object.__setattr__(self, "terms", tuple((q, g) for q, g in terms if q))
 
 
 @dataclass(frozen=True)

@@ -20,19 +20,19 @@ x_j running over the cofactor coefficients.  The cofactors are
 ``HomogeneousLift.cofactors``: the one exact elimination that also decides
 Res(F0, F1) != 0 when the lift is built (``rmaps.resultant_cofactors``).
 
-Each regime walks every orbit in one loop, ``_arch_limit`` or
-``_exact_limit``, which returns the sum, the steps and the g values summed.
-The archimedean loop steps with one kernel, ``_arch_step``: one point on
-Python complex with ``math.log`` and ``max`` over the coefficient tuples
-``HomogeneousLift.scalar_coeffs``, an array on numpy over
-``HomogeneousLift.complex_coeffs``.  There ``lambda_n``, ``lambda_limit``
-and ``deviation_sequence`` take either a BerkPoint or a complex ndarray of
-points, ``points.ARCH_INF`` standing for the point at infinity as in
-``preimages_arch``.  An array gives one ``PotentialState`` whose ``value``
-is an array of the same shape; ``certified_error``, ``certificate`` and
-``gmax`` stay scalars, because the a priori tail bound does not depend on
-the point, and ``n_used`` is the most steps any point summed (see the
-escape tail below).
+Each regime walks every orbit in its own loops, which return the sum, the
+steps and the g values summed.  At an archimedean place ``lambda_n``,
+``lambda_limit`` and ``deviation_sequence`` take either a BerkPoint or a
+complex ndarray of points, ``points.ARCH_INF`` standing for the point at
+infinity as in ``preimages_arch``.  One point runs a straight loop on Python
+complex (``_arch_point``: ``_form``'s Horner operations in ``_form``'s order
+over ``HomogeneousLift.scalar_coeffs``), an array steps on numpy
+(``_arch_limit``, ``_arch_step``), and ``lambda_limit`` reads what (place,
+lift, tol) alone fix from one cached plan, ``_arch_plan``.  An array gives
+one ``PotentialState`` whose ``value`` is an array of the same shape;
+``certified_error``, ``certificate`` and ``gmax`` stay scalars, because the
+a priori tail bound does not depend on the point, and ``n_used`` is the most
+steps any point summed (see the escape tail below).
 
 Ultrametric places walk an exact orbit of BerkPoints: ``rmaps.apply_point``
 is the one step, for classical points, infinity and disks alike, and g is
@@ -64,19 +64,23 @@ radius of x_k exceeds that of x_{k-1}, phi(B) is larger than B.
 
 An archimedean place closes the escape tail of a polynomial map up to a
 bound (Milnor, Dynamics in One Complex Variable, section 9).  Let
-A = sum_{i<d} |f0[i] / f0[d]| and R = max(1, 2A, (4 |f1[0] / f0[d]|)^(1/(d-1))).
-Every orbit point with |z_j| >= R has |g(z_j) - eps log|f0[d]|| <= eps 2A / |z_j|
-and |z_{j+1}| >= 2 |z_j|, so from such a step k on the series sums to
-eps log|f0[d]| / (d^k (d-1)) within eps 4A / (d^(k+1) |z_k|); on a lift of
-max norm 1, |z| = 1/|z1|.  An orbit stops at the first k where that error
-is at most machine epsilon times G_max / (d-1), and at most the a priori
-bound: exact to rounding, not merely within tol.  ``certified_error`` stays
-the a priori bound.
+A = sum_{i<d} |f0[i] / f0[d]|, m = d - max{i < d : f0[i] != 0} (m = d for a
+monomial f0) and R = max(1, 2A, (4 |f1[0] / f0[d]|)^(1/(d-1))).  At |z| >= R,
+F0(z) = f0[d] z^d (1 + u) with |u| <= sum_{i<d} |f0[i] / f0[d]| |z|^(i-d)
+<= A / |z|^m <= 1/2, and |F0(z)| >= |f0[d]| |z|^d / 2 >= 2 |z| |f1[0]|: so
+g(z) = log|f0[d]| + log|1 + u| and |z_{j+1}| >= 2 |z_j|.  As |log|1 + u||
+<= 2 |u|, every orbit point with |z_j| >= R has |g(z_j) - eps log|f0[d]||
+<= eps 2A / |z_j|^m, and from such a step k on the series sums to
+eps log|f0[d]| / (d^k (d-1)) within sum_j eps 2A / (d^(k+j+1) 2^j |z_k|^m)
+<= eps 4A / (d^(k+1) |z_k|^m).  On a lift of max norm 1, |z| = 1/|z1|, and
+an orbit stops at the first k with eps 4A |z1|^m <= stop d^(k+1), stop being
+the least of machine epsilon times G_max / (d-1) and the a priori bound:
+exact to rounding, not merely within tol.  ``certified_error`` stays the a
+priori bound.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -123,7 +127,7 @@ _ZERO_NORM = "lift vanishes at a projective point; Res = 0"
 MACH_EPS = float(np.finfo(float).eps)
 
 
-# -- archimedean orbit kernel ----------------------------------------------------
+# -- archimedean orbits ------------------------------------------------------
 
 
 def _form(coeffs, d: int, z0, z1):
@@ -138,18 +142,14 @@ def _form(coeffs, d: int, z0, z1):
     return acc
 
 
-def _arch_step(coeffs, d: int, eps: float, z0, z1, log, maximum):
-    """One step of the renormalized orbit at an archimedean place.
-
-    Takes a lift (z0, z1) of max norm 1 and the lift's complex coefficients;
-    returns g = eps (log||F(zhat)|| - d log||zhat||) = eps log||F(zhat)||
-    followed by the next point F(zhat) / ||F(zhat)||, with ``math.log`` and
-    ``max`` for one point, ``np.log`` and ``np.maximum`` for an array.
-    """
+def _arch_step(coeffs, d: int, eps: float, z0, z1):
+    """One numpy step of the renormalized orbits of lifts (z0, z1) of max norm
+    1: g = eps (log||F(zhat)|| - d log||zhat||) = eps log||F(zhat)|| and the
+    next points F(zhat) / ||F(zhat)||, from the lift's complex coefficients."""
     w0 = _form(coeffs[0], d, z0, z1)
     w1 = _form(coeffs[1], d, z0, z1)
-    norm = maximum(abs(w0), abs(w1))
-    return eps * log(norm), w0 / norm, w1 / norm
+    norm = np.maximum(abs(w0), abs(w1))
+    return eps * np.log(norm), w0 / norm, w1 / norm
 
 
 def _arch_lift(x):
@@ -171,53 +171,76 @@ def _arch_lift(x):
     return z / norm, 1.0 / norm
 
 
-def _arch_limit(place: Place, lift: HomogeneousLift, zhat, n: int, stop: float):
-    """(value, steps summed, terms) of lambda_n at an archimedean place from a
-    lift zhat of max norm 1 (``_arch_lift``), terms being the g values summed.
-    The orbit is left, and closed, at the first step k < n where its escape
-    tail (module docstring) is within stop; a negative stop never exits.  An
-    array retires the points that have left (a term then holds only those
-    still running) and counts the most steps any summed.
-    """
-    d, eps = lift.d, place.eps_float
-    rinv, c4a, log_top = _escape_constants(lift) or (0.0, 0.0, 0.0)  # 1/R = 0: no exit
-    lim = stop * d  # exit at step k once eps 4A |z1| <= stop d^(k+1)
-    z0, z1 = zhat
-    scalar = not isinstance(z0, np.ndarray)
-    total, n_used, terms = 0.0, 0, []  # the sums of the points still running
-    if scalar:  # math.log(0.0) and w / 0.0 raise where numpy gives -inf and nan
-        coeffs, log, maximum, zero_norm = lift.scalar_coeffs, math.log, max, (ValueError, ZeroDivisionError)
-        quiet = contextlib.nullcontext()
-    else:  # live: the flat indices of the points still running
-        coeffs, log, maximum, zero_norm = lift.complex_coeffs, np.log, np.maximum, ()
-        quiet = np.errstate(divide="ignore", invalid="ignore")
-        value, live, total = np.zeros(z0.shape), np.arange(z0.size).reshape(z0.shape), np.zeros(z0.shape)
-    with quiet:
+_NO_ESCAPE = (0.0, 0.0, 1, -1.0, 0.0)  # 1/R = 0: no orbit leaves
+
+
+def _arch_point(lift: HomogeneousLift, eps: float, zhat, n: int, escape=None):
+    """(value, steps summed, terms) of lambda_n at one archimedean point from
+    its lift zhat of max norm 1, terms being the g values summed, on Python
+    complex.  The orbit is left, and closed, at the first step k < n where
+    its escape tail is within stop; escape = (1/R, eps 4A, m, stop d,
+    eps log|f0[d]|) of that tail (module docstring), None for no exit."""
+    d, ((top0, top1), rest), log = lift.d, lift.scalar_coeffs, math.log
+    rinv, e4a, m, lim, e_top = escape or _NO_ESCAPE
+    (z0, z1), total, terms, dk = zhat, 0.0, [], 1
+    try:
         for k in range(n):
             r1 = abs(z1)  # |z| = 1/|z1|
-            out = (r1 < rinv) & (eps * c4a * r1 <= lim)
+            if r1 < rinv and e4a * r1**m <= lim:  # eps 4A / |z|^m <= stop d^(k+1)
+                total, n = total - e_top / (dk * (d - 1)), k
+                break
+            lim, dk, w0, w1, power = lim * d, dk * d, top0, top1, 1
+            for c0, c1 in rest:  # _form for F0 and F1, its operations in its order
+                power = power * z1
+                w0 = w0 * z0
+                if c0:
+                    w0 = w0 + c0 * power
+                w1 = w1 * z0
+                if c1:
+                    w1 = w1 + c1 * power
+            norm = max(abs(w0), abs(w1))
+            g, z0, z1 = eps * log(norm), w0 / norm, w1 / norm
+            terms.append(g)
+            total = total - 1 / dk * g
+    except (ValueError, ZeroDivisionError):  # math.log(0.0) and w / 0.0
+        raise GreenError(_ZERO_NORM) from None
+    if not math.isfinite(total):
+        raise GreenError(_ZERO_NORM)
+    return total, n, terms
+
+
+def _arch_limit(lift: HomogeneousLift, eps: float, zhat, n: int, escape=None):
+    """``_arch_point`` for a complex ndarray of lifts on numpy: the points
+    that have left retire (a term then holds only those still running), and
+    the steps summed are the most any point summed."""
+    d, coeffs = lift.d, lift.complex_coeffs
+    rinv, e4a, m, lim, e_top = escape or _NO_ESCAPE
+    (z0, z1), n_used, terms = zhat, 0, []
+    # live: the flat indices of the points still running, total their sums
+    value, live, total = np.zeros(z0.shape), np.arange(z0.size).reshape(z0.shape), np.zeros(z0.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            r1 = abs(z1)
+            out = (r1 < rinv) & (e4a * r1**m <= lim)
             lim *= d
-            if out if scalar else out.any():
-                tail = eps * log_top / (d**k * (d - 1))
-                if scalar:
-                    total -= tail
-                    break
-                value.flat[live[out]] = total[out] - tail
+            if out.any():
+                value.flat[live[out]] = total[out] - e_top / (d**k * (d - 1))
                 live, z0, z1, total = live[~out], z0[~out], z1[~out], total[~out]
                 if not live.size:
                     break
-            try:
-                g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1, log, maximum)
-            except zero_norm:
-                raise GreenError(_ZERO_NORM) from None
+            g, z0, z1 = _arch_step(coeffs, d, eps, z0, z1)
             terms.append(g)
             total, n_used = total - 1 / d ** (k + 1) * g, k + 1
-    if not scalar:
-        value.flat[live] = total
-        total = value
-    if not (math.isfinite(total) if scalar else np.isfinite(total).all()):
+    value.flat[live] = total
+    if not np.isfinite(value).all():
         raise GreenError(_ZERO_NORM)
-    return total, n_used, terms
+    return value, n_used, terms
+
+
+def _arch_orbit(place: Place, lift: HomogeneousLift, x, n: int, escape=None):
+    """``_arch_point`` at a BerkPoint, ``_arch_limit`` at a point array."""
+    loop = _arch_limit if isinstance(x, np.ndarray) else _arch_point
+    return loop(lift, place.eps_float, _arch_lift(x), n, escape)
 
 
 # -- exact orbits ------------------------------------------------------------
@@ -272,7 +295,7 @@ def deviation_sequence(place: Place, lift: HomogeneousLift, x, n: int):
     array (see the module docstring).
     """
     if not place.is_ultrametric:
-        return _arch_limit(place, lift, _arch_lift(x), n, -1.0)[2]  # a negative stop never exits
+        return _arch_orbit(place, lift, x, n)[2]
     return _exact_limit(place, lift, x, n, None)[2]
 
 
@@ -284,7 +307,7 @@ def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     archimedean place.
     """
     if not place.is_ultrametric:
-        return _arch_limit(place, lift, _arch_lift(x), n, -1.0)[0]
+        return _arch_orbit(place, lift, x, n)[0]
     return _exact_limit(place, lift, x, n, None)[0]
 
 
@@ -326,20 +349,6 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
     maxc = max(abs(complex(c)) for c in lift.coeff_list())
     maxcof = max(abs(complex(c)) for c in lift.cofactors.coeff_list())
     return DeviationBound(-eps * math.log(2 * d * maxcof), eps * (math.log(maxc) + math.log(d + 1)))
-
-
-@functools.cache
-def _escape_constants(lift: HomogeneousLift):
-    """(1/R, 4A, log|f0[d]|) of the archimedean escape tail (module
-    docstring), from the coefficients the float orbit reads; None for a lift
-    that is not polynomial, or whose f0[d] underflows."""
-    (f0, f1), d = lift.complex_coeffs, lift.d
-    top = abs(f0[d])
-    if not lift.is_polynomial or not top:
-        return None
-    big_a = float(np.abs(f0[:d]).sum() / top)
-    r = max(1.0, 2 * big_a, float(4 * abs(f1[0]) / top) ** (1 / (d - 1)))
-    return 1 / r, 4 * big_a, math.log(top)
 
 
 # -- limit with certificate ----------------------------------------------------
@@ -406,13 +415,34 @@ def _closed_tail(place: Place, lift: HomogeneousLift, tails, prev, y: BerkPoint,
     return None
 
 
-@functools.cache
-def _a_priori_depth(gmax: float, d: int, tol: float):
-    """(n, err): the least n with err = G_max / (d^n (d-1)) <= tol, divided down by d."""
-    n, err = 0, gmax / (d - 1)
+def _a_priori(place: Place, lift: HomogeneousLift, tol: float):
+    """(G_max, n, err) after the bound checks: the least n with
+    err = G_max / (d^n (d-1)) <= tol, divided down by d."""
+    bound = deviation_bound(place, lift)
+    if not math.isfinite(bound.gmax):
+        raise GreenError(_VANISHING_RES if is_neg_inf(bound.lower) else _INFINITE_BOUND)
+    n, err = 0, bound.gmax / (lift.d - 1)
     while err > tol:
-        n, err = n + 1, err / d
-    return n, err
+        n, err = n + 1, err / lift.d
+    return bound.gmax, n, err
+
+
+@functools.cache
+def _arch_plan(place: Place, lift: HomogeneousLift, tol: float):
+    """What an archimedean ``lambda_limit`` derives from its arguments, read
+    with one lookup: (n, err, certificate, G_max, escape), escape being the
+    ``_arch_point`` escape tail, or None for a lift that is not polynomial or
+    whose f0[d] underflows.  A vanishing G_max is exact at n = 0."""
+    gmax, n, err = _a_priori(place, lift, tol)
+    (f0, f1), d, eps = lift.complex_coeffs, lift.d, place.eps_float
+    top, plan = abs(f0[d]), (n, err, "certified" if gmax else "exact", gmax)
+    if not lift.is_polynomial or not top:
+        return plan + (None,)
+    big_a = float(np.abs(f0[:d]).sum() / top)
+    r = max(1.0, 2 * big_a, float(4 * abs(f1[0]) / top) ** (1 / (d - 1)))
+    m = d - max((i for i in range(d) if f0[i]), default=0)
+    stop = min(err, MACH_EPS * gmax / (d - 1))
+    return plan + ((1 / r, eps * (4 * big_a), m, stop * d, eps * math.log(top)),)
 
 
 def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> PotentialState:
@@ -427,24 +457,20 @@ def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> Potentia
     and x may be a point array: ``value`` is then an array (see the module
     docstring).
     """
-    if tol <= 0:
+    if not tol > 0:  # also a NaN tol
         raise GreenError("tolerance must be positive")
-    bound = deviation_bound(place, lift)
-    d = lift.d
-    if not math.isfinite(bound.gmax):
-        raise GreenError(_VANISHING_RES if is_neg_inf(bound.lower) else _INFINITE_BOUND)
-    if bound.gmax == 0.0:
-        return PotentialState(lambda_n(place, lift, x, 0), 0, 0.0, "exact", 0.0)
-    n, err = _a_priori_depth(bound.gmax, d, tol)
     if not place.is_ultrametric:
-        stop = min(err, MACH_EPS * bound.gmax / (d - 1))
-        value, n_used, _ = _arch_limit(place, lift, _arch_lift(x), n, stop)
-        return PotentialState(value, n_used, err, "certified", bound.gmax)
+        n, err, certificate, gmax, escape = _arch_plan(place, lift, tol)
+        value, n_used, _ = _arch_orbit(place, lift, x, n, escape)
+        return PotentialState(value, n_used, err, certificate, gmax)
+    gmax, n, err = _a_priori(place, lift, tol)
+    if gmax == 0.0:
+        return PotentialState(lambda_n(place, lift, x, 0), 0, 0.0, "exact", 0.0)
     tails = _tail_constants(place, lift) if lift.is_polynomial else None
     value, n_used, _ = _exact_limit(place, lift, x, n, tails)
     if n_used < n:  # closed: the tail was summed exactly
-        return PotentialState(value, n_used, 0.0, "exact", bound.gmax)
-    return PotentialState(value, n, err, "certified", bound.gmax)
+        return PotentialState(value, n_used, 0.0, "exact", gmax)
+    return PotentialState(value, n, err, "certified", gmax)
 
 
 def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):
@@ -463,7 +489,7 @@ def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):
         level_sup = [max(abs(row[m]) for row in tables) for m in range(depth)]
     else:
         zhat = np.array([_arch_lift(x) for x in sample]).T  # one orbit for the whole sample
-        gs = _arch_limit(place, lift, zhat, depth, -1.0)[2]
+        gs = _arch_limit(lift, place.eps_float, zhat, depth)[2]
         # machine-zero deviation: the iteration sits at its fixed point
         level_sup = [0.0 if sup < 1e-12 else sup for sup in (float(abs(g).max()) for g in gs)]
     suffix = list(level_sup)

@@ -132,8 +132,11 @@ class HomogeneousLift:
 
     @cached_property
     def scalar_coeffs(self) -> tuple:
-        """``complex_coeffs`` as tuples of Python complex, read by one-point orbits."""
-        return tuple(tuple(row) for row in self.complex_coeffs.tolist())
+        """``complex_coeffs`` as Python complex in the order of a one-point
+        Horner step: (f0[d], f1[d]), then the pairs (f0[j], f1[j]) for j < d
+        from the top down."""
+        f0, f1 = self.complex_coeffs.tolist()
+        return (f0[-1], f1[-1]), tuple(zip(f0[-2::-1], f1[-2::-1]))
 
     @cached_property
     def is_rational(self) -> bool:

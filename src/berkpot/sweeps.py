@@ -212,6 +212,8 @@ class SweepConfig:
             for k in ("tol", "quad_n", "atom_budget"):
                 if k in obj:
                     setattr(cfg, k, type(getattr(cfg, k))(obj[k]))
+            if not cfg.tol > 0:  # also a NaN tol
+                raise SweepError(f"tol must be positive, got {cfg.tol}")
             if "seed_point" in obj:
                 s = obj["seed_point"]
                 cfg.seed_point = complex(float(s.get("re", 2.0)), float(s.get("im", 0.0))) if isinstance(s, dict) else complex(s)

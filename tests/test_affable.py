@@ -529,3 +529,20 @@ def test_pieces_are_canonical_at_construction():
     one = next(f for f in BAT if f.fn_id == "one")
     v = affable_eval(Place.padic(3), one, GAUSS)
     assert type(v) is F and v == 1
+
+
+def test_canonical_numbers_are_not_converted_again(monkeypatch):
+    # piece_add and Piece.scaled hand stored ints and Fractions back to
+    # Branch, which keeps them as they are; other types still convert
+    import berkpot.affable as affable
+
+    half, mcl = (next(f for f in BAT if f.fn_id == i) for i in ("half_clip_log_T_minus_1", "min_clip_half"))
+    pairs = [(half.chart0_plus, mcl.chart0_plus), (half.chartinf_plus, mcl.chartinf_plus)]
+    want = [piece_add(a, b) for a, b in pairs] + [mcl.chart0_plus.scaled(F(2, 3))]
+    calls = []
+    monkeypatch.setattr(affable, "Fraction", lambda *a: calls.append(a) or F(*a))
+    got = [piece_add(a, b) for a, b in pairs] + [mcl.chart0_plus.scaled(F(2, 3))]
+    assert calls == []
+    assert got == want and repr(got) == repr(want)  # the same types: int 0, Fraction(1, 2)
+    assert Branch(True, ((0.5, (True, "1/2")),)) == Branch(1, ((F(1, 2), (1, F(1, 2))),))
+    assert len(calls) == 4

@@ -203,16 +203,20 @@ def test_heuristic_bound_for_complex_lifts():
 
 
 def test_deviation_bound_cached_for_complex_lift(monkeypatch):
+    # an archimedean call reads its bound, depth and escape tail from one
+    # cached plan: a second call rebuilds none of it
     import berkpot.green as green
 
     rabbit = HomogeneousLift.polynomial([complex(-0.1226, 0.7449), 0, 1])
     first = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
-    calls = []
-    original = green._arch_step
-    monkeypatch.setattr(green, "_arch_step", lambda *a: calls.append(a) or original(*a))
+    bounds = []
+    original = green.deviation_bound
+    monkeypatch.setattr(green, "deviation_bound", lambda *a: bounds.append(a) or original(*a))
+    before = green._arch_plan.cache_info()
     second = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
-    assert len(calls) == second.n_used  # the orbit only: the bound is cached
-    assert second.gmax == first.gmax and second.value == first.value
+    after = green._arch_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses) and bounds == []
+    assert second == first
 
 
 def test_ecart_contraction_measured():
@@ -315,28 +319,40 @@ def test_escape_tail_agrees_with_the_full_sum(lift, eps, tol):
     assert lambda_limit(place, lift, infinity(), tol).n_used == 0
 
 
-def test_vanishing_norm_in_an_orbit_is_a_green_error(monkeypatch):
-    # a zero ||F(zhat)||: math.log(0.0) raises for one point, numpy gives nan
-    # for an array; both read as the typed error of a vanishing resultant
-    import berkpot.green as green
-
-    monkeypatch.setattr(green, "_form", lambda coeffs, d, z0, z1: 0 * z0)
-    for x in (classical(0.5 + 0j), np.array([0.5, 2j, complex("inf")])):
+def test_vanishing_norm_in_an_orbit_is_a_green_error():
+    # (3T^2 - T, 3T - 1 + 2^-60) has Res != 0, but its float coefficients
+    # round f1[0] to -1, and at the float 1/3 both forms evaluate to exactly
+    # 0: math.log(0.0) raises for one point, numpy gives nan for an array;
+    # both read as the typed error of a vanishing resultant
+    lift = HomogeneousLift.from_coeffs(2, [0, -1, 3], [F(-1) + F(1, 2**60), 3])
+    assert deviation_bound(ARC, lift).gmax < 50
+    for x in (classical(1 / 3), np.array([1 / 3, 2j, complex("inf")])):
         with pytest.raises(GreenError, match="lift vanishes at a projective point"):
-            lambda_limit(ARC, CHEB, x, 1e-8)
+            lambda_limit(ARC, lift, x, 1e-8)
 
 
-def test_escaped_orbit_stops_after_six_steps(monkeypatch):
-    # 3 -> 7 -> 47 -> 2207 -> ...: at step 6 the escape bound is far below
-    # rounding; the a priori n at tol 1e-8 is 28
+def test_escaped_orbit_stops_after_five_steps():
+    # 3 -> 7 -> 47 -> 2207 -> ...: g - log|f0[d]| decays as |z|^-2, so at
+    # step 5 the escape bound is below rounding; the a priori n at tol 1e-8
+    # is 28.  The value is the 5-term series to the bit (log|f0[d]| = 0).
+    x = classical(3 + 0j)
+    st = lambda_limit(ARC, CHEB, x, 1e-8)
+    assert st.n_used == 5 and st.value == _series(ARC, CHEB, x, 5)
+    assert _a_priori(ARC, CHEB, 1e-8)[0] == 28
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+def test_nonpositive_or_nan_tol_is_a_green_error(tol):
+    # a NaN tol passes every `err > tol` test: it would certify the 0-step
+    # value and leave a plan entry per call
     import berkpot.green as green
 
-    calls = []
-    original = green._arch_step
-    monkeypatch.setattr(green, "_arch_step", lambda *a: calls.append(a) or original(*a))
-    st = lambda_limit(ARC, CHEB, classical(3 + 0j), 1e-8)
-    assert len(calls) == st.n_used <= 6
-    assert _a_priori(ARC, CHEB, 1e-8)[0] == 28
+    before = green._arch_plan.cache_info().currsize
+    for place, lift, x in ((ARC, CHEB, classical(0.5 + 0j)), (ARC, RABBIT, np.array([0.5, 2j])),
+                           (Place.padic(3), Z2P1, GAUSS)):
+        with pytest.raises(GreenError, match="tolerance must be positive"):
+            lambda_limit(place, lift, x, tol)
+    assert green._arch_plan.cache_info().currsize == before
 
 
 def _series(place, lift, x, n):
@@ -506,6 +522,67 @@ def test_arch_deviation_g_bits_pinned(eps, name):
     lifts = [(1.3 + 0.4j, 1), (0.2 - 0.7j, 1.5j), (3, 0.5 + 0.5j), (2 - 1j, 1e-3)]
     got = [deviation_sequence(Place.archimedean(eps), lift, classical_pair(*zhat), 1)[0].hex() for zhat in lifts]
     assert got == _DEVIATION_G_PINNED[eps, name]
+
+
+# one-point archimedean potentials as the evaluator with the |z|^-1 escape
+# tail gave them, before the tail decayed as |z|^-m: lifts with m = 1 (and a
+# lift that is not polynomial) must keep every bit, those with m = 2 may stop
+# earlier by rounding
+_ARCH_FROZEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "arch_point_values.txt")
+_ARCH_LIFTS = {
+    "z2+z-1": HomogeneousLift.polynomial([-1, 1, 1]),
+    "cubic-m1": HomogeneousLift.from_coeffs(3, [1, -3, 1, 2], [5]),  # (2T^3 + T^2 - 3T + 1)/5
+    "nonpoly": NONPOLY,
+    "cheb": CHEB,
+    "rabbit": RABBIT,
+    "cubic": CUBIC,
+}
+_M2_LIFTS = ("cheb", "rabbit", "cubic")
+
+
+def _arch_frozen_lines():
+    """lift eps tol z | lambda_limit as value n_used certified_error
+    certificate gmax | lambda_n at n = 5 | the first four g, floats as hex."""
+    pts = (0j, 0.3 + 0.2j, -1.1 + 0.5j, 1.9 - 0.4j, 3 + 0j, -2.5 + 2.5j, 40j, None)
+    for lname, lift in _ARCH_LIFTS.items():
+        for eps in (F(1), F(1, 2), F(1, 1024)):
+            place = Place.archimedean(eps)
+            for tol in (1e-8, 1e-15):
+                for z in pts:
+                    x = infinity() if z is None else classical(z)
+                    st = lambda_limit(place, lift, x, tol)
+                    gs = " ".join(g.hex() for g in deviation_sequence(place, lift, x, 4))
+                    yield (f"{lname} {eps} {tol!r} {'inf' if z is None else z} | {st.value.hex()} {st.n_used} "
+                           f"{st.certified_error.hex()} {st.certificate} {st.gmax.hex()} | "
+                           f"{lambda_n(place, lift, x, 5).hex()} | {gs}")
+
+
+def test_arch_point_values_frozen():
+    with open(_ARCH_FROZEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = list(_arch_frozen_lines())
+    assert len(got) == len(want) == 288
+    for line, frozen in zip(got, want, strict=True):
+        if line.split()[0] not in _M2_LIFTS:
+            assert line == frozen
+
+
+def test_m2_escape_tail_stops_no_later_and_rounds_alike():
+    # the |z|^-2 tail stops no later than the |z|^-1 one, at a sum that
+    # differs by rounding only; the certificate, lambda_n and g keep their bits
+    with open(_ARCH_FROZEN, encoding="utf-8") as fh:
+        want = [line for line in fh.read().splitlines() if line.split()[0] in _M2_LIFTS]
+    got = [line for line in _arch_frozen_lines() if line.split()[0] in _M2_LIFTS]
+    assert len(got) == len(want) == 144
+    fewer = 0
+    for line, frozen in zip(got, want, strict=True):
+        (head, st, rest), (head0, st0, rest0) = (x.split(" | ", 2) for x in (line, frozen))
+        (v, n_used, *cert), (v0, n0, *cert0) = st.split(), st0.split()
+        assert (head, cert, rest) == (head0, cert0, rest0)
+        v, v0 = float.fromhex(v), float.fromhex(v0)
+        assert int(n_used) <= int(n0) and abs(v - v0) <= 2.0**-52 * max(1.0, abs(v0)), line
+        fewer += int(n_used) < int(n0)
+    assert fewer > 0
 
 
 def test_complex_lift_at_an_ultrametric_place_is_a_place_error():

@@ -427,6 +427,25 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", [0, -1, "nan"])
+def test_nonpositive_or_nan_sweep_tol_is_a_config_error(tmp_path, capsys, tol):
+    # a NaN tol passes every `tail > tol` test and would fix every
+    # archimedean tree at depth 1
+    with pytest.raises(SweepError, match="tol must be positive"):
+        SweepConfig.from_json({"depth": 2, "tol": tol})
+    cfg = _write(tmp_path, "cfg.json", {"depth": 2, "map": lift_to_json(Z2), "tol": tol, "atom_budget": 256})
+    assert main(["sweep-eq", "--config", cfg, "--quiet"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_cli_green_nan_tol_is_a_numeric_failure(tmp_path, capsys):
+    m = _write(tmp_path, "m.json", lift_to_json(Z2))
+    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    for tol in ("nan", "0", "-1"):
+        rc = main(["green", "--map", m, "--place", '{"kind":"arch","eps":"1"}', "--points", pts, f"--tol={tol}"])
+        assert rc == 3 and "tolerance must be positive" in capsys.readouterr().err
+
+
 def test_sweep_quadrature_doubling_within_cert():
     cfg_a = SweepConfig(grid=default_grid(3), battery=F1, quad_n=32)
     cfg_b = SweepConfig(grid=default_grid(3), battery=F1, quad_n=64)
