@@ -20,16 +20,17 @@ x_j running over the cofactor coefficients.  The cofactors are
 ``HomogeneousLift.cofactors``: the one exact elimination that also decides
 Res(F0, F1) != 0 when the lift is built (``rmaps.resultant_cofactors``).
 
-Each regime walks every orbit in its own loops, which return the sum, the
-steps and the g values summed.  At an archimedean place ``lambda_n``,
-``lambda_limit`` and ``deviation_sequence`` take either a BerkPoint or a
-complex ndarray of points, ``points.ARCH_INF`` standing for the point at
-infinity as in ``preimages_arch``.  One point runs a straight loop on Python
-complex (``_arch_point``: ``_form``'s Horner operations in ``_form``'s order
-over ``HomogeneousLift.scalar_coeffs``), an array steps on numpy
-(``_arch_limit``, ``_arch_step``), and ``lambda_limit`` reads what (place,
-lift, tol) alone fix from one cached plan, ``_arch_plan``.  An array gives
-one ``PotentialState`` whose ``value`` is an array of the same shape;
+``lambda_limit`` reads what (place, lift, tol) fix from one cached plan,
+``_plan``, in both regimes; a vanishing G_max is no special case, as the
+plan gives n = 0 and "exact".  ``_orbit`` sends each orbit to its regime's
+loop, which returns the sum, the steps and the g values summed.  At an
+archimedean place ``lambda_n``, ``lambda_limit`` and ``deviation_sequence``
+take a BerkPoint or a complex ndarray of points, ``points.ARCH_INF``
+standing for infinity as in ``preimages_arch``.  One point runs a straight
+loop on Python complex (``_arch_point``: ``_form``'s Horner operations in
+``_form``'s order over ``HomogeneousLift.scalar_coeffs``), an array steps
+on numpy (``_arch_limit``, ``_arch_step``).  An array gives one
+``PotentialState`` whose ``value`` is an array of the same shape;
 ``certified_error``, ``certificate`` and ``gmax`` stay scalars, because the
 a priori tail bound does not depend on the point, and ``n_used`` is the most
 steps any point summed (see the escape tail below).
@@ -237,12 +238,6 @@ def _arch_limit(lift: HomogeneousLift, eps: float, zhat, n: int, escape=None):
     return value, n_used, terms
 
 
-def _arch_orbit(place: Place, lift: HomogeneousLift, x, n: int, escape=None):
-    """``_arch_point`` at a BerkPoint, ``_arch_limit`` at a point array."""
-    loop = _arch_limit if isinstance(x, np.ndarray) else _arch_point
-    return loop(lift, place.eps_float, _arch_lift(x), n, escape)
-
-
 # -- exact orbits ------------------------------------------------------------
 
 
@@ -288,15 +283,22 @@ def _exact_limit(place: Place, lift: HomogeneousLift, x: BerkPoint, n: int, tail
     return total, n, terms
 
 
+def _orbit(place: Place, lift: HomogeneousLift, x, n: int, tail=None):
+    """(value, steps summed, terms) of lambda_n(x), closed by a plan's tail
+    (None: no exit), from the loop of x's regime and type."""
+    if place.is_ultrametric:
+        return _exact_limit(place, lift, x, n, tail)
+    loop = _arch_limit if isinstance(x, np.ndarray) else _arch_point
+    return loop(lift, place.eps_float, _arch_lift(x), n, tail)
+
+
 def deviation_sequence(place: Place, lift: HomogeneousLift, x, n: int):
     """[g(x), g(phi x), ..., g(phi^{n-1} x)] along the orbit.
 
     At an archimedean place x may be a point array; each entry is then an
     array (see the module docstring).
     """
-    if not place.is_ultrametric:
-        return _arch_orbit(place, lift, x, n)[2]
-    return _exact_limit(place, lift, x, n, None)[2]
+    return _orbit(place, lift, x, n)[2]
 
 
 def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
@@ -306,9 +308,7 @@ def lambda_n(place: Place, lift: HomogeneousLift, x, n: int) -> LogValue:
     Exact rational at ultrametric places; an array for a point array at an
     archimedean place.
     """
-    if not place.is_ultrametric:
-        return _arch_orbit(place, lift, x, n)[0]
-    return _exact_limit(place, lift, x, n, None)[0]
+    return _orbit(place, lift, x, n)[0]
 
 
 # -- deviation bounds ----------------------------------------------------------
@@ -346,8 +346,11 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
         unit = place.log_unit
         return DeviationBound(float(lower) * unit, float(upper) * unit)
     eps, d = place.eps_float, lift.d
-    maxc = max(abs(complex(c)) for c in lift.coeff_list())
-    maxcof = max(abs(complex(c)) for c in lift.cofactors.coeff_list())
+    try:
+        maxc = max(abs(complex(c)) for c in lift.coeff_list())
+        maxcof = max(abs(complex(c)) for c in lift.cofactors.coeff_list())
+    except OverflowError:  # an exact coefficient or cofactor beyond the float range
+        raise GreenError(_INFINITE_BOUND) from None
     return DeviationBound(-eps * math.log(2 * d * maxcof), eps * (math.log(maxc) + math.log(d + 1)))
 
 
@@ -373,7 +376,6 @@ class PotentialState:
     gmax: float = 0.0
 
 
-@functools.cache
 def _tail_constants(place: Place, lift: HomogeneousLift):
     """(t*, log|f0[d]|, log|f1[0]|) for the closed tails of a polynomial map
     at an exact place (module docstring); None for a tail that does not apply.
@@ -415,27 +417,23 @@ def _closed_tail(place: Place, lift: HomogeneousLift, tails, prev, y: BerkPoint,
     return None
 
 
-def _a_priori(place: Place, lift: HomogeneousLift, tol: float):
-    """(G_max, n, err) after the bound checks: the least n with
-    err = G_max / (d^n (d-1)) <= tol, divided down by d."""
-    bound = deviation_bound(place, lift)
+@functools.cache
+def _plan(place: Place, lift: HomogeneousLift, tol: float):
+    """(n, err, certificate, G_max, tail) after the bound checks: the least n
+    with err = G_max / (d^n (d-1)) <= tol, "exact" iff G_max = 0, and the
+    closed tail of a polynomial map, ``_tail_constants`` at an exact place
+    and the ``_arch_point`` escape constants elsewhere (None if f0[d] underflows)."""
+    bound, d = deviation_bound(place, lift), lift.d
     if not math.isfinite(bound.gmax):
         raise GreenError(_VANISHING_RES if is_neg_inf(bound.lower) else _INFINITE_BOUND)
-    n, err = 0, bound.gmax / (lift.d - 1)
+    gmax, n, err = bound.gmax, 0, bound.gmax / (d - 1)
     while err > tol:
-        n, err = n + 1, err / lift.d
-    return bound.gmax, n, err
-
-
-@functools.cache
-def _arch_plan(place: Place, lift: HomogeneousLift, tol: float):
-    """What an archimedean ``lambda_limit`` derives from its arguments, read
-    with one lookup: (n, err, certificate, G_max, escape), escape being the
-    ``_arch_point`` escape tail, or None for a lift that is not polynomial or
-    whose f0[d] underflows.  A vanishing G_max is exact at n = 0."""
-    gmax, n, err = _a_priori(place, lift, tol)
-    (f0, f1), d, eps = lift.complex_coeffs, lift.d, place.eps_float
-    top, plan = abs(f0[d]), (n, err, "certified" if gmax else "exact", gmax)
+        n, err = n + 1, err / d
+    plan = (n, err, "certified" if gmax else "exact", gmax)
+    if place.is_ultrametric:
+        return plan + (_tail_constants(place, lift) if lift.is_polynomial else None,)
+    (f0, f1), eps = lift.complex_coeffs, place.eps_float
+    top = abs(f0[d])
     if not lift.is_polynomial or not top:
         return plan + (None,)
     big_a = float(np.abs(f0[:d]).sum() / top)
@@ -448,29 +446,22 @@ def _arch_plan(place: Place, lift: HomogeneousLift, tol: float):
 def lambda_limit(place: Place, lift: HomogeneousLift, x, tol: float) -> PotentialState:
     """Canonical potential at x with a certified tail.
 
-    Chooses n with G_max/(d^n (d-1)) <= tol; stops early with a zero-error
-    certificate when the deviation bound vanishes, or when the orbit of a
-    polynomial map at an exact place enters the strict-escape region or a
-    disk of the closed unit disk that the map sends into itself (exact
-    geometric tails, module docstring).  At an archimedean place the orbit
-    of a polynomial map stops once its escape tail is closed to rounding,
-    and x may be a point array: ``value`` is then an array (see the module
-    docstring).
+    Chooses n with G_max/(d^n (d-1)) <= tol, which is n = 0 with a
+    zero-error certificate when the deviation bound vanishes.  At an exact
+    place the orbit of a polynomial map stops early, with error 0, when it
+    enters the strict-escape region or a disk of the closed unit disk that
+    the map sends into itself (exact geometric tails, module docstring).  At
+    an archimedean place the orbit of a polynomial map stops once its escape
+    tail is closed to rounding, and x may be a point array: ``value`` is then
+    an array (see the module docstring).
     """
     if not tol > 0:  # also a NaN tol
         raise GreenError("tolerance must be positive")
-    if not place.is_ultrametric:
-        n, err, certificate, gmax, escape = _arch_plan(place, lift, tol)
-        value, n_used, _ = _arch_orbit(place, lift, x, n, escape)
-        return PotentialState(value, n_used, err, certificate, gmax)
-    gmax, n, err = _a_priori(place, lift, tol)
-    if gmax == 0.0:
-        return PotentialState(lambda_n(place, lift, x, 0), 0, 0.0, "exact", 0.0)
-    tails = _tail_constants(place, lift) if lift.is_polynomial else None
-    value, n_used, _ = _exact_limit(place, lift, x, n, tails)
-    if n_used < n:  # closed: the tail was summed exactly
-        return PotentialState(value, n_used, 0.0, "exact", gmax)
-    return PotentialState(value, n, err, "certified", gmax)
+    n, err, certificate, gmax, tail = _plan(place, lift, tol)
+    value, n_used, _ = _orbit(place, lift, x, n, tail)
+    if place.is_ultrametric and n_used < n:  # closed: the tail was summed exactly
+        err, certificate = 0.0, "exact"
+    return PotentialState(value, n_used, err, certificate, gmax)
 
 
 def contraction_ratios(place: Place, lift: HomogeneousLift, sample, n_max: int):

@@ -214,7 +214,7 @@ def vplus(a: LogValue, b: LogValue) -> LogValue:
     if type(a) is float or type(b) is float:
         if a == NEG_INF or b == NEG_INF:
             if a == POS_INF or b == POS_INF:
-                raise ArithmeticError("adding opposite log infinities")
+                raise PlaceError("adding opposite log infinities")
             return NEG_INF
         if a == POS_INF or b == POS_INF:
             return POS_INF

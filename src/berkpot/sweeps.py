@@ -19,7 +19,10 @@ and one plan per function, its float branches and its eps-free pole set;
 a fiber only forms c + q (eps log|g|) per branch, the max, and plus -
 minus.  Only the potential tail, and so the error bars, change with eps.
 Ultrametric fibers are unchanged: each builds its own measure and reads
-its values exactly.  Nothing bounds the distance of a collapsed tree
+its values exactly, but a fiber of good reduction (G_max = 0) takes the
+Dirac mass at the Gauss point without ``equilibrium_nonarch``, which gives
+the same measure a hundred times slower: the hybrid grid's trivial endpoint
+is one for every rational map.  Nothing bounds the distance of a collapsed tree
 (``measures.tree_collapse``) to mu_phi, so the rows of its places fail.
 
 Equilibrium row errors are the quadrature error plus the potential tail
@@ -47,7 +50,6 @@ archimedean circle row is a doubling difference plus rounding, not a bound.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +62,7 @@ from .measures import (
     Measure,
     MeasureError,
     chi_measure,
+    dirac,
     equilibrium_arch,
     equilibrium_nonarch,
     integrate,
@@ -76,8 +79,7 @@ class SweepError(ValueError):
 
 # the failures a sweep records per row and steps past; anything else is a
 # bug and propagates
-ROW_ERRORS = (AffableError, GraphError, GreenError, MapError, MeasureError, PlaceError, SweepError,
-              ArithmeticError)
+ROW_ERRORS = (AffableError, GraphError, GreenError, MapError, MeasureError, PlaceError, SweepError)
 
 
 def default_grid(depth: int = 10) -> list[Place]:
@@ -102,16 +104,15 @@ def validate_grid(grid: list[Place]):
             raise SweepError("the ultrametric endpoint must come last in the grid")
 
 
-def default_skeleton(place: Place, span: int = 2, halves: bool = True) -> MetricGraph:
+def default_skeleton(place: Place, span: int = 2) -> MetricGraph:
     """Segment skeleton eta_{0, p^(q eps)}, q in [-span, span] in steps of
-    1/2 (halves) or 1: the flow image at the place's exponent eps of the
-    eps = 1 segment, so the flow carries a fiber's skeleton, and with it the
-    measure, to the next one along a branch.  The disks are nested, so the
-    path through them is their convex hull (``points.build_skeleton``)."""
+    1/2: the flow image at the place's exponent eps of the eps = 1 segment,
+    so the flow carries a fiber's skeleton, and with it the measure, to the
+    next one along a branch.  The disks are nested, so the path through
+    them is their convex hull (``points.build_skeleton``)."""
     if not place.is_ultrametric:
         raise PlaceError("operation requires an ultrametric place")
-    step = Fraction(1, 2) if halves else Fraction(1)
-    count = math.floor(2 * span / step) + 1
+    step, count = Fraction(1, 2), 4 * span + 1
     labels = [disk(0, (k * step - span) * place.eps) for k in range(count)]
     edges = [(k, k + 1, step * place.eps) for k in range(count - 1)]
     return MetricGraph(labels, edges, sorted({0, count - 1}))
@@ -189,6 +190,10 @@ class SweepConfig:
     atom_budget: int = 1 << 14
     seed_point: complex = 2 + 0j
 
+    def __post_init__(self):
+        if not self.tol > 0:  # also a NaN tol
+            raise SweepError(f"tol must be positive, got {self.tol}")
+
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":
         try:
@@ -202,33 +207,26 @@ class SweepConfig:
                     grid = default_grid(int(obj.get("depth", 10)))
             validate_grid(grid)
             battery = load_battery(obj["battery"]) if obj.get("battery") else standard_battery()
-            cfg = SweepConfig(grid=grid, battery=battery)
-            if "map" in obj:
-                cfg.lift = lift_from_json(obj["map"])
-            if "center" in obj:
-                cfg.center = Fraction(str(obj["center"]))
-            if "radius" in obj:
-                cfg.radius = RadiusSpec.parse(obj["radius"])
-            for k in ("tol", "quad_n", "atom_budget"):
-                if k in obj:
-                    setattr(cfg, k, type(getattr(cfg, k))(obj[k]))
-            if not cfg.tol > 0:  # also a NaN tol
-                raise SweepError(f"tol must be positive, got {cfg.tol}")
-            if "seed_point" in obj:
-                s = obj["seed_point"]
-                cfg.seed_point = complex(float(s.get("re", 2.0)), float(s.get("im", 0.0))) if isinstance(s, dict) else complex(s)
-            return cfg
+            read = {"map": lift_from_json, "center": lambda c: Fraction(str(c)), "radius": RadiusSpec.parse,
+                    "tol": float, "quad_n": int, "atom_budget": int,
+                    "seed_point": lambda s: complex(float(s.get("re", 2.0)), float(s.get("im", 0.0)))
+                    if isinstance(s, dict) else complex(s)}
+            fields = {"lift" if k == "map" else k: parse(obj[k]) for k, parse in read.items() if k in obj}
+            return SweepConfig(grid=grid, battery=battery, **fields)
         except (KeyError, ValueError, TypeError) as exc:
             raise SweepError(f"bad sweep config: {exc}") from exc
 
 
 def _chi_at(place: Place, center: Fraction, radius: RadiusSpec) -> Measure:
-    log_r = radius.log_at(place)
-    if place.is_ultrametric:
-        return chi_measure(place, center, snap_rational(log_r / place.log_unit))
-    # the place-radius r names the Euclidean circle of radius r^(1/eps); for
-    # the constant radius 1 and for the base^eps family this is eps-uniform
-    return chi_measure(place, center, None, euclid_radius=math.exp(log_r / place.eps_float))
+    try:
+        log_r = radius.log_at(place)
+        if place.is_ultrametric:
+            return chi_measure(place, center, snap_rational(log_r / place.log_unit))
+        # the place-radius r names the Euclidean circle of radius r^(1/eps); for
+        # the constant radius 1 and for the base^eps family this is eps-uniform
+        return chi_measure(place, center, None, euclid_radius=math.exp(log_r / place.eps_float))
+    except OverflowError as exc:  # a radius or centre beyond the float range at this place
+        raise MeasureError(f"circle beyond the float range: {exc}") from None
 
 
 def _failed_row(kind: str, param: str, fn, n_used: int, exc: Exception) -> SweepRow:
@@ -281,29 +279,27 @@ def sweep_chi(config: SweepConfig) -> SweepTable:
 
 
 def _arch_depth(place: Place, config: SweepConfig):
-    """(G_max, n, tail): the first depth n with tail = G_max / (d^n (d-1)) <= tol, within budget."""
+    """(n, tail): the first depth n with tail = G_max / (d^n (d-1)) <= tol, within budget."""
     gmax, d = deviation_bound(place, config.lift).gmax, config.lift.d
     n, tail = 1, gmax / (d - 1) / d
     while tail > config.tol and d ** (n + 1) <= config.atom_budget:
         n, tail = n + 1, tail / d
-    return gmax, n, tail
+    return n, tail
 
 
-def _eq_measure_at(place: Place, config: SweepConfig, trees: dict | None = None, depth=None):
+def _eq_measure_at(place: Place, config: SweepConfig, trees: dict | None = None):
     """Equilibrium measure at one place: (measure, n_used, potential tail bound).
 
-    ``depth`` is the place's ``_arch_depth`` if known; ``trees`` maps each
-    archimedean depth of a sweep to its measure, which does not depend on
-    eps, or to None until one pullback chain fills them all.
+    ``trees`` maps each archimedean depth of a sweep to its eps-free
+    measure, or to None until one pullback chain fills them all.
     """
     lift = config.lift
-    gmax, n, tail = depth or _arch_depth(place, config)
-    if gmax == 0.0:
-        # the canonical potential is identically zero: the measure is the circle family member
-        return _chi_at(place, Fraction(0), RadiusSpec("const", Fraction(1))), 0, 0.0
     if place.is_ultrametric:
+        if deviation_bound(place, lift).gmax == 0.0:  # good reduction (module docstring)
+            return dirac(GAUSS), 0, 0.0
         mu, report = equilibrium_nonarch(place, lift, default_skeleton(place), config.tol)
         return mu, 0, max(st.certified_error for st in report.states)
+    n, tail = _arch_depth(place, config)
     trees = {n: None} if trees is None else trees
     if trees[n] is None:
         equilibrium_arch(place, lift, config.seed_point, max(trees), trees)
@@ -318,12 +314,10 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
         raise SweepError("equilibrium sweep needs a map")
     if not config.lift.is_rational:
         raise SweepError("sweep maps must have rational coefficients (shared across fibers)")
-    depths = {}  # every place's depth before the first tree
-    for place in config.grid:
-        with contextlib.suppress(*ROW_ERRORS):  # a place that fails here fails its rows
-            depths[place] = _arch_depth(place, config)
-    trees = dict.fromkeys(n for place, (gmax, n, _) in depths.items() if gmax and not place.is_ultrametric)
-    return _sweep(config, lambda place: _eq_measure_at(place, config, trees, depths.get(place)))
+    # every archimedean depth before the first tree; an archimedean bound of a
+    # rational lift fails only past the float range, and then fails the sweep
+    trees = dict.fromkeys(_arch_depth(place, config)[0] for place in config.grid if not place.is_ultrametric)
+    return _sweep(config, lambda place: _eq_measure_at(place, config, trees))
 
 
 def circle_sample(n: int = 64, radius: float = 1.0):

@@ -212,9 +212,26 @@ def test_deviation_bound_cached_for_complex_lift(monkeypatch):
     bounds = []
     original = green.deviation_bound
     monkeypatch.setattr(green, "deviation_bound", lambda *a: bounds.append(a) or original(*a))
-    before = green._arch_plan.cache_info()
+    before = green._plan.cache_info()
     second = lambda_limit(ARC, rabbit, classical(0.3 + 0.2j), 1e-8)
-    after = green._arch_plan.cache_info()
+    after = green._plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses) and bounds == []
+    assert second == first
+
+
+def test_exact_place_reads_one_cached_plan(monkeypatch):
+    # an exact place reads its bound, depth and closed-tail constants from
+    # the same cached plan as an archimedean one
+    import berkpot.green as green
+
+    p3, t23, x = Place.padic(3), HomogeneousLift.from_coeffs(2, [0, 0, F(1, 3)], [1]), disk(4, -1)
+    first = lambda_limit(p3, t23, x, 1e-4)
+    bounds = []
+    original = green.deviation_bound
+    monkeypatch.setattr(green, "deviation_bound", lambda *a: bounds.append(a) or original(*a))
+    before = green._plan.cache_info()
+    second = lambda_limit(p3, t23, x, 1e-4)
+    after = green._plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses) and bounds == []
     assert second == first
 
@@ -347,12 +364,12 @@ def test_nonpositive_or_nan_tol_is_a_green_error(tol):
     # value and leave a plan entry per call
     import berkpot.green as green
 
-    before = green._arch_plan.cache_info().currsize
+    before = green._plan.cache_info().currsize
     for place, lift, x in ((ARC, CHEB, classical(0.5 + 0j)), (ARC, RABBIT, np.array([0.5, 2j])),
                            (Place.padic(3), Z2P1, GAUSS)):
         with pytest.raises(GreenError, match="tolerance must be positive"):
             lambda_limit(place, lift, x, tol)
-    assert green._arch_plan.cache_info().currsize == before
+    assert green._plan.cache_info().currsize == before
 
 
 def _series(place, lift, x, n):

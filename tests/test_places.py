@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 
 from berkpot.places import (
     NEG_INF,
+    POS_INF,
     Place,
     PlaceError,
     abs_log_value,
     flow_place,
     place_from_json,
     snap_rational,
+    vplus,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -29,6 +31,14 @@ def test_abs_log_examples():
     assert Place.padic(3).log_unit == pytest.approx(math.log(3))
     assert abs_log_value(Place.trivial(), 7) == 0
     assert abs_log_value(Place.padic(3), 0) == NEG_INF
+
+
+def test_opposite_log_infinities_are_a_place_error():
+    # a typed failure, so no caller has to catch a built-in ArithmeticError
+    for a, b in ((NEG_INF, POS_INF), (POS_INF, NEG_INF)):
+        with pytest.raises(PlaceError, match="adding opposite log infinities"):
+            vplus(a, b)
+    assert vplus(NEG_INF, 3) == NEG_INF and vplus(F(1, 2), POS_INF) == POS_INF
 
 
 def test_residue_place_kills_p():

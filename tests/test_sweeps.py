@@ -11,11 +11,11 @@ import pytest
 from berkpot.affable import PIECE_ZERO, AffableError, AffableFn, affable_real, mass_bound, piece_max_log
 from berkpot.battery import standard_battery
 from berkpot.cli import main
-from berkpot.green import contraction_ratios
-from berkpot.measures import equilibrium_nonarch, integrate
+from berkpot.green import GreenError, contraction_ratios, lambda_limit
+from berkpot.measures import equilibrium_arch, equilibrium_nonarch, integrate
 from berkpot.places import Place, PlaceError
-from berkpot.points import build_skeleton, disk
-from berkpot.rmaps import HomogeneousLift, lift_to_json
+from berkpot.points import build_skeleton, classical, disk
+from berkpot.rmaps import HomogeneousLift, MapError, lift_to_json
 from berkpot.sweeps import (
     ROW_ERRORS,
     RadiusSpec,
@@ -140,12 +140,11 @@ def test_sweep_equilibrium_rejects_complex_maps():
 
 @pytest.mark.parametrize("place", [Place.padic(2), Place.padic(3, 2), Place.padic(2, 1024), Place.trivial(),
                                    Place.residue(3)], ids=["p2", "p3-eps2", "p2-eps1024", "trivial", "res3"])
-@pytest.mark.parametrize("halves", [True, False], ids=["halves", "units"])
-def test_default_skeleton_is_the_hull_of_its_disks(place, halves):
-    per_unit = 2 if halves else 1
+@pytest.mark.parametrize("per_unit", [2], ids=["halves"])  # disks per unit of eps
+def test_default_skeleton_is_the_hull_of_its_disks(place, per_unit):
     for span in (0, 1, 2, 3):
         disks = [disk(0, F(k, per_unit) * place.eps) for k in range(-span * per_unit, span * per_unit + 1)]
-        assert default_skeleton(place, span, halves) == build_skeleton(place, disks)
+        assert default_skeleton(place, span) == build_skeleton(place, disks)
     with pytest.raises(PlaceError):
         default_skeleton(Place.archimedean())
 
@@ -412,6 +411,62 @@ def test_untyped_row_failure_propagates(monkeypatch, target):
             sweep_chi(cfg)
 
 
+def test_builtin_error_propagates_out_of_sweeps_and_cli(monkeypatch, tmp_path):
+    # only berkpot's typed failures are rows or exit codes: a ZeroDivisionError is a bug
+    import berkpot.cli as cli
+    import berkpot.sweeps as sweeps
+
+    assert all(exc.__module__.startswith("berkpot.") for exc in ROW_ERRORS + cli.NUMERIC_ERRORS)
+
+    def bug(*args):
+        raise ZeroDivisionError("a bug, not a row failure")
+
+    monkeypatch.setattr(sweeps, "integrate", bug)
+    with pytest.raises(ZeroDivisionError, match="a bug"):
+        sweep_chi(SweepConfig(grid=default_grid(2), battery=F1))
+    cfg = _write(tmp_path, "cfg.json", {"depth": 2})
+    with pytest.raises(ZeroDivisionError, match="a bug"):
+        main(["sweep-chi", "--config", cfg, "--quiet"])
+
+
+def test_coefficients_beyond_the_float_range_fail_typed(tmp_path, capsys):
+    # an exact coefficient or cofactor past the float range is a typed failure
+    # at an archimedean place, never an OverflowError
+    huge = HomogeneousLift.polynomial([F(10**400), 0, 1])
+    tiny = HomogeneousLift.polynomial([0, 0, F(1, 10**400)])  # its cofactors are huge
+    for lift in (huge, tiny):
+        with pytest.raises(GreenError, match="coefficients blow up"):
+            lambda_limit(Place.archimedean(), lift, classical(2), 1e-8)
+    with pytest.raises(MapError, match="map coefficients must be finite"):
+        equilibrium_arch(Place.archimedean(), huge, 2, 3)
+    m = _write(tmp_path, "m.json", lift_to_json(huge))
+    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    arc = '{"kind":"arch","eps":"1"}'
+    assert main(["green", "--map", m, "--place", arc, "--points", pts, "--quiet"]) == 3
+    assert main(["equilibrium", "--map", m, "--place", arc, "--quiet"]) == 2
+    hybrid = _write(tmp_path, "h.json", {"depth": 2, "atom_budget": 256, "map": lift_to_json(huge)})
+    assert main(["sweep-eq", "--config", hybrid, "--quiet"]) == 3
+    capsys.readouterr()
+    # an ultrametric fiber reads the same map exactly
+    assert not any(row.error for row in sweep_equilibrium(SweepConfig(grid=padic_branch_grid(3, 2), battery=F1,
+                                                                     lift=huge)).rows)
+
+
+@pytest.mark.parametrize("grid, lift", [
+    (padic_branch_grid(2, 3), HomogeneousLift.from_coeffs(2, [0, 0, F(1, 2)], [1])),  # T^2/2
+    (default_grid(3), HomogeneousLift.polynomial([-1, 0, 1])),  # z^2 - 1
+], ids=["padic-t2/2", "hybrid-z2m1"])
+def test_ultrametric_places_never_read_an_arch_depth(monkeypatch, grid, lift):
+    import berkpot.sweeps as sweeps
+
+    places = []
+    original = sweeps._arch_depth
+    monkeypatch.setattr(sweeps, "_arch_depth", lambda place, cfg: places.append(place) or original(place, cfg))
+    table = sweep_equilibrium(SweepConfig(grid=grid, battery=F1, lift=lift, atom_budget=256))
+    assert len(table.rows) == len(grid)
+    assert set(places) == {place for place in grid if not place.is_ultrametric}
+
+
 def test_sweep_chi_padic_branch_with_residue_endpoint():
     cfg = SweepConfig(grid=padic_branch_grid(3, 3), battery=F1)
     table = sweep_chi(cfg)
@@ -436,6 +491,12 @@ def test_nonpositive_or_nan_sweep_tol_is_a_config_error(tmp_path, capsys, tol):
     cfg = _write(tmp_path, "cfg.json", {"depth": 2, "map": lift_to_json(Z2), "tol": tol, "atom_budget": 256})
     assert main(["sweep-eq", "--config", cfg, "--quiet"]) == 2
     assert "tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_nonpositive_or_nan_tol_rejected_by_a_direct_config(tol):
+    with pytest.raises(SweepError, match="tol must be positive"):
+        SweepConfig(grid=default_grid(2), battery=F1, lift=Z2, tol=tol)
 
 
 def test_cli_green_nan_tol_is_a_numeric_failure(tmp_path, capsys):
