@@ -35,7 +35,7 @@ from .sweeps import (
 
 CONFIG_ERRORS = (SweepError, PlaceError, MapError, GraphError, AffableError,
                  json.JSONDecodeError, KeyError, ValueError, OSError)
-NUMERIC_ERRORS = (GreenError, MeasureError)
+NUMERIC_ERRORS = (GreenError, MeasureError, ArithmeticError)
 
 
 def _load_json(path: str):

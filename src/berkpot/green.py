@@ -346,11 +346,8 @@ def _deviation_bound(place: Place, lift: HomogeneousLift) -> DeviationBound:
         unit = place.log_unit
         return DeviationBound(float(lower) * unit, float(upper) * unit)
     eps, d = place.eps_float, lift.d
-    try:
-        maxc = max(abs(complex(c)) for c in lift.coeff_list())
-        maxcof = max(abs(complex(c)) for c in lift.cofactors.coeff_list())
-    except OverflowError:  # an exact coefficient or cofactor beyond the float range
-        raise GreenError(_INFINITE_BOUND) from None
+    maxc = max(abs(complex(c)) for c in lift.coeff_list())
+    maxcof = max(abs(complex(c)) for c in lift.cofactors.coeff_list())
     return DeviationBound(-eps * math.log(2 * d * maxcof), eps * (math.log(maxc) + math.log(d + 1)))
 
 

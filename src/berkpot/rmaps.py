@@ -126,10 +126,7 @@ class HomogeneousLift:
     def complex_coeffs(self) -> np.ndarray:
         """(F0, F1) coefficients as a read-only 2 x (d+1) complex array, the
         form every archimedean evaluation reads."""
-        try:
-            out = np.array([self.f0, self.f1], dtype=complex)
-        except OverflowError:  # a rational entry beyond the float range
-            raise MapError("map coefficients must be finite") from None
+        out = np.array([self.f0, self.f1], dtype=complex)
         out.setflags(write=False)
         return out
 

@@ -50,6 +50,7 @@ archimedean circle row is a doubling difference plus rounding, not a bound.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,7 +80,8 @@ class SweepError(ValueError):
 
 # the failures a sweep records per row and steps past; anything else is a
 # bug and propagates
-ROW_ERRORS = (AffableError, GraphError, GreenError, MapError, MeasureError, PlaceError, SweepError)
+ROW_ERRORS = (AffableError, GraphError, GreenError, MapError, MeasureError, PlaceError, SweepError,
+              ArithmeticError)
 
 
 def default_grid(depth: int = 10) -> list[Place]:
@@ -218,15 +220,12 @@ class SweepConfig:
 
 
 def _chi_at(place: Place, center: Fraction, radius: RadiusSpec) -> Measure:
-    try:
-        log_r = radius.log_at(place)
-        if place.is_ultrametric:
-            return chi_measure(place, center, snap_rational(log_r / place.log_unit))
-        # the place-radius r names the Euclidean circle of radius r^(1/eps); for
-        # the constant radius 1 and for the base^eps family this is eps-uniform
-        return chi_measure(place, center, None, euclid_radius=math.exp(log_r / place.eps_float))
-    except OverflowError as exc:  # a radius or centre beyond the float range at this place
-        raise MeasureError(f"circle beyond the float range: {exc}") from None
+    log_r = radius.log_at(place)
+    if place.is_ultrametric:
+        return chi_measure(place, center, snap_rational(log_r / place.log_unit))
+    # the place-radius r names the Euclidean circle of radius r^(1/eps); for
+    # the constant radius 1 and for the base^eps family this is eps-uniform
+    return chi_measure(place, center, None, euclid_radius=math.exp(log_r / place.eps_float))
 
 
 def _failed_row(kind: str, param: str, fn, n_used: int, exc: Exception) -> SweepRow:
@@ -314,9 +313,11 @@ def sweep_equilibrium(config: SweepConfig) -> SweepTable:
         raise SweepError("equilibrium sweep needs a map")
     if not config.lift.is_rational:
         raise SweepError("sweep maps must have rational coefficients (shared across fibers)")
-    # every archimedean depth before the first tree; an archimedean bound of a
-    # rational lift fails only past the float range, and then fails the sweep
-    trees = dict.fromkeys(_arch_depth(place, config)[0] for place in config.grid if not place.is_ultrametric)
+    trees = {}  # every archimedean depth before the first tree
+    for place in config.grid:
+        if not place.is_ultrametric:
+            with contextlib.suppress(*ROW_ERRORS):  # a lift past the float range fails this place's rows
+                trees[_arch_depth(place, config)[0]] = None
     return _sweep(config, lambda place: _eq_measure_at(place, config, trees))
 
 

@@ -11,11 +11,11 @@ import pytest
 from berkpot.affable import PIECE_ZERO, AffableError, AffableFn, affable_real, mass_bound, piece_max_log
 from berkpot.battery import standard_battery
 from berkpot.cli import main
-from berkpot.green import GreenError, contraction_ratios, lambda_limit
-from berkpot.measures import equilibrium_arch, equilibrium_nonarch, integrate
+from berkpot.green import contraction_ratios
+from berkpot.measures import equilibrium_nonarch, integrate
 from berkpot.places import Place, PlaceError
-from berkpot.points import build_skeleton, classical, disk
-from berkpot.rmaps import HomogeneousLift, MapError, lift_to_json
+from berkpot.points import build_skeleton, disk
+from berkpot.rmaps import HomogeneousLift, lift_to_json
 from berkpot.sweeps import (
     ROW_ERRORS,
     RadiusSpec,
@@ -411,45 +411,43 @@ def test_untyped_row_failure_propagates(monkeypatch, target):
             sweep_chi(cfg)
 
 
-def test_builtin_error_propagates_out_of_sweeps_and_cli(monkeypatch, tmp_path):
-    # only berkpot's typed failures are rows or exit codes: a ZeroDivisionError is a bug
-    import berkpot.cli as cli
-    import berkpot.sweeps as sweeps
-
-    assert all(exc.__module__.startswith("berkpot.") for exc in ROW_ERRORS + cli.NUMERIC_ERRORS)
-
-    def bug(*args):
-        raise ZeroDivisionError("a bug, not a row failure")
-
-    monkeypatch.setattr(sweeps, "integrate", bug)
-    with pytest.raises(ZeroDivisionError, match="a bug"):
-        sweep_chi(SweepConfig(grid=default_grid(2), battery=F1))
-    cfg = _write(tmp_path, "cfg.json", {"depth": 2})
-    with pytest.raises(ZeroDivisionError, match="a bug"):
-        main(["sweep-chi", "--config", cfg, "--quiet"])
+def _piece(c="0", terms=()):
+    return {"branches": [{"c": c, "terms": [list(t) for t in terms]}]}
 
 
-def test_coefficients_beyond_the_float_range_fail_typed(tmp_path, capsys):
-    # an exact coefficient or cofactor past the float range is a typed failure
-    # at an archimedean place, never an OverflowError
+@pytest.mark.parametrize("branch", [("1e400", ()), ("0", [("1e400", ["1", "1"])]), ("0", [("1", ["1e400", "1"])])],
+                         ids=["const", "weight", "coeff"])
+def test_battery_past_the_float_range_fails_rows(tmp_path, capsys, branch):
+    # an exact battery value past the float range fails the rows that read it
+    # as a float, and the sweeps still exit 0
+    fn = {"id": "big", "chart0": {"plus": _piece(*branch), "minus": _piece()},
+          "chartInf": {"plus": _piece(*branch), "minus": _piece()}}
+    battery = _write(tmp_path, "b.json", {"functions": [fn]})
+    for cmd, extra in (("sweep-chi", {}), ("sweep-eq", {"map": lift_to_json(Z2), "atom_budget": 256})):
+        out = os.path.join(tmp_path, f"{cmd}.csv")
+        cfg = _write(tmp_path, "cfg.json", {"depth": 2, "battery": battery, **extra})
+        assert main([cmd, "--config", cfg, "--out", out]) == 0
+        assert "failed rows" in capsys.readouterr().err
+        with open(out, encoding="utf-8") as fh:
+            assert len(list(csv.DictReader(fh))) == 4
+
+
+def test_values_past_the_float_range_keep_their_exit_codes(tmp_path, capsys):
+    # an exact input past the float range at an archimedean place is a numeric
+    # failure (exit 3), or a failed row in a sweep
     huge = HomogeneousLift.polynomial([F(10**400), 0, 1])
-    tiny = HomogeneousLift.polynomial([0, 0, F(1, 10**400)])  # its cofactors are huge
-    for lift in (huge, tiny):
-        with pytest.raises(GreenError, match="coefficients blow up"):
-            lambda_limit(Place.archimedean(), lift, classical(2), 1e-8)
-    with pytest.raises(MapError, match="map coefficients must be finite"):
-        equilibrium_arch(Place.archimedean(), huge, 2, 3)
-    m = _write(tmp_path, "m.json", lift_to_json(huge))
-    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    m, z2 = _write(tmp_path, "m.json", lift_to_json(huge)), _write(tmp_path, "z2.json", lift_to_json(Z2))
     arc = '{"kind":"arch","eps":"1"}'
-    assert main(["green", "--map", m, "--place", arc, "--points", pts, "--quiet"]) == 3
-    assert main(["equilibrium", "--map", m, "--place", arc, "--quiet"]) == 2
-    hybrid = _write(tmp_path, "h.json", {"depth": 2, "atom_budget": 256, "map": lift_to_json(huge)})
-    assert main(["sweep-eq", "--config", hybrid, "--quiet"]) == 3
+    big_q = _write(tmp_path, "q.json", [{"t": "cls", "q": "1e400"}])
+    two = _write(tmp_path, "two.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    assert main(["green", "--map", z2, "--place", arc, "--points", big_q, "--quiet"]) == 3
+    assert main(["green", "--map", m, "--place", arc, "--points", two, "--quiet"]) == 3
+    assert main(["equilibrium", "--map", m, "--place", arc, "--n", "3", "--quiet"]) == 3
+    assert main(["sweep-chi", "--config", _write(tmp_path, "c.json", {"depth": 2, "center": "1/0"})]) == 3
     capsys.readouterr()
-    # an ultrametric fiber reads the same map exactly
-    assert not any(row.error for row in sweep_equilibrium(SweepConfig(grid=padic_branch_grid(3, 2), battery=F1,
-                                                                     lift=huge)).rows)
+    # a hybrid sweep fails the archimedean rows of that map and keeps its exact endpoint row
+    rows = sweep_equilibrium(SweepConfig(grid=default_grid(2), battery=F1, lift=huge, atom_budget=256)).rows
+    assert [not row.error for row in rows] == [False, False, False, True]
 
 
 @pytest.mark.parametrize("grid, lift", [
