@@ -28,7 +28,7 @@ on every edge.  The arithmetic stays on ints where no denominator is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -288,48 +288,32 @@ def affable_real(place: Place, fn: AffableFn):
     return f
 
 
+_RULES = {  # one chart's (u+, u-, v+, v-) -> (plus, minus)
+    "add": lambda up, um, vp, vm: (piece_add(up, vp), piece_add(um, vm)),
+    # max(u, v) = max(u+ + v-, v+ + u-) - (u- + v-)
+    "max": lambda up, um, vp, vm: (piece_vmax(piece_add(up, vm), piece_add(vp, um)), piece_add(um, vm)),
+}
+
+
 def affable_combine(op: str, f: AffableFn, g=None, q=None) -> AffableFn:
     """Closed combinations: add, max, min (u,v), and scale_q by a rational.
 
-    max uses max(u,v) = max(u+ + v-, v+ + u-) - (u- + v-); negative scalars
-    swap the plus and minus pieces.
+    add and max apply one rule (``_RULES``) to each chart's pieces; min is
+    -max(-u, -v); negative scalars swap the plus and minus pieces.
     """
     if op == "scale_q":
         q = Fraction(q)
-        if q >= 0:
-            pieces = [p.scaled(q) for p in (f.chart0_plus, f.chart0_minus,
-                                            f.chartinf_plus, f.chartinf_minus)]
-        else:
-            pieces = [p.scaled(-q) for p in (f.chart0_minus, f.chart0_plus,
-                                             f.chartinf_minus, f.chartinf_plus)]
-        return AffableFn(*pieces, fn_id=f"scale({q})({f.fn_id})")
+        pairs = (f.pieces(chart)[::-1 if q < 0 else 1] for chart in ("0", "inf"))
+        return AffableFn(*(p.scaled(abs(q)) for pair in pairs for p in pair), fn_id=f"scale({q})({f.fn_id})")
     if g is None:
         raise AffableError(f"{op} needs two functions")
-    if op == "add":
-        return AffableFn(
-            piece_add(f.chart0_plus, g.chart0_plus),
-            piece_add(f.chart0_minus, g.chart0_minus),
-            piece_add(f.chartinf_plus, g.chartinf_plus),
-            piece_add(f.chartinf_minus, g.chartinf_minus),
-            fn_id=f"add({f.fn_id},{g.fn_id})",
-        )
-    if op == "max":
-        return AffableFn(
-            piece_vmax(piece_add(f.chart0_plus, g.chart0_minus),
-                       piece_add(g.chart0_plus, f.chart0_minus)),
-            piece_add(f.chart0_minus, g.chart0_minus),
-            piece_vmax(piece_add(f.chartinf_plus, g.chartinf_minus),
-                       piece_add(g.chartinf_plus, f.chartinf_minus)),
-            piece_add(f.chartinf_minus, g.chartinf_minus),
-            fn_id=f"max({f.fn_id},{g.fn_id})",
-        )
     if op == "min":
-        neg = affable_combine("max", affable_combine("scale_q", f, q=-1),
-                              affable_combine("scale_q", g, q=-1))
-        out = affable_combine("scale_q", neg, q=-1)
-        return AffableFn(out.chart0_plus, out.chart0_minus, out.chartinf_plus,
-                         out.chartinf_minus, fn_id=f"min({f.fn_id},{g.fn_id})")
-    raise AffableError(f"unknown combine op {op!r}")
+        neg = affable_combine("max", affable_combine("scale_q", f, q=-1), affable_combine("scale_q", g, q=-1))
+        return replace(affable_combine("scale_q", neg, q=-1), fn_id=f"min({f.fn_id},{g.fn_id})")
+    if op not in _RULES:
+        raise AffableError(f"unknown combine op {op!r}")
+    pieces = (p for chart in ("0", "inf") for p in _RULES[op](*f.pieces(chart), *g.pieces(chart)))
+    return AffableFn(*pieces, fn_id=f"{op}({f.fn_id},{g.fn_id})")
 
 
 # -- exact PL restriction to skeleta -------------------------------------------
@@ -487,12 +471,9 @@ def _piece_from_json(obj: dict) -> Piece:
 
 def affable_from_json(obj: dict) -> AffableFn:
     try:
-        return AffableFn(
-            _piece_from_json(obj["chart0"]["plus"]),
-            _piece_from_json(obj["chart0"]["minus"]),
-            _piece_from_json(obj["chartInf"]["plus"]),
-            _piece_from_json(obj["chartInf"]["minus"]),
-            fn_id=str(obj.get("id", "")),
-        )
+        pieces = [_piece_from_json(obj[c][s]) for c in ("chart0", "chartInf") for s in ("plus", "minus")]
+        return AffableFn(*pieces, fn_id=str(obj.get("id", "")))
     except KeyError as exc:
         raise AffableError(f"bad affable JSON: missing {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise AffableError(f"bad affable JSON: {exc}") from exc

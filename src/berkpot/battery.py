@@ -10,7 +10,9 @@ measures supported away from it.
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import replace
 
 from .affable import (
     AffableFn,
@@ -35,6 +37,7 @@ def _clipped_log(fn_id: str, coeffs) -> AffableFn:
     )
 
 
+@functools.cache
 def _build() -> list[AffableFn]:
     fns = []
     # 1. max(0, log|T-2|): the squaring-map acceptance integrand
@@ -74,11 +77,8 @@ def _build() -> list[AffableFn]:
         fn_id="half_clip_log_T_minus_1",
     ))
     # 7. min of entry 1 with the constant 1/2: exercises the combine closure
-    base = fns[0]
     half = AffableFn(piece_const("1/2"), PIECE_ZERO, piece_const("1/2"), PIECE_ZERO, fn_id="half")
-    f7 = affable_combine("min", base, half)
-    fns.append(AffableFn(f7.chart0_plus, f7.chart0_minus, f7.chartinf_plus,
-                         f7.chartinf_minus, fn_id="min_clip_half"))
+    fns.append(replace(affable_combine("min", fns[0], half), fn_id="min_clip_half"))
     # 8. max(0, -log|T|) = -log of the standard norm of T0; diverges at 0
     fns.append(AffableFn(
         piece_max_log(None, [(1, [0, 1]), (0, [1])]),
@@ -90,14 +90,8 @@ def _build() -> list[AffableFn]:
     return fns
 
 
-_BATTERY = None
-
-
 def standard_battery() -> list[AffableFn]:
-    global _BATTERY
-    if _BATTERY is None:
-        _BATTERY = _build()
-    return list(_BATTERY)
+    return list(_build())
 
 
 def load_battery(path) -> list[AffableFn]:

@@ -8,9 +8,9 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import sys
 from collections import Counter
@@ -34,7 +34,7 @@ from .sweeps import (
 )
 
 CONFIG_ERRORS = (SweepError, PlaceError, MapError, GraphError, AffableError,
-                 json.JSONDecodeError, KeyError, ValueError, OSError)
+                 json.JSONDecodeError, ValueError, OSError)
 NUMERIC_ERRORS = (GreenError, MeasureError, ArithmeticError)
 
 
@@ -48,24 +48,13 @@ def _parse_place(text: str) -> Place:
 
 
 def _emit(rows, header, out_path, quiet):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    if out_path:
-        if out_path.endswith(".json"):
-            payload = [dict(zip(header, row)) for row in rows]
-            with open(out_path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1)
+    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        if out_path and out_path.endswith(".json"):
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=1)
         else:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        if not quiet:
-            print(f"wrote {out_path}")
-    else:
-        sys.stdout.write(text)
+            csv.writer(fh).writerows([header, *rows])
+    if out_path and not quiet:
+        print(f"wrote {out_path}")
 
 
 def _cmd_green(args) -> int:
@@ -146,13 +135,11 @@ def _cmd_graph(args) -> int:
         rows = [(v, str(w)) for v, w in mu.atoms]
         _emit(rows, ["vertex_id", "weight"], args.out, args.quiet)
         return 0
-    if args.op == "dirichlet":
-        bvals = {int(k): Fraction(str(v)) for k, v in _load_json(args.boundary_values).items()}
-        u = dirichlet_extend(graph, bvals)
-        rows = [(v, str(x)) for v, x in enumerate(u.values)]
-        _emit(rows, ["vertex_id", "value"], args.out, args.quiet)
-        return 0
-    raise SweepError(f"unknown graph op {args.op!r}")
+    bvals = {int(k): Fraction(str(v)) for k, v in _load_json(args.boundary_values).items()}
+    u = dirichlet_extend(graph, bvals)
+    rows = [(v, str(x)) for v, x in enumerate(u.values)]
+    _emit(rows, ["vertex_id", "value"], args.out, args.quiet)
+    return 0
 
 
 def _cmd_pairing(args) -> int:

@@ -75,8 +75,6 @@ def dirichlet_extend(graph: MetricGraph, boundary_values: dict) -> PLFunction:
     """
     if not boundary_values:
         raise GraphError("boundary must be nonempty")
-    if not graph.is_connected():
-        raise GraphError("graph must be connected")
     for b in boundary_values:
         if not (0 <= b < graph.n):
             raise GraphError(f"boundary vertex {b} out of range")
@@ -151,8 +149,9 @@ def measure_pairing(u: PLFunction, mu: GraphMeasure):
 # -- (de)serialization --------------------------------------------------------
 
 def graph_from_json(obj: dict) -> MetricGraph:
-    labels = [point_from_json(v) if v else None for v in obj["vertices"]]
-    edges = []
-    for i, j, ln in obj["edges"]:
-        edges.append((int(i), int(j), Fraction(ln)))
-    return MetricGraph(labels=labels, edges=edges, boundary=[int(b) for b in obj.get("boundary", [])])
+    try:
+        labels = [point_from_json(v) if v else None for v in obj["vertices"]]
+        edges = [(int(i), int(j), Fraction(ln)) for i, j, ln in obj["edges"]]
+        return MetricGraph(labels=labels, edges=edges, boundary=[int(b) for b in obj.get("boundary", [])])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise GraphError(f"bad graph JSON: {exc}") from exc

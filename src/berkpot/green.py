@@ -375,23 +375,22 @@ class PotentialState:
 
 def _tail_constants(place: Place, lift: HomogeneousLift):
     """(t*, log|f0[d]|, log|f1[0]|) for the closed tails of a polynomial map
-    at an exact place (module docstring); None for a tail that does not apply.
+    at an exact place (module docstring).
 
     For log|T| > t*, past every crossing of the top Newton line of F0, the
     top monomial strictly dominates, so g equals log|f0[d]| at every later
-    step.  t* is None when f0[d] vanishes at the place; the trap constant
-    log|f1[0]| is None when f1[0] does.
+    step.  Both logs are finite: ``_plan`` calls this only where G_max is.
+    At a residue place p | f0[d] or p | f1[0] would give the reductions of
+    F0 and F1 a common zero, hence no p-integral cofactors and an infinite
+    G_max; at the other exact places a nonzero rational has a finite log.
     """
     d = lift.d
     c_bot = abs_log_value(place, lift.f1[0])
-    trap = None if is_neg_inf(c_bot) else c_bot
-    *lines, (a_top, top) = newton_lines(place, lift.f0)  # F0 != 0, as Res(F0, F1) != 0
-    if top < d:
-        return None, None, trap
+    *lines, (a_top, _) = newton_lines(place, lift.f0)  # the top line is f0[d]'s
     bounds = [Fraction(0)] + [Fraction(a - a_top, d - i) for a, i in lines]
     bounds.append(Fraction(c_bot - a_top, d))      # ||F|| carried by F0
     bounds.append(Fraction(c_bot - a_top, d - 1))  # orbit log|T| grows
-    return vmax(*bounds), a_top, trap
+    return vmax(*bounds), a_top, c_bot
 
 
 def _closed_tail(place: Place, lift: HomogeneousLift, tails, prev, y: BerkPoint, t_log):
@@ -404,10 +403,10 @@ def _closed_tail(place: Place, lift: HomogeneousLift, tails, prev, y: BerkPoint,
     docstring).
     """
     t_esc, g_esc, g_trap = tails
-    if t_esc is not None and t_log > t_esc:
+    if t_log > t_esc:
         return g_esc
     # log r(phi(B)) >= log r(y) + log r(B) - log r(prev): a growing disk is not trapped
-    if g_trap is not None and prev is not None and not (y.t == DISK and y.logr > prev.logr):
+    if prev is not None and not (y.t == DISK and y.logr > prev.logr):
         b = join_points(place, prev, y)
         if contains(place, GAUSS, b) and contains(place, b, apply_point(place, lift, b)):
             return g_trap

@@ -147,7 +147,7 @@ def integrate(place: Place, mu, f, quad_n: int = 64, points=None):
     total = float(mu.w @ _values(f, *points(("atoms", id(mu.z)), lambda: mu.z))) if len(mu.z) else 0.0
     err = 0.0
     for c, r, wt in mu.haars:
-        val, e = _circle_quadrature(f, c, r, quad_n, QUAD_TOL, QUAD_CAP, points)
+        val, e = _circle_quadrature(f, c, r, quad_n, points)
         total += float(wt) * val
         err += abs(float(wt)) * e
     return total, err
@@ -168,12 +168,12 @@ def _values(f, z, arg):
     return v
 
 
-def _circle_quadrature(f, center, radius, n, tol, cap, points=_fresh):
+def _circle_quadrature(f, center, radius, n, points=_fresh):
     """Midpoint rule with n, 2n, 4n, ... nodes until two levels agree within
-    tol or the cap is reached.  Returns the last estimate and, as its error,
-    the last doubling difference (infinite when no doubling fits under the
-    cap) plus machine epsilon times sum |f| over the last nodes, which
-    bounds the rounding of the two means."""
+    ``QUAD_TOL`` or the ``QUAD_CAP`` is reached.  Returns the last estimate
+    and, as its error, the last doubling difference (infinite when no
+    doubling fits under the cap) plus machine epsilon times sum |f| over the
+    last nodes, which bounds the rounding of the two means."""
 
     def nodes(m):
         return center + radius * np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
@@ -185,7 +185,7 @@ def _circle_quadrature(f, center, radius, n, tol, cap, points=_fresh):
     cur, rounding = estimate(n)
     diff = math.inf
     m = n
-    while m < cap and not diff < tol:
+    while m < QUAD_CAP and not diff < QUAD_TOL:
         m *= 2
         prev, (cur, rounding) = cur, estimate(m)
         diff = abs(cur - prev)

@@ -253,7 +253,7 @@ def place_from_json(obj: dict) -> Place:
             return Place.residue(int(obj["p"]))
         if kind == "trivial":
             return Place.trivial()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise PlaceError(f"bad place JSON {obj!r}: {exc}") from exc
     raise PlaceError(f"bad place JSON {obj!r}")
 

@@ -426,13 +426,16 @@ def retract(place: Place, point: BerkPoint, graph: MetricGraph) -> TreeLocation:
 # -- (de)serialization --------------------------------------------------------
 
 def point_from_json(obj: dict) -> BerkPoint:
-    t = obj.get("t")
-    if t == "inf":
-        return infinity()
-    if t == "cls":
-        if "q" in obj:
-            return classical(Fraction(obj["q"]))
-        return classical(complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0))))
-    if t == "disk":
-        return disk(Fraction(obj["center"]), Fraction(obj["logr"]))
-    raise ValueError(f"bad point JSON {obj!r}")
+    try:
+        t = obj.get("t")
+        if t == "inf":
+            return infinity()
+        if t == "cls":
+            if "q" in obj:
+                return classical(Fraction(obj["q"]))
+            return classical(complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0))))
+        if t == "disk":
+            return disk(Fraction(obj["center"]), Fraction(obj["logr"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PlaceError(f"bad point JSON {obj!r}: {exc}") from exc
+    raise PlaceError(f"bad point JSON {obj!r}")

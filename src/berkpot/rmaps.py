@@ -361,5 +361,5 @@ def lift_from_json(obj: dict) -> HomogeneousLift:
             return coeffs  # from_coeffs makes a list with a complex entry all complex
 
         return HomogeneousLift.from_coeffs(d, parse(obj["F0"]), parse(obj["F1"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MapError(f"bad map JSON: {exc}") from exc

@@ -106,18 +106,18 @@ def validate_grid(grid: list[Place]):
             raise SweepError("the ultrametric endpoint must come last in the grid")
 
 
-def default_skeleton(place: Place, span: int = 2) -> MetricGraph:
-    """Segment skeleton eta_{0, p^(q eps)}, q in [-span, span] in steps of
-    1/2: the flow image at the place's exponent eps of the eps = 1 segment,
-    so the flow carries a fiber's skeleton, and with it the measure, to the
+def default_skeleton(place: Place) -> MetricGraph:
+    """Segment skeleton eta_{0, p^(q eps)}, q in [-2, 2] in steps of 1/2:
+    the flow image at the place's exponent eps of the eps = 1 segment, so
+    the flow carries a fiber's skeleton, and with it the measure, to the
     next one along a branch.  The disks are nested, so the path through
     them is their convex hull (``points.build_skeleton``)."""
     if not place.is_ultrametric:
         raise PlaceError("operation requires an ultrametric place")
-    step, count = Fraction(1, 2), 4 * span + 1
-    labels = [disk(0, (k * step - span) * place.eps) for k in range(count)]
-    edges = [(k, k + 1, step * place.eps) for k in range(count - 1)]
-    return MetricGraph(labels, edges, sorted({0, count - 1}))
+    step = Fraction(1, 2)
+    labels = [disk(0, (k * step - 2) * place.eps) for k in range(9)]
+    edges = [(k, k + 1, step * place.eps) for k in range(8)]
+    return MetricGraph(labels, edges, [0, 8])
 
 
 @dataclass
@@ -215,7 +215,7 @@ class SweepConfig:
                     if isinstance(s, dict) else complex(s)}
             fields = {"lift" if k == "map" else k: parse(obj[k]) for k, parse in read.items() if k in obj}
             return SweepConfig(grid=grid, battery=battery, **fields)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise SweepError(f"bad sweep config: {exc}") from exc
 
 

@@ -96,7 +96,7 @@ def test_criterion_3_good_reduction_gauss():
     p = 3
     place = Place.padic(p)
     lift = HomogeneousLift.from_coeffs(2, [p, 0, 1], [1])
-    skel = default_skeleton(place, span=2)
+    skel = default_skeleton(place)
     assert skel.n == 9
     for lbl in skel.labels:
         st = lambda_limit(place, lift, lbl, 1e-12)

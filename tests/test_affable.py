@@ -233,6 +233,21 @@ def test_add_identity():
         assert affable_eval(ARC, h, x) == pytest.approx(affable_eval(ARC, F1, x), abs=1e-12)
 
 
+@pytest.mark.parametrize("place", [P2, Place.padic(3)], ids=["p2", "p3"])
+def test_combine_identities_are_exact_on_disks(place):
+    # an ultrametric value is exact, so each combination rule holds with ==
+    rng = random.Random(31)
+    ops = {"add": lambda a, b: a + b, "max": max, "min": min}
+    for _ in range(30):
+        f, g = rng.choice(BAT), rng.choice(BAT)
+        x = disk(F(rng.randint(-9, 9), rng.choice([1, 2, 3])), F(rng.randint(-6, 6), rng.choice([1, 2])))
+        u, v = affable_eval(place, f, x), affable_eval(place, g, x)
+        for op, want in ops.items():
+            assert affable_eval(place, affable_combine(op, f, g), x) == want(u, v), (op, f.fn_id, g.fn_id, x)
+        for q in (F(-3, 2), 0, F(5, 3)):
+            assert affable_eval(place, affable_combine("scale_q", f, q=q), x) == q * u, (q, f.fn_id, x)
+
+
 SLOPE_SUMS = {
     "clip_log_T_minus_2": 3,
     "one": 0,

@@ -179,3 +179,13 @@ def test_graph_json_round_trip():
     back = graph_from_json(obj)
     assert back.edges == g.edges and back.boundary == g.boundary
     assert back.labels == [GAUSS, None, None, None]
+
+
+@pytest.mark.parametrize("obj", [{"edges": []}, {"vertices": [None, None], "edges": [[0, 1, "x"]]},
+                                 {"vertices": [None, None], "edges": [[0, 1, "1/0"]]},
+                                 {"vertices": [{"t": "cls", "q": "1/0"}], "edges": []},
+                                 {"vertices": [None, None], "edges": []}],
+                         ids=["missing", "unparsable", "zero-denominator", "bad-vertex", "disconnected"])
+def test_graph_json_errors_are_typed(obj):
+    with pytest.raises(GraphError, match="bad graph JSON"):
+        graph_from_json(obj)

@@ -414,6 +414,15 @@ def test_vanishing_resultant_bound_message():
     lift = HomogeneousLift.from_coeffs(2, [1, 0, 1], [3, 0, 1])  # (T^2 + 1, T^2 + 3)
     with pytest.raises(GreenError, match="the resultant vanishes in the residue field"):
         lambda_limit(Place.residue(2), lift, GAUSS, 1e-3)
+    # a polynomial map with p | f0[d] or p | f1[0]: the reductions share a zero
+    # at infinity, and the plan refuses before its tail constants, whose logs
+    # would be -inf
+    for p in (2, 3, 5):
+        for lift in (HomogeneousLift.polynomial([1, 1, p]), HomogeneousLift.from_coeffs(2, [1, 0, 1], [p]),
+                     HomogeneousLift.polynomial([0, 1, 0, p * p])):
+            for x in (GAUSS, classical(1), disk(1, -1)):
+                with pytest.raises(GreenError, match="the resultant vanishes in the residue field"):
+                    lambda_limit(Place.residue(p), lift, x, 1e-8)
 
 
 def _cubic(p):

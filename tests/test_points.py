@@ -221,3 +221,11 @@ _POINT_JSON = {
 @pytest.mark.parametrize("pt", list(_POINT_JSON))
 def test_point_json_round_trip(pt):
     assert point_from_json(_POINT_JSON[pt]) == pt
+
+
+@pytest.mark.parametrize("obj", [{"t": "disk", "center": "0"}, {"t": "cls", "q": "x"}, {"t": "cls", "q": "1/0"},
+                                 {"t": "cls", "re": "x"}, {"t": "disk", "center": "1/0", "logr": "0"}, {"t": "?"}],
+                         ids=["missing", "unparsable", "zero-denominator", "unparsable-re", "zero-center", "kind"])
+def test_point_json_errors_are_typed(obj):
+    with pytest.raises(PlaceError, match="bad point JSON"):
+        point_from_json(obj)

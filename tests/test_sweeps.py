@@ -138,13 +138,13 @@ def test_sweep_equilibrium_rejects_complex_maps():
         sweep_equilibrium(cfg)
 
 
+# "halves": the disks sit at every half unit of eps
 @pytest.mark.parametrize("place", [Place.padic(2), Place.padic(3, 2), Place.padic(2, 1024), Place.trivial(),
-                                   Place.residue(3)], ids=["p2", "p3-eps2", "p2-eps1024", "trivial", "res3"])
-@pytest.mark.parametrize("per_unit", [2], ids=["halves"])  # disks per unit of eps
-def test_default_skeleton_is_the_hull_of_its_disks(place, per_unit):
-    for span in (0, 1, 2, 3):
-        disks = [disk(0, F(k, per_unit) * place.eps) for k in range(-span * per_unit, span * per_unit + 1)]
-        assert default_skeleton(place, span) == build_skeleton(place, disks)
+                                   Place.residue(3)],
+                         ids=["halves-p2", "halves-p3-eps2", "halves-p2-eps1024", "halves-trivial", "halves-res3"])
+def test_default_skeleton_is_the_hull_of_its_disks(place):
+    disks = [disk(0, F(k, 2) * place.eps) for k in range(-4, 5)]
+    assert default_skeleton(place) == build_skeleton(place, disks)
     with pytest.raises(PlaceError):
         default_skeleton(Place.archimedean())
 
@@ -411,6 +411,78 @@ def test_untyped_row_failure_propagates(monkeypatch, target):
             sweep_chi(cfg)
 
 
+def test_a_zero_denominator_in_json_is_a_config_error(tmp_path, capsys):
+    # "1/0" is a Fraction with a zero denominator: each JSON reader types it,
+    # so every command exits 2, as for any other malformed input
+    arc, q2 = '{"kind":"arch","eps":"1"}', '{"kind":"padic","p":2,"eps":"1"}'
+    m = _write(tmp_path, "m.json", lift_to_json(Z2))
+    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0}])
+    bad_pts = _write(tmp_path, "bad_pts.json", [{"t": "cls", "q": "1/0"}])
+    bad_lift = {"d": 2, "F0": [["1/0", "2,0"]], "F1": [["1", "0,2"]]}
+    bad_map = _write(tmp_path, "bad_map.json", bad_lift)
+    vertex = {"t": "disk", "center": "0", "logr": "1/0"}
+    bad_graphs = [_write(tmp_path, f"g{k}.json", obj) for k, obj in enumerate([
+        {"vertices": [None, None], "edges": [[0, 1, "1/0"]]},
+        {"vertices": [vertex, None], "edges": [[0, 1, "1"]]}])]
+    vals = _write(tmp_path, "vals.json", ["0", "1"])
+    piece = {"branches": [{"c": "1/0"}]}
+    bad_battery = _write(tmp_path, "bat.json", {"functions": [
+        {"chart0": {"plus": piece, "minus": piece}, "chartInf": {"plus": piece, "minus": piece}}]})
+    configs = [{"center": "1/0"}, {"radius": "1/0"}, {"radius": {"pow_eps": "1/0"}}, {"battery": bad_battery},
+               {"grid": [{"kind": "padic", "p": 2, "eps": "1/0"}]}, {"map": bad_lift}]
+    cases = [["green", "--map", m, "--place", arc, "--points", bad_pts],
+             ["green", "--map", bad_map, "--place", arc, "--points", pts],
+             ["green", "--map", m, "--place", '{"kind":"arch","eps":"1/0"}', "--points", pts]]
+    cases += [["equilibrium", "--map", m, "--place", q2, "--skeleton", g] for g in bad_graphs]
+    cases += [["graph", "--op", "laplacian", "--graph", g, "--values", vals] for g in bad_graphs]
+    cases += [["sweep-eq", "--config", _write(tmp_path, f"c{k}.json", {"depth": 1, **cfg})]
+              for k, cfg in enumerate(configs)]
+    for argv in cases:
+        assert main(argv + ["--quiet"]) == 2, argv
+        assert "config error" in capsys.readouterr().err
+
+
+def test_a_key_error_from_the_library_leaves_the_cli(tmp_path, monkeypatch):
+    # a KeyError raised inside a sweep is a bug, not a config error: no exit
+    # code hides it
+    import berkpot.sweeps as sweeps
+
+    def bug(*args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(sweeps, "affable_real", bug)
+    with pytest.raises(KeyError, match="a bug"):
+        main(["sweep-chi", "--config", _write(tmp_path, "c.json", {"depth": 1})])
+
+
+def test_cli_contraction_rows(tmp_path, capsys):
+    # z^2 + 1 contracts over C with ratios in (0, 1); over Q_3 it has good
+    # reduction, the deviation vanishes, and every row is exactly zero
+    m = _write(tmp_path, "m.json", lift_to_json(HomogeneousLift.polynomial([1, 0, 1])))
+    arc, q3 = '{"kind":"arch","eps":1}', '{"kind":"padic","p":3,"eps":1}'
+    for place, row_ok in ((arc, lambda r: 0 < float(r) < 1), (q3, lambda r: r == "exact-0")):
+        assert main(["contraction", "--map", m, "--place", place, "--n", "6"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["n"] for r in rows] == ["1", "2", "3", "4", "5"]
+        assert all(row_ok(r["ratio"]) for r in rows), rows
+
+
+def test_cli_equilibrium_json_and_the_row_at_infinity(tmp_path, capsys):
+    # z/(z^2 + 1) sends 0 and infinity to 0: the depth-2 tree of the seed 0
+    # holds the atom at infinity, which the rows print last
+    m = _write(tmp_path, "m.json", lift_to_json(HomogeneousLift.from_coeffs(2, [0, 1, 0], [1, 0, 1])))
+    argv = ["equilibrium", "--map", m, "--place", '{"kind":"arch","eps":1}', "--seed", "0", "--n", "2"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert list(rows[-1].values()) == ["atom", "inf", "", "0.25"]
+    out = os.path.join(tmp_path, "mu.json")
+    assert main(argv + ["--out", out, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    with open(out, encoding="utf-8") as fh:
+        got = json.load(fh)
+    assert got == [{**r, "weight": float(r["weight"])} for r in rows]
+
+
 def _piece(c="0", terms=()):
     return {"branches": [{"c": c, "terms": [list(t) for t in terms]}]}
 
@@ -443,7 +515,8 @@ def test_values_past_the_float_range_keep_their_exit_codes(tmp_path, capsys):
     assert main(["green", "--map", z2, "--place", arc, "--points", big_q, "--quiet"]) == 3
     assert main(["green", "--map", m, "--place", arc, "--points", two, "--quiet"]) == 3
     assert main(["equilibrium", "--map", m, "--place", arc, "--n", "3", "--quiet"]) == 3
-    assert main(["sweep-chi", "--config", _write(tmp_path, "c.json", {"depth": 2, "center": "1/0"})]) == 3
+    # a zero denominator is a malformed config, not a numeric failure
+    assert main(["sweep-chi", "--config", _write(tmp_path, "c.json", {"depth": 2, "center": "1/0"})]) == 2
     capsys.readouterr()
     # a hybrid sweep fails the archimedean rows of that map and keeps its exact endpoint row
     rows = sweep_equilibrium(SweepConfig(grid=default_grid(2), battery=F1, lift=huge, atom_budget=256)).rows
