@@ -129,15 +129,20 @@ def _cmd_contraction(args) -> int:
 
 def _cmd_graph(args) -> int:
     graph = graph_from_json(_load_json(args.graph))
-    if args.op == "laplacian":
-        values = [Fraction(str(v)) for v in _load_json(args.values)]
-        mu = graph_laplacian(PLFunction(graph, values))
-        rows = [(v, str(w)) for v, w in mu.atoms]
+    lap = args.op == "laplacian"
+    flag, path = ("--values", args.values) if lap else ("--boundary-values", args.boundary_values)
+    obj = _load_json(path) if path else None
+    if not isinstance(obj, list if lap else dict):
+        raise GraphError(f"{flag} must name a JSON {'list' if lap else 'object'}")
+    try:  # "1/0" is malformed input, as in every other JSON reader
+        values = [Fraction(str(v)) for v in obj] if lap else {int(k): Fraction(str(v)) for k, v in obj.items()}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphError(f"bad {flag}: {exc}") from exc
+    if lap:
+        rows = [(v, str(w)) for v, w in graph_laplacian(PLFunction(graph, values)).atoms]
         _emit(rows, ["vertex_id", "weight"], args.out, args.quiet)
         return 0
-    bvals = {int(k): Fraction(str(v)) for k, v in _load_json(args.boundary_values).items()}
-    u = dirichlet_extend(graph, bvals)
-    rows = [(v, str(x)) for v, x in enumerate(u.values)]
+    rows = [(v, str(x)) for v, x in enumerate(dirichlet_extend(graph, values).values)]
     _emit(rows, ["vertex_id", "value"], args.out, args.quiet)
     return 0
 

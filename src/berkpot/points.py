@@ -268,10 +268,10 @@ class MetricGraph:
     boundary: list = field(default_factory=list)
 
     def __post_init__(self):
-        for (i, j, ln) in self.edges:
-            if not ln > 0:
-                raise ValueError(f"edge ({i},{j}) has non-positive length {ln}")
         n = len(self.labels)
+        for (i, j, ln) in self.edges:
+            if not (0 <= i < n and 0 <= j < n and ln > 0):
+                raise ValueError(f"edge ({i},{j}) of length {ln} needs endpoints in [0, {n}) and a positive length")
         for b in self.boundary:
             if not (0 <= b < n):
                 raise ValueError(f"boundary vertex {b} out of range")

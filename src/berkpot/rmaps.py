@@ -233,74 +233,79 @@ def preimages_arch(lift: HomogeneousLift, a) -> PreimageSet:
 
     ``a`` is a complex target or a 1-D complex array of targets, solved as
     one batch; ``ARCH_INF`` is the point at infinity, whose row is F1.  The
-    roots of F0(t,1) - a F1(t,1) come from ``_solve_rows`` with one Newton
-    polish; infinity accounts for any degree drop.
+    roots of F0(t,1) - a F1(t,1), built as one contiguous column per power of
+    t, come from ``_solve_rows`` with one Newton polish; infinity accounts
+    for any degree drop.
     """
     f0, f1 = lift.complex_coeffs
-    a = np.atleast_1d(np.asarray(a, dtype=complex))[:, None]
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
     at_inf = np.isinf(a)
-    return _solve_rows(np.where(at_inf, f1, f0 - np.where(at_inf, 0, a) * f1), lift.d)
+    cols = np.where(at_inf, 0, a) * f1[:, None]
+    np.subtract(f0[:, None], cols, out=cols)  # in place: no second (d + 1, k) block
+    cols[:, at_inf] = f1[:, None]
+    return _solve_rows(cols.T, lift.d)
 
 
 def _solve_rows(rows, d: int) -> PreimageSet:
     """Roots of each row of ascending coefficients, in closed form up to two, else as companion
     eigenvalues, with the np.roots conventions: top coefficients below 1e-12 of the row scale
-    drop the degree (roots at infinity), exactly zero low coefficients are roots at 0."""
+    drop the degree (roots at infinity), exactly zero low coefficients are roots at 0.  Each root
+    is a 1-D array over the columns ``rows.T``, gathered by mask only for infinity or merged roots."""
     k = len(rows)
-    size = np.abs(rows)
-    scale = reduce(np.maximum, size.T)  # row maxima; max(axis=1) is slow on short rows
-    if not (scale > 0).all():
+    size = np.abs(rows.T)  # a column per power, contiguous from preimages_arch
+    scale = reduce(np.maximum, size)  # row maxima; max(axis=0) is slow on few columns
+    if not (least := scale.min()) > 0:
         raise MapError("zero preimage polynomial; degenerate map")
-    if (tiny := scale < 2.0**-960).any():  # numpy's complex division by so small a top coefficient gives nan,
-        e = np.where(tiny, -np.frexp(scale)[1], 0)[:, None]  # so scale those rows by 2^e, which moves no root
+    if least < 2.0**-960:  # numpy's complex division by so small a top coefficient gives nan,
+        e = np.where(scale < 2.0**-960, -np.frexp(scale)[1], 0)[:, None]  # so scale by 2^e, which moves no root
         return _solve_rows(np.ldexp(np.ascontiguousarray(rows, complex).view(float), e).view(complex), d)
-    kept = size > 1e-12 * scale[:, None]
-    kept[:, 0] = True
-    deg = d - np.argmax(kept[:, ::-1], axis=1)
-    low = np.argmax(rows != 0, axis=1)  # exactly zero low coefficients
-    # columns: up to d finite roots, then infinity with multiplicity d - deg
-    roots = np.full((k, d + 1), ARCH_INF)
-    mult = np.zeros((k, d + 1), dtype=np.int64)
-    mult[:, d] = d - deg
-    flagged = False
-    for key in set((deg * (d + 1) + low).tolist()):  # one group per (deg, low)
-        dg, lz = divmod(key, d + 1)
-        idx = np.nonzero((deg == dg) & (low == lz))[0]
-        poly = rows.T[dg::-1, idx]  # a column per row (coefficients broadcast), highest first
+    if (size[d] > 1e-12 * scale).all() and size[0].all():  # every row of degree d, no root at 0
+        deg, groups = np.full(k, d), {d * (d + 1)}
+    else:  # deg: the highest kept power; low: exactly zero low coefficients; argmax(axis=0) is slow
+        deg = ((size > 1e-12 * scale) * np.arange(d + 1)[:, None]).max(axis=0)
+        key = deg * (d + 1) + d - ((size > 0) * np.arange(d, -1, -1)[:, None]).max(axis=0)  # (deg, low)
+        groups = set(key.tolist())
+    roots, merged, flagged = np.empty((k, d), dtype=complex), [], False  # merged: (row, _cluster entries)
+    for g in groups:
+        idx = slice(None) if len(groups) == 1 else np.flatnonzero(key == g)  # one group: no copy
+        dg, lz = divmod(g, d + 1)
+        poly = rows.T[dg::-1, idx]  # highest coefficient first, a column per row
         n = dg - lz
-        r = np.zeros((dg, len(idx)), dtype=complex)
+        zero = np.zeros(poly.shape[1], dtype=complex)
+        r = [zero] * dg  # a 1-D array per root; those past the n solved ones are 0
         if n > 2:
-            comp = np.zeros((len(idx), n, n), dtype=complex)
+            comp = np.zeros((len(zero), n, n), dtype=complex)
             comp[:, np.arange(1, n), np.arange(n - 1)] = 1
             comp[:, 0, :] = (-poly[1 : n + 1] / poly[0]).T
             r[:n] = np.linalg.eigvals(comp).T
         elif n == 2:  # z^2 - B z - C, (B, C) the companion's first row
-            b, c = -poly[1:3] / poly[0]
+            b, c = -poly[1] / poly[0], -poly[2] / poly[0]
             s = np.sqrt(b * b + 4 * c)  # roots q = (B +- s) / 2, the larger, and -C / q
             q = (b + np.where((b * s.conj()).real < 0, -s, s)) / 2  # |q| > 1e-162 unless C = 0
-            r[:2] = np.add((q, -c / np.where(abs(q) < 1e-300, 1, q)), 0.0)  # 0 / tiny q is nan in numpy
+            r[:2] = q + 0.0, -c / np.where(abs(q) < 1e-300, 1, q) + 0.0  # 0 / tiny q is nan in numpy
         elif n:  # z - B
             r[0] = -poly[1] / poly[0] + 0.0  # adding 0.0 leaves no -0.0 part, as eigvals does
-        # one Newton step where the derivative is not negligible
-        val, der = np.zeros_like(r), np.zeros_like(r)
-        for j in range(dg + 1):
-            val = val * r + poly[j]
-            if j < dg:
-                der = der * r + poly[j] * (dg - j)
+        # one Newton step where the derivative is not negligible; val and der by Horner from 0
+        step, dpoly = 1e-12 * scale[idx], [poly[j] * (dg - j) for j in range(dg)]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # lanes the where drops
-            r = np.where(np.abs(der) > 1e-12 * scale[idx], r - val / der, r)
-        roots[idx, :dg] = r.T
-        mult[idx, :dg] = 1
-        # rows with two roots within 10x the cluster radius go through _cluster
-        u, v = np.triu_indices(dg, 1)  # the pairs of roots
-        near = np.abs(r[u] - r[v]) <= 10 * CLUSTER_REL * (1.0 + np.maximum(abs(r[u]), abs(r[v])))
-        for i in np.nonzero(near.any(axis=0))[0]:
-            entries, flag = _cluster([complex(x) for x in r[:, i]])
+            for i, x in enumerate(r):
+                val, der = (reduce(lambda acc, p: acc * x + p, ps, zero) for ps in (poly, dpoly))
+                r[i] = roots[idx, i] = np.where(np.abs(der) > step, x - val / der, x)
+        near = reduce(np.logical_or, (abs(r[u] - r[v]) <= 10 * CLUSTER_REL * (1.0 + np.maximum(abs(r[u]), abs(r[v])))
+                                      for u in range(dg) for v in range(u)), False)
+        for i in np.flatnonzero(near):  # rows with two roots within 10x the cluster radius
+            entries, flag = _cluster([complex(x[i]) for x in r])
             flagged = flagged or flag
-            mult[idx[i], :d] = 0
-            roots[idx[i], : len(entries)], mult[idx[i], : len(entries)] = zip(*entries)
-    keep = mult > 0
-    return PreimageSet(roots[keep], mult[keep], np.nonzero(keep)[0], flagged)
+            if len(entries) < dg:
+                merged.append((np.arange(k)[idx][i], entries))
+    if not merged and (deg == d).all():
+        return PreimageSet(roots.ravel(), np.ones(k * d, dtype=np.int64), np.arange(k).repeat(d), flagged)
+    roots = np.column_stack((roots, np.full(k, ARCH_INF)))  # infinity last, with multiplicity d - deg
+    mult = np.column_stack((np.arange(d) < deg[:, None], d - deg))
+    for row, entries in merged:
+        mult[row, :d] = 0
+        roots[row, : len(entries)], mult[row, : len(entries)] = zip(*entries)
+    return PreimageSet(roots[keep := mult > 0], mult[keep], np.nonzero(keep)[0], flagged)
 
 
 def _cluster(roots):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 import random
 import warnings
 from fractions import Fraction as F
@@ -353,6 +356,36 @@ def test_quadratic_trees_call_no_eigvals(monkeypatch):
 def _pushforward(lift, f, a):
     """(phi_* f)(a) = sum over the preimages x of a of deg_x(phi) f(x)."""
     return sum(m * f(arch_point(z)) for z, m in preimages_arch(lift, a).entries)
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype="<c16").tobytes().hex()
+
+
+def test_preimage_bits_match_fixture():
+    # every root bit, multiplicity, parent and flag as the solver gave them before
+    # it read coefficient columns: special rows and targets, then depth-12 levels
+    # (2,048 targets each) of four quadratic trees seeded at 2, pinned by SHA-256
+    path = os.path.join(os.path.dirname(__file__), "data", "preimage_bits.json")
+    with open(path, encoding="utf-8") as fh:
+        fixture = json.load(fh)
+    for case in fixture["cases"]:
+        if "rows" in case:
+            rows = np.frombuffer(bytes.fromhex(case["rows"]), "<c16").reshape(case["shape"])
+            pre = _solve_rows(rows, case["d"])
+        else:
+            pre = preimages_arch(lift_from_json(case["lift"]), np.frombuffer(bytes.fromhex(case["targets"]), "<c16"))
+        got = (_bits(pre.z), pre.mult.tolist(), pre.parent.tolist(), pre.flagged)
+        assert got == (case["z"], case["mult"], case["parent"], case["flagged"]), case["name"]
+    for tree in fixture["trees"]:
+        lift, z = lift_from_json(tree["lift"]), np.array([complex(*tree["seed"])])
+        for _ in range(tree["depth"]):
+            pre = preimages_arch(lift, z)
+            z = pre.z
+        raw = b"".join(np.ascontiguousarray(a, t).tobytes()
+                       for a, t in ((pre.z, "<c16"), (pre.mult, "<i8"), (pre.parent, "<i8")))
+        got = (len(pre.z), pre.flagged, hashlib.sha256(raw).hexdigest())
+        assert got == (tree["roots"], tree["flagged"], tree["sha256"]), tree["name"]
 
 
 def test_pushforward_values_examples():

@@ -270,6 +270,34 @@ def test_cli_graph_ops(tmp_path, capsys):
     assert out[1] == "0,4/5"
 
 
+@pytest.mark.parametrize("op, flag, value, message", [
+    ("laplacian", None, None, "--values must name a JSON list"),
+    ("dirichlet", None, None, "--boundary-values must name a JSON object"),
+    ("laplacian", "--values", ["0", "1/0"], "bad --values"),
+    ("dirichlet", "--boundary-values", {"1": "1/0"}, "bad --boundary-values"),
+    ("dirichlet", "--boundary-values", ["0", "4"], "--boundary-values must name a JSON object"),
+    ("laplacian", "--values", {"0": "1"}, "--values must name a JSON list"),
+], ids=["missing-values", "missing-boundary-values", "zero-denominator-values",
+        "zero-denominator-boundary-values", "list-for-object", "object-for-list"])
+def test_cli_graph_values_are_typed(tmp_path, capsys, op, flag, value, message):
+    # each reader is a GraphError, so a config error (exit 2), not a traceback
+    # or a numeric failure
+    g = _write(tmp_path, "g.json", {"vertices": [None, None], "edges": [[0, 1, "1"]], "boundary": [0, 1]})
+    argv = ["graph", "--op", op, "--graph", g]
+    if flag:
+        argv += [flag, _write(tmp_path, "v.json", value)]
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", [[0, 5, "1"], [1, -1, "1"]], ids=["past-the-end", "negative"])
+def test_cli_graph_edge_endpoints_in_range(tmp_path, capsys, edge):
+    # an endpoint outside [0, n) was an IndexError, or (negative) an edge to the last vertex
+    g = _write(tmp_path, "g.json", {"vertices": [None, None, None], "edges": [[0, 1, "1"], [1, 2, "1"], edge]})
+    assert main(["graph", "--op", "laplacian", "--graph", g, "--values", _write(tmp_path, "v.json", ["0"] * 3)]) == 2
+    assert "needs endpoints in [0, 3)" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep-chi", "--config", os.path.join(tmp_path, "missing.json")]) == 2
     m = _write(tmp_path, "m.json", lift_to_json(Z2))
@@ -725,15 +753,19 @@ def test_one_pullback_chain_per_sweep(monkeypatch):
 
 
 def test_cli_sweep_eq_matches_reference_bytes(tmp_path):
-    # `sweep-eq` rows for z^2 - 1 at depth 3, atom budget 256, as written once
-    # preimage levels with at most two finite roots were solved in closed form
-    ref_path = os.path.join(os.path.dirname(__file__), "data", "sweep_eq_z2m1_depth3.csv")
-    cfg = _write(tmp_path, "cfg.json", {"depth": 3, "atom_budget": 256,
-                                        "map": lift_to_json(HomogeneousLift.polynomial([-1, 0, 1]))})
-    out_path = os.path.join(tmp_path, "rows.csv")
-    assert main(["sweep-eq", "--config", cfg, "--out", out_path, "--quiet"]) == 0
-    with open(ref_path, "rb") as ref, open(out_path, "rb") as got:
-        assert got.read() == ref.read()
+    # `sweep-eq` rows as written once preimage levels with at most two finite
+    # roots were solved in closed form (z^2 - 1 at depth 3, atom budget 256), and
+    # before the solver read coefficient columns (the benchmark's hybrid sweeps:
+    # depth 10, atom budget 8192, a tree of depth 13)
+    for ref, f0, depth, budget in (("sweep_eq_z2m1_depth3.csv", [-1, 0, 1], 3, 256),
+                                   ("sweep_eq_z2_depth10.csv", [0, 0, 1], 10, 8192),
+                                   ("sweep_eq_z2m1_depth10.csv", [-1, 0, 1], 10, 8192)):
+        cfg = _write(tmp_path, "cfg.json", {"depth": depth, "atom_budget": budget,
+                                            "map": lift_to_json(HomogeneousLift.polynomial(f0))})
+        out_path = os.path.join(tmp_path, "rows.csv")
+        assert main(["sweep-eq", "--config", cfg, "--out", out_path, "--quiet"]) == 0
+        with open(os.path.join(os.path.dirname(__file__), "data", ref), "rb") as want, open(out_path, "rb") as got:
+            assert got.read() == want.read(), ref
 
 
 def test_exceptional_seed_warns_once_per_sweep():
