@@ -23,7 +23,8 @@ eta_{z,rho} each log|g| is the upper envelope of the Newton lines of
 g(z + T), each branch a weighted sum of such lines, and each piece the
 envelope of its branches, so f is one line between consecutive crossings.
 A vertex is inserted at each exact kink, and the result is exactly affine
-on every edge.  The arithmetic stays on ints where no denominator is left.
+on every edge.  The arithmetic stays on ints where no denominator is left:
+the canonical exact form of the places module.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import MetricGraph, PLFunction
-from .places import (NEG_INF, Place, PlaceError, abs_log_value, is_inf, is_neg_inf, is_pos_inf,
+from .places import (NEG_INF, Place, PlaceError, _num, abs_log_value, is_inf, is_neg_inf, is_pos_inf,
                      vmax, vplus, vscale)
 from .points import (ARCH_INF, DISK, INF, BerkPoint, arch_point, classical, coord_log_abs, disk,
                      eval_log_abs, newton_lines)
@@ -44,11 +45,6 @@ from .polys import taylor_shift
 
 class AffableError(ValueError):
     pass
-
-
-def _num(x):
-    """An exact number as an int where its denominator is 1."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 _EXACT = (int, Fraction)  # passed as they are: canonical data is not converted again
@@ -370,17 +366,17 @@ def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
     between consecutive crossings.  A kink is a boundary where the line of
     f changes (its slope, where the two charts agree); its value is read
     from the line on its left, in the pointwise chart, as is the value at
-    lo.  The pieces are read as ``fn.pieces`` stores them (``Branch``: ints
-    where exact), so intercepts, slopes, radii and weights stay ints until
-    a crossing or a weight leaves a denominator (``_num``).  An infinite
+    lo.  The pieces (``Branch``), the centre z, the radii and the Newton
+    lines all come in the canonical exact form, so intercepts, slopes, radii
+    and weights stay ints until a crossing or a weight leaves a denominator
+    (``places._num``).  An infinite
     log value, read at a residue place, raises ``AffableError``.
     """
-    zl, zc = _num(abs_log_value(place, z)), _num(z)
-    memo = {}
+    zl, memo = abs_log_value(place, z), {}
 
     def lines(g, rev):
         if (g, rev) not in memo:
-            memo[g, rev] = [(_num(c), i) for c, i in newton_lines(place, taylor_shift(g[::-1] if rev else g, zc))]
+            memo[g, rev] = newton_lines(place, taylor_shift(g[::-1] if rev else g, z))
         return memo[g, rev]
 
     def stretch(a, b):
@@ -416,7 +412,7 @@ def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
                 out.append((x, (cp - cm, sp - sm)))
         return out
 
-    cuts = [_num(lo)] + sorted({r for r in (0, zl) if not is_inf(r) and lo < r < hi}) + [_num(hi)]
+    cuts = [lo] + sorted({r for r in (0, zl) if not is_inf(r) and lo < r < hi}) + [hi]
     segs = [seg for a, b in zip(cuts, cuts[1:]) for seg in stretch(a, b)]
     first = segs[0][1]
     if cuts[0] == 0 and not zl > 0:  # the point lo = 0 reads chart 0, the stretch above it chart inf
@@ -424,7 +420,7 @@ def _edge_vertices(place: Place, fn: AffableFn, z, lo, hi):
     out = [(lo, _at(first, cuts[0]))]
     for (_, left), (x, right) in zip(segs, segs[1:]):
         if left != right:
-            out.append((Fraction(x), _at(left, x)))
+            out.append((x, _at(left, x)))
     return out + [(hi, _at(segs[-1][1], cuts[-1]))]
 
 

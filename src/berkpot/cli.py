@@ -34,7 +34,7 @@ from .sweeps import (
 )
 
 CONFIG_ERRORS = (SweepError, PlaceError, MapError, GraphError, AffableError,
-                 json.JSONDecodeError, ValueError, OSError)
+                 json.JSONDecodeError, UnicodeDecodeError, OSError)
 NUMERIC_ERRORS = (GreenError, MeasureError, ArithmeticError)
 
 
@@ -82,7 +82,10 @@ def _cmd_equilibrium(args) -> int:
         skel = graph_from_json(_load_json(args.skeleton)) if args.skeleton else default_skeleton(place)
         mu, report = equilibrium_nonarch(place, lift, skel, 1e-9 if args.tol is None else args.tol)
     else:
-        seed = complex(args.seed.replace("i", "j")) if args.seed else 2 + 0j
+        try:
+            seed = complex(args.seed.replace("i", "j")) if args.seed else 2 + 0j
+        except ValueError as exc:
+            raise SweepError(f"bad --seed: {exc}") from exc
         mu = equilibrium_arch(place, lift, seed, 10 if args.n is None else args.n)
         report = None
     _emit(measure_to_rows(place, mu), ["kind", "point_or_center", "logr_or_radius", "weight"],
@@ -114,12 +117,17 @@ def _cmd_contraction(args) -> int:
     parts = args.sample.split(":")
     if parts[0] != "circle":
         raise SweepError(f"unknown sample format {args.sample!r}")
-    count = int(parts[1]) if len(parts) > 1 else 64
-    radius = float(parts[2]) if len(parts) > 2 else 1.0
+    try:
+        count = int(parts[1]) if len(parts) > 1 else 64
+        radius = float(parts[2]) if len(parts) > 2 else 1.0
+    except ValueError as exc:
+        raise SweepError(f"bad --sample: {exc}") from exc
     if place.is_ultrametric:
         sample = unit_sphere_sample_padic(place, count)
     else:
         sample = circle_sample(count, radius)
+    if not sample:
+        raise SweepError(f"sample {args.sample!r} has no points")
     rows = []
     for n, ratio in contraction_ratios(place, lift, sample, args.n):
         rows.append((n, "exact-0" if ratio is None else ratio))

@@ -5,8 +5,10 @@ Laplacian of such a function is the atomic measure whose weight at a vertex
 is the sum of outgoing slopes.  The Dirichlet problem (harmonic extension of
 boundary data) is a weighted-graph linear solve with weights 1/length.
 
-Graphs are exact: lengths and values are ``Fraction``s, and the Dirichlet
-solve converts its input with ``Fraction(x)``, exactly for floats too.
+Graphs are exact: lengths and values are ints or ``Fraction``s (the
+canonical form of the places module), every quotient of two of them goes
+through ``places.exact_div``, and the Dirichlet solve converts its input
+with ``Fraction(x)``, exactly for floats too.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .places import exact_div
 from .points import MetricGraph, point_from_json
 from .polys import exact_solve
 
@@ -35,7 +38,7 @@ class PLFunction:
 
     def slope(self, i: int, j: int, length) -> object:
         """Slope along the edge from i to j."""
-        return (self.values[j] - self.values[i]) / length
+        return exact_div(self.values[j] - self.values[i], length)
 
 
 @dataclass
@@ -132,12 +135,12 @@ def mass_in(u: PLFunction, region, ell) -> tuple:
             mass += lap[v]
     sup_ell = max(u.values[v] for v in region) if region else 0
     for v, w, ln in outgoing:
-        reach = u.values[v] + (u.values[w] - u.values[v]) * (ell / ln)
+        reach = u.values[v] + (u.values[w] - u.values[v]) * exact_div(ell, ln)
         if reach > sup_ell:
             sup_ell = reach
     inf_y = min(u.values[v] for v in region)
     n_out = len(outgoing)
-    bound = (n_out / ell) * (sup_ell - inf_y) if n_out else 0 * ell
+    bound = exact_div(n_out, ell) * (sup_ell - inf_y) if n_out else 0 * ell
     return mass, bound
 
 

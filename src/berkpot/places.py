@@ -10,6 +10,17 @@ log(p), at t-adic/trivial/residue places the coefficient of 1, and at
 archimedean places a plain float.  ``Place.log_unit`` converts to real
 numbers at the boundary (integration, CSV output).
 
+Exact numbers have one canonical form: an ``int`` where the denominator is
+1, else a ``Fraction`` (``_num``).  It is made where exact values are made,
+not downstream: ``Place.eps``, ``abs_log_value`` and the centres and radii
+of ``points.disk``, ``points.reduce_center`` and ``points.classical``.  At
+eps = 1 almost every log-value and radius is an integer, so ultrametric
+arithmetic mostly runs on ints.  Since ``int / int`` is a float in Python,
+every exact division of two values that may both be ints goes through
+``Fraction`` (``exact_div``).  Values the library promises as ``Fraction``
+stay so: restriction values, ``lambda_limit`` values, measure weights and
+lift coefficients.
+
 ``valuation`` is the one p-adic valuation: v_p(q) read from the numerator
 and denominator of an int or Fraction.  ``abs_log_value`` reads -v_p(q) eps
 from it at p-adic places and its sign at residue places, and
@@ -24,8 +35,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-# A log-magnitude coefficient: exact Fraction at ultrametric places, float at
-# archimedean ones; +/-inf floats are the extended values at every kind.
+# A log-magnitude coefficient: exact (int or Fraction) at ultrametric places,
+# float at archimedean ones; +/-inf floats are the extended values at every kind.
 LogValue = Union[Fraction, int, float]
 
 NEG_INF = float("-inf")
@@ -42,14 +53,25 @@ class PlaceError(ValueError):
     """Operation applied at an incompatible place."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _num(x):
+    """An exact number in the canonical form: an int where its denominator is 1."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _as_exact(x):
+    """An int, Fraction or fraction string in the canonical form (no bools)."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return _num(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}: {x!r}")
+
+
+def exact_div(a, b):
+    """a / b, through Fraction where both are ints (``int / int`` is a float)."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
 
 
 @dataclass(frozen=True)
@@ -57,12 +79,12 @@ class Place:
     """One point of a base spectrum.
 
     kind is one of "arch", "padic", "tadic", "trivial", "res"; p is set for
-    padic/res kinds; eps is the exponent (exact rational).
+    padic/res kinds; eps is the exponent (exact rational, canonical).
     """
 
     kind: str
     p: int | None = None
-    eps: Fraction = Fraction(1)
+    eps: int | Fraction = 1
 
     # hash(eps) once (places key the caches); hash(hash(q)) == hash(q) keeps the generated hash
     _eps_hash = cached_property(lambda self: hash(self.eps))
@@ -83,16 +105,16 @@ class Place:
             raise PlaceError(f"{self.kind} exponent must be positive, got {self.eps}")
 
     @staticmethod
-    def archimedean(eps=Fraction(1)) -> "Place":
-        return Place(ARCH, None, _as_fraction(eps))
+    def archimedean(eps=1) -> "Place":
+        return Place(ARCH, None, _as_exact(eps))
 
     @staticmethod
-    def padic(p: int, eps=Fraction(1)) -> "Place":
-        return Place(PADIC, p, _as_fraction(eps))
+    def padic(p: int, eps=1) -> "Place":
+        return Place(PADIC, p, _as_exact(eps))
 
     @staticmethod
-    def tadic(eps=Fraction(1)) -> "Place":
-        return Place(TADIC, None, _as_fraction(eps))
+    def tadic(eps=1) -> "Place":
+        return Place(TADIC, None, _as_exact(eps))
 
     @staticmethod
     def trivial() -> "Place":
@@ -155,20 +177,21 @@ def abs_log_value(place: Place, q) -> LogValue:
     """Raw log|q| at the place, in coefficient units (see module docstring).
 
     An int or Fraction is read as it is; anything else goes through
-    ``_as_fraction``."""
+    ``_as_exact``.  Canonical at ultrametric places: an int at a p-adic
+    place with integral eps, 0 at residue, trivial and t-adic ones."""
     if not isinstance(q, (int, Fraction)):
-        q = _as_fraction(q)
+        q = _as_exact(q)
     if q == 0:
         return NEG_INF
     if place.kind == ARCH:
         return place.eps_float * (math.log(abs(q.numerator)) - math.log(q.denominator))
     if place.kind == PADIC:
-        return -valuation(q, place.p) * place.eps
+        return _num(-valuation(q, place.p) * place.eps)
     if place.kind == RESIDUE:
         v = valuation(q, place.p)
-        return NEG_INF if v > 0 else POS_INF if v < 0 else Fraction(0)
+        return NEG_INF if v > 0 else POS_INF if v < 0 else 0
     # trivial and t-adic: rational constants have trivial valuation
-    return Fraction(0)
+    return 0
 
 
 def flow_place(place: Place, eps) -> Place:
@@ -177,7 +200,7 @@ def flow_place(place: Place, eps) -> Place:
     Exponents multiply; trivially valued and residue places are fixed points
     and flow(., 1) is the identity.
     """
-    eps = _as_fraction(eps)
+    eps = _as_exact(eps)
     if not (0 < eps <= 1):
         raise PlaceError(f"flow exponent must lie in (0,1], got {eps}")
     if place.kind == ARCH:

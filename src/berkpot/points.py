@@ -2,9 +2,9 @@
 
 Over an ultrametric place the line carries, besides classical points, the
 disk points eta_{z,r} acting on polynomials by |sum a_i (T-z)^i| =
-max_i |a_i| r^i.  Disk points store the log-radius as an exact rational on
-the place's coefficient scale (see places module), so the Gauss point is
-``disk(0, 0)`` at every ultrametric place.
+max_i |a_i| r^i.  Disk points store the centre and the log-radius (on the
+place's coefficient scale) in the canonical exact form of the places
+module, so the Gauss point is ``disk(0, 0)`` at every ultrametric place.
 
 ``newton_lines`` and ``newton_envelope`` are the one reader of that formula:
 the Newton lines (log|a_i|, i) of P(z + T), and their envelope at log r.
@@ -33,7 +33,7 @@ from .places import (
     vmax,
     vplus,
     vscale,
-    _as_fraction,
+    _as_exact,
 )
 from .polys import poly_eval, taylor_shift, trim
 
@@ -50,7 +50,7 @@ class BerkPoint:
 
     t: str
     z: Optional[Scalar] = None          # classical affine coordinate
-    center: Optional[Fraction] = None   # disk center (exact, ultrametric fibers)
+    center: Optional[Fraction] = None   # disk center (int or Fraction, ultrametric fibers)
     logr: Optional[LogValue] = None     # disk log-radius, coefficient units
 
     def __post_init__(self):
@@ -71,7 +71,7 @@ class BerkPoint:
 
 def classical(z) -> BerkPoint:
     if isinstance(z, (int, Fraction)):
-        z = Fraction(z)
+        z = _as_exact(z)
     return BerkPoint(CLS, z=z)
 
 
@@ -87,9 +87,8 @@ def classical_pair(z0, z1) -> BerkPoint:
 
 
 def disk(center, logr) -> BerkPoint:
-    if isinstance(logr, (int, str)):
-        logr = Fraction(logr)
-    return BerkPoint(DISK, center=_as_fraction(center), logr=logr)
+    """eta_{center, logr}, both canonical; an infinite logr stays a float."""
+    return BerkPoint(DISK, center=_as_exact(center), logr=logr if type(logr) is float else _as_exact(logr))
 
 
 def infinity() -> BerkPoint:
@@ -128,7 +127,7 @@ def eval_log_abs(place: Place, point: BerkPoint, coeffs) -> LogValue:
     Returns a value on the place's coefficient scale; -inf only for P = 0 or
     classical zeros of P.
     """
-    convert = _as_fraction if place.is_ultrametric else complex
+    convert = _as_exact if place.is_ultrametric else complex
     coeffs = trim(convert(c) for c in coeffs)
     if not coeffs:
         return NEG_INF
@@ -163,7 +162,7 @@ def flow_point(point: BerkPoint, eps) -> BerkPoint:
 
     Classical points and infinity are fixed; disk log-radii scale by eps.
     """
-    eps = _as_fraction(eps)
+    eps = _as_exact(eps)
     if not (0 < eps <= 1):
         raise PlaceError(f"flow exponent must lie in (0,1], got {eps}")
     if point.t != DISK:
@@ -172,29 +171,29 @@ def flow_point(point: BerkPoint, eps) -> BerkPoint:
 
 
 def reduce_center(place: Place, center: Fraction, logr) -> Fraction:
-    """A bounded-height representative of the disk center.
+    """A bounded-height representative of the disk center, canonical.
 
     eta_{z,r} only depends on z modulo the radius, so any z' with
     |z - z'| <= r names the same point.  The height of the representative
     grows with -logr, so an orbit whose radii shrink (a disk attracted to a
     fixed point) still gains digits at every step.
     """
-    center = _as_fraction(center)
+    center = _as_exact(center)
     if place.kind == PADIC:
         if center == 0:
             return center
-        # need v_p(z - z') >= K with K = ceil(-logr / eps)
-        K = math.ceil(-Fraction(logr) / place.eps)
+        # need v_p(z - z') >= K with K = ceil(-logr / eps) = -floor(logr / eps)
+        K = -(logr // place.eps)
         v = valuation(center, place.p)
         if v >= K:
-            return Fraction(0)
+            return 0
         unit = center / Fraction(place.p) ** v
         modulus = place.p ** (K - v)
         red = (unit.numerator * pow(unit.denominator, -1, modulus)) % modulus
-        return Fraction(red) * Fraction(place.p) ** v
+        return red * place.p ** v if v >= 0 else Fraction(red, place.p ** -v)
     if place.kind in (TRIVIAL, TADIC):
         # |z - z'| is 0 or 1: radius >= 1 makes every center equivalent to 0
-        return Fraction(0) if Fraction(logr) >= 0 else center
+        return 0 if logr >= 0 else center
     return center
 
 
@@ -245,8 +244,8 @@ def join_points(place: Place, a: BerkPoint, b: BerkPoint) -> BerkPoint:
     _require_ultrametric(place)
     if a.t == INF or b.t == INF:
         raise PlaceError("join with infinity is not a disk point")
-    za = a.center if a.t == DISK else _as_fraction(a.z)
-    zb = b.center if b.t == DISK else _as_fraction(b.z)
+    za = a.center if a.t == DISK else _as_exact(a.z)
+    zb = b.center if b.t == DISK else _as_exact(b.z)
     ra = a.logr if a.t == DISK else NEG_INF
     rb = b.logr if b.t == DISK else NEG_INF
     r = vmax(abs_log_value(place, za - zb), ra, rb)
@@ -436,6 +435,6 @@ def point_from_json(obj: dict) -> BerkPoint:
             return classical(complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0))))
         if t == "disk":
             return disk(Fraction(obj["center"]), Fraction(obj["logr"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise PlaceError(f"bad point JSON {obj!r}: {exc}") from exc
     raise PlaceError(f"bad point JSON {obj!r}")

@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import polys
-from .places import Place, PlaceError, is_neg_inf
+from .places import Place, PlaceError, exact_div, is_neg_inf
 from .points import (ARCH_INF, BerkPoint, DISK, INF, classical_pair, disk, newton_envelope,
                      newton_lines, reduce_center)
 from .polys import poly_eval, sylvester_matrix, taylor_shift, trim
@@ -178,7 +178,7 @@ def pair_at(lift: HomogeneousLift, x: BerkPoint, far: bool) -> tuple:
     """(F0, F1) at a classical point at (z, 1), or if far at (1, S = 1/z); at infinity at (1, 0)."""
     if x.t == INF:
         return lift.f0[lift.d], lift.f1[lift.d]
-    f0, f1, s = (lift.f0[::-1], lift.f1[::-1], 1 / x.z) if far else (lift.f0, lift.f1, x.z)
+    f0, f1, s = (lift.f0[::-1], lift.f1[::-1], exact_div(1, x.z)) if far else (lift.f0, lift.f1, x.z)
     return poly_eval(f0, s), poly_eval(f1, s)
 
 

@@ -13,7 +13,8 @@ from berkpot.graphs import (
     mass_in,
     measure_pairing,
 )
-from berkpot.points import GAUSS, MetricGraph
+from berkpot.places import Place
+from berkpot.points import GAUSS, MetricGraph, build_skeleton, disk
 
 
 def segment(length=F(1)):
@@ -114,6 +115,19 @@ def test_mass_in_convex_path_telescopes():
     # with the region not covering the kink, the slope bound applies
     mass_lo, bound_lo = mass_in(u, {0, 1}, F(1))
     assert mass_lo == 0 and mass_lo <= bound_lo
+
+
+def test_int_values_on_int_lengths_stay_exact():
+    # a Q_3 skeleton has int edge lengths (2 and 1); int values and an int
+    # ell divide through Fraction, never as int / int into a float
+    skel = build_skeleton(Place.padic(3), [GAUSS, disk(1, -2), disk(2, -1)])
+    assert [(i, j, ln) for i, j, ln in skel.edges] == [(1, 0, 2), (2, 0, 1)]
+    u = PLFunction(skel, [0, 1, 2])
+    lap = graph_laplacian(u).atoms
+    assert lap == [(0, F(5, 2)), (1, F(-1, 2)), (2, F(-2))] and all(type(w) is F for _, w in lap)
+    for region, want in (([0], 4), ([0, 1], 2)):
+        mass, bound = mass_in(u, region, 1)
+        assert (mass, bound) == (0, want) and type(mass) is int and type(bound) is F
 
 
 def test_mass_in_rejects_long_ell():

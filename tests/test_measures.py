@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import os
 import random
 import warnings
 from fractions import Fraction as F
@@ -28,8 +30,8 @@ from berkpot.measures import (
 from berkpot.places import Place, flow_place
 from berkpot.points import ARCH_INF, GAUSS, build_skeleton, classical, disk, flow_point, infinity, same_point
 from berkpot.rmaps import HomogeneousLift, apply_point
-from berkpot.sweeps import default_skeleton
-from berkpot.affable import affable_real
+from berkpot.sweeps import SweepConfig, default_skeleton, padic_branch_grid, sweep_equilibrium
+from berkpot.affable import affable_real, restrict_to_skeleton
 from berkpot.battery import standard_battery
 
 ARC = Place.archimedean()
@@ -266,6 +268,52 @@ def test_equilibrium_nonarch_coarse_skeleton_smears():
     assert report.total_mass == 1
     weights = {str(pt): w for pt, w in mu.atoms}
     assert weights == {"Eta(0,-2)": F(1, 2), "Eta(0,0)": F(1, 2)}
+
+
+def _padic_lifts(p):
+    inv = F(1, p)
+    return {"T^2/p": HomogeneousLift.from_coeffs(2, [0, 0, inv], [1]),
+            "(T^3-T)/p": HomogeneousLift.from_coeffs(3, [0, -inv, 0, inv], [1]),
+            "T^2+p": HomogeneousLift.from_coeffs(2, [p, 0, 1], [1])}
+
+
+def _canonical(x):
+    """The canonical exact form: an int, or a Fraction with a denominator."""
+    return type(x) is int or (type(x) is F and x.denominator != 1)
+
+
+def test_padic_equilibria_and_sweeps_match_frozen_seed3001():
+    # the seeded padic-skeleton benchmark skeleta (seed 3001) x its three
+    # lifts, and its two T^2/p sweeps over padic_branch_grid(p, 10), frozen
+    # as strings (NaN rows by their error text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "padic_equilibrium_seed3001.json")) as fh:
+        frozen = json.load(fh)
+    bat = standard_battery()
+    coords, exact = [], []
+    for case in frozen["cases"]:
+        place = Place.padic(case["p"])
+        skel = build_skeleton(place, [disk(F(c), F(r)) for c, r in case["disks"]])
+        for name, lift in _padic_lifts(case["p"]).items():
+            mu, report = equilibrium_nonarch(place, lift, skel, frozen["tol"])
+            got = {"atoms": [[str(x.center), str(x.logr), str(w)] for x, w in mu.atoms],
+                   "total_mass": str(report.total_mass), "negative_atoms": report.negative_atoms}
+            assert got == case["equilibria"][name], (case["disks"], name)
+            coords += [c for x, _ in mu.atoms for c in (x.center, x.logr)]
+            exact += [w for _, w in mu.atoms] + [report.total_mass] + report.potential.values
+        for fn in bat:
+            u, _inserted = restrict_to_skeleton(place, fn, skel)
+            coords += [c for x in u.graph.labels for c in (x.center, x.logr)]
+            exact += u.values + [ln for *_, ln in u.graph.edges]
+        coords += [c for x in skel.labels for c in (x.center, x.logr)]
+        exact += [ln for *_, ln in skel.edges]
+    # every disk coordinate is canonical, and no exact output is a float
+    assert all(_canonical(c) for c in coords)
+    assert not any(isinstance(v, float) for v in exact)
+    for p, rows in frozen["sweeps"].items():
+        cfg = SweepConfig(grid=padic_branch_grid(int(p), 10), battery=bat, lift=_padic_lifts(int(p))["T^2/p"])
+        got = [[r.place_kind, r.place_param, r.fn_id, repr(r.value), repr(r.cert_err), r.error]
+               for r in sweep_equilibrium(cfg).rows]
+        assert got == rows, p
 
 
 def test_equilibrium_nonarch_requires_gauss():

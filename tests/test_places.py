@@ -49,9 +49,24 @@ def test_residue_place_kills_p():
 
 
 def test_abs_log_exactness_flag():
-    # exact rationals at ultrametric places, floats at archimedean ones
-    assert isinstance(abs_log_value(Place.padic(2), 8), F)
-    assert isinstance(abs_log_value(Place.archimedean(), 8), float)
+    # the canonical exact form at ultrametric places: an int where the
+    # denominator is 1, else a Fraction, never a bool or a float; floats at
+    # archimedean places
+    v = abs_log_value(Place.padic(2), 8)
+    assert v == -3 and type(v) is int
+    half = abs_log_value(Place.padic(2, F(1, 2)), 8)
+    assert half == F(-3, 2) and type(half) is F
+    assert type(abs_log_value(Place.padic(2, F(1, 2)), 4)) is int  # -2 * 1/2
+    units = (1, 2, F(-5, 7), True)
+    for place, qs in ((Place.padic(3, F(2, 3)), units + (3, F(9, 4), F(-5, 27))), (Place.tadic(), units),
+                      (Place.tadic(F(1, 2)), units), (Place.trivial(), units), (Place.residue(3), units)):
+        for q in qs:
+            got = abs_log_value(place, q)
+            assert type(got) in (int, F) and not (type(got) is F and got.denominator == 1), (place, q)
+    for q in (3, F(1, 3)):  # +-inf only where |q| is 0 or infinite
+        assert type(abs_log_value(Place.residue(3), q)) is float
+    for place in (Place.archimedean(), Place.archimedean(F(1, 2))):
+        assert isinstance(abs_log_value(place, 8), float)
 
 
 def test_epsilon_matches_log2_formula():

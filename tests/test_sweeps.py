@@ -298,6 +298,48 @@ def test_cli_graph_edge_endpoints_in_range(tmp_path, capsys, edge):
     assert "needs endpoints in [0, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["equilibrium", "--seed", "abc"], "complex() arg is a malformed string"),
+    (["contraction", "--sample", "circle:x"], "invalid literal for int() with base 10: 'x'"),
+    (["contraction", "--sample", "circle:4:abc"], "could not convert string to float: 'abc'"),
+    (["green", "--points", None], "'utf-8' codec can't decode byte 0xff"),
+    (["contraction", "--sample", "circle:0"], "sample 'circle:0' has no points"),
+    (["contraction", "--sample", "circle:-3"], "sample 'circle:-3' has no points"),
+], ids=["seed", "sample-count", "sample-radius", "non-utf8-map", "no-points", "negative-count"])
+def test_cli_malformed_inputs_are_config_errors(tmp_path, capsys, argv, message):
+    m = _write(tmp_path, "m.json", lift_to_json(Z2))
+    if argv[0] == "green":  # a map file that is not UTF-8
+        m = os.path.join(tmp_path, "latin1.json")
+        with open(m, "wb") as fh:
+            fh.write(b'{"d": 2, "F0": [["\xff", "2,0"]], "F1": [["1", "0,2"]]}')
+        argv = argv[:-1] + [_write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])]
+    assert main(argv[:1] + ["--map", m, "--place", '{"kind":"arch","eps":"1"}'] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_cli_points_file_must_be_a_list(tmp_path, capsys):
+    # a JSON object iterates over its keys, strings that name no point
+    m = _write(tmp_path, "m.json", lift_to_json(Z2))
+    assert main(["green", "--map", m, "--place", '{"kind":"arch","eps":"1"}', "--points", m]) == 2
+    assert "config error: bad point JSON 'd'" in capsys.readouterr().err
+
+
+def test_cli_lets_a_library_value_error_propagate(tmp_path, monkeypatch):
+    # a bare ValueError is a bug, not a config error: it leaves cli.main with
+    # its traceback instead of exiting 2
+    import berkpot.cli as cli
+
+    def bug(*args):
+        raise ValueError("a bug in the library")
+
+    monkeypatch.setattr(cli, "lambda_limit", bug)
+    m = _write(tmp_path, "m.json", lift_to_json(Z2))
+    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    with pytest.raises(ValueError, match="a bug in the library"):
+        main(["green", "--map", m, "--place", '{"kind":"arch","eps":"1"}', "--points", pts])
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep-chi", "--config", os.path.join(tmp_path, "missing.json")]) == 2
     m = _write(tmp_path, "m.json", lift_to_json(Z2))
