@@ -16,14 +16,14 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .affable import AffableError
 from .graphs import GraphError, PLFunction, dirichlet_extend, graph_from_json, graph_laplacian
-from .green import GreenError, contraction_ratios, lambda_limit
-from .measures import MeasureError, energy_pairing, equilibrium_arch, equilibrium_nonarch, measure_to_rows
-from .places import Place, PlaceError, place_from_json
+from .green import contraction_ratios, lambda_limit
+from .measures import energy_pairing, equilibrium_arch, equilibrium_nonarch, measure_to_rows
+from .places import Place, place_from_json
 from .points import point_from_json
-from .rmaps import MapError, lift_from_json
+from .rmaps import lift_from_json
 from .sweeps import (
+    ROW_ERRORS,
     SweepConfig,
     SweepError,
     circle_sample,
@@ -32,11 +32,6 @@ from .sweeps import (
     sweep_equilibrium,
     unit_sphere_sample_padic,
 )
-
-CONFIG_ERRORS = (SweepError, PlaceError, MapError, GraphError, AffableError,
-                 json.JSONDecodeError, UnicodeDecodeError, OSError)
-NUMERIC_ERRORS = (GreenError, MeasureError, ArithmeticError)
-
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -237,10 +232,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (*ROW_ERRORS, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        # the typed failures are listed once, in ROW_ERRORS; bad input is a ValueError or OSError
+        config = isinstance(exc, (ValueError, OSError))
+        print(f"{'config error' if config else 'numeric failure'}: {exc}", file=sys.stderr)
+        return 2 if config else 3
 

@@ -1,12 +1,13 @@
 """Base places and exact absolute-value arithmetic.
 
-A place is a point of a base spectrum such as M(Z) (Ostrowski: trivial,
-archimedean |.|^eps, p-adic |.|_p^eps, residue seminorms |.|_p^{+inf}) or the
-hybrid segment M(C_hyb) = {trivial} u {|.|^eps : 0 < eps <= 1}.
+A place is a point of a base spectrum such as M(Z), whose points are of
+four kinds (Ostrowski): trivial, archimedean |.|^eps, p-adic |.|_p^eps and
+residue seminorms |.|_p^{+inf}; or of the hybrid segment M(C_hyb) =
+{trivial} u {|.|^eps : 0 < eps <= 1}.  ``Place`` has exactly these kinds.
 
 Log-magnitudes are kept on a per-place scale so ultrametric arithmetic stays
 exact: at a p-adic place the stored value is the rational coefficient of
-log(p), at t-adic/trivial/residue places the coefficient of 1, and at
+log(p), at trivial and residue places the coefficient of 1, and at
 archimedean places a plain float.  ``Place.log_unit`` converts to real
 numbers at the boundary (integration, CSV output).
 
@@ -44,7 +45,6 @@ POS_INF = float("inf")
 
 ARCH = "arch"
 PADIC = "padic"
-TADIC = "tadic"
 TRIVIAL = "trivial"
 RESIDUE = "res"
 
@@ -78,7 +78,7 @@ def exact_div(a, b):
 class Place:
     """One point of a base spectrum.
 
-    kind is one of "arch", "padic", "tadic", "trivial", "res"; p is set for
+    kind is one of "arch", "padic", "trivial", "res"; p is set for
     padic/res kinds; eps is the exponent (exact rational, canonical).
     """
 
@@ -94,15 +94,15 @@ class Place:
         return hash((self.kind, self.p, self._eps_hash))
 
     def __post_init__(self):
-        if self.kind not in (ARCH, PADIC, TADIC, TRIVIAL, RESIDUE):
+        if self.kind not in (ARCH, PADIC, TRIVIAL, RESIDUE):
             raise PlaceError(f"unknown place kind {self.kind!r}")
         if self.kind in (PADIC, RESIDUE):
             if self.p is None or self.p < 2 or not _is_prime(self.p):
                 raise PlaceError(f"{self.kind} place needs a prime, got {self.p}")
         if self.kind == ARCH and not (0 < self.eps <= 1):
             raise PlaceError(f"archimedean exponent must lie in (0,1], got {self.eps}")
-        if self.kind in (PADIC, TADIC) and not self.eps > 0:
-            raise PlaceError(f"{self.kind} exponent must be positive, got {self.eps}")
+        if self.kind == PADIC and not self.eps > 0:
+            raise PlaceError(f"padic exponent must be positive, got {self.eps}")
 
     @staticmethod
     def archimedean(eps=1) -> "Place":
@@ -111,10 +111,6 @@ class Place:
     @staticmethod
     def padic(p: int, eps=1) -> "Place":
         return Place(PADIC, p, _as_exact(eps))
-
-    @staticmethod
-    def tadic(eps=1) -> "Place":
-        return Place(TADIC, None, _as_exact(eps))
 
     @staticmethod
     def trivial() -> "Place":
@@ -142,8 +138,6 @@ class Place:
             return ARCH, str(self.eps)
         if self.kind == PADIC:
             return PADIC, f"p={self.p},eps={self.eps}"
-        if self.kind == TADIC:
-            return TADIC, str(self.eps)
         if self.kind == RESIDUE:
             return RESIDUE, f"p={self.p}"
         return TRIVIAL, ""
@@ -178,7 +172,7 @@ def abs_log_value(place: Place, q) -> LogValue:
 
     An int or Fraction is read as it is; anything else goes through
     ``_as_exact``.  Canonical at ultrametric places: an int at a p-adic
-    place with integral eps, 0 at residue, trivial and t-adic ones."""
+    place with integral eps, 0 at residue and trivial ones."""
     if not isinstance(q, (int, Fraction)):
         q = _as_exact(q)
     if q == 0:
@@ -190,8 +184,7 @@ def abs_log_value(place: Place, q) -> LogValue:
     if place.kind == RESIDUE:
         v = valuation(q, place.p)
         return NEG_INF if v > 0 else POS_INF if v < 0 else 0
-    # trivial and t-adic: rational constants have trivial valuation
-    return 0
+    return 0  # trivial
 
 
 def flow_place(place: Place, eps) -> Place:
@@ -207,8 +200,6 @@ def flow_place(place: Place, eps) -> Place:
         return Place.archimedean(place.eps * eps)
     if place.kind == PADIC:
         return Place.padic(place.p, place.eps * eps)
-    if place.kind == TADIC:
-        return Place.tadic(place.eps * eps)
     return place
 
 
@@ -270,8 +261,6 @@ def place_from_json(obj: dict) -> Place:
             return Place.archimedean(snap_rational(obj["eps"]))
         if kind == "padic":
             return Place.padic(int(obj["p"]), snap_rational(obj["eps"]))
-        if kind == "tadic":
-            return Place.tadic(snap_rational(obj["eps"]))
         if kind == "res":
             return Place.residue(int(obj["p"]))
         if kind == "trivial":

@@ -22,7 +22,6 @@ from .places import (
     NEG_INF,
     PADIC,
     POS_INF,
-    TADIC,
     TRIVIAL,
     LogValue,
     Place,
@@ -191,7 +190,7 @@ def reduce_center(place: Place, center: Fraction, logr) -> Fraction:
         modulus = place.p ** (K - v)
         red = (unit.numerator * pow(unit.denominator, -1, modulus)) % modulus
         return red * place.p ** v if v >= 0 else Fraction(red, place.p ** -v)
-    if place.kind in (TRIVIAL, TADIC):
+    if place.kind == TRIVIAL:
         # |z - z'| is 0 or 1: radius >= 1 makes every center equivalent to 0
         return 0 if logr >= 0 else center
     return center

@@ -196,7 +196,9 @@ def apply_point(place: Place, lift: HomogeneousLift, x: BerkPoint, _read=None) -
         raise PlaceError("disk points live in ultrametric fibers only")
     if not lift.is_polynomial:
         raise MapError("disk transport implemented for polynomial maps only")
-    shifted = [c / lift.f1[0] for c in _read or taylor_shift(lift.f0, x.center)]
+    shifted = _read or taylor_shift(lift.f0, x.center)
+    if lift.f1[0] != 1:
+        shifted = [c / lift.f1[0] for c in shifted]
     new_logr = newton_envelope(newton_lines(place, [0] + shifted[1:]), x.logr)  # log|phi - phi(a)|
     if is_neg_inf(new_logr):
         raise MapError("disk image degenerated to a classical point")

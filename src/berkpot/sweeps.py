@@ -78,8 +78,8 @@ class SweepError(ValueError):
     pass
 
 
-# the failures a sweep records per row and steps past; anything else is a
-# bug and propagates
+# the typed failures, listed once: a sweep records them per row and steps
+# past, and ``cli.main`` exits on them; anything else is a bug and propagates
 ROW_ERRORS = (AffableError, GraphError, GreenError, MapError, MeasureError, PlaceError, SweepError,
               ArithmeticError)
 
@@ -193,6 +193,7 @@ class SweepConfig:
     seed_point: complex = 2 + 0j
 
     def __post_init__(self):
+        validate_grid(self.grid)
         if not self.tol > 0:  # also a NaN tol
             raise SweepError(f"tol must be positive, got {self.tol}")
 
@@ -207,7 +208,6 @@ class SweepConfig:
                     grid = padic_branch_grid(int(branch["p"]), int(obj.get("depth", 10)))
                 else:
                     grid = default_grid(int(obj.get("depth", 10)))
-            validate_grid(grid)
             battery = load_battery(obj["battery"]) if obj.get("battery") else standard_battery()
             read = {"map": lift_from_json, "center": lambda c: Fraction(str(c)), "radius": RadiusSpec.parse,
                     "tol": float, "quad_n": int, "atom_budget": int,
@@ -236,7 +236,6 @@ def _sweep(config: SweepConfig, measure_at) -> SweepTable:
     """The battery's rows along the grid, from ``measure_at(place)`` =
     (measure, n_used, potential tail bound), with one memo for the sweep
     (module docstring)."""
-    validate_grid(config.grid)
     ids = [fn.fn_id for fn in config.battery]
     if repeated := sorted({i for i in ids if ids.count(i) > 1}):
         raise SweepError(f"battery ids must be distinct, repeated: {repeated}")

@@ -358,8 +358,7 @@ def test_restrict_midpoint_exactness():
 
 
 def _restrict_places(p):
-    return [Place.padic(p), Place.padic(p, F(1, 2)), Place.padic(p, 2), Place.padic(p, 1024),
-            Place.trivial(), Place.tadic(), Place.tadic(F(1, 3))]
+    return [Place.padic(p), Place.padic(p, F(1, 2)), Place.padic(p, 2), Place.padic(p, 1024), Place.trivial()]
 
 
 def test_restrict_matches_pointwise_oracle_randomized():

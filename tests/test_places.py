@@ -19,7 +19,7 @@ from berkpot.places import (
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 ultrametric_places = st.sampled_from(
-    [Place.padic(2), Place.padic(3), Place.padic(5, F(2)), Place.tadic(), Place.trivial()]
+    [Place.padic(2), Place.padic(3), Place.padic(5, F(2)), Place.trivial()]
 )
 flow_eps = st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 5), F(3, 4)])
 
@@ -58,8 +58,8 @@ def test_abs_log_exactness_flag():
     assert half == F(-3, 2) and type(half) is F
     assert type(abs_log_value(Place.padic(2, F(1, 2)), 4)) is int  # -2 * 1/2
     units = (1, 2, F(-5, 7), True)
-    for place, qs in ((Place.padic(3, F(2, 3)), units + (3, F(9, 4), F(-5, 27))), (Place.tadic(), units),
-                      (Place.tadic(F(1, 2)), units), (Place.trivial(), units), (Place.residue(3), units)):
+    for place, qs in ((Place.padic(3, F(2, 3)), units + (3, F(9, 4), F(-5, 27))), (Place.trivial(), units),
+                      (Place.residue(3), units)):
         for q in qs:
             got = abs_log_value(place, q)
             assert type(got) in (int, F) and not (type(got) is F and got.denominator == 1), (place, q)
@@ -123,7 +123,6 @@ def test_flow_scales_abs_exactly(place, eps, q):
 _PLACE_JSON = {
     Place.archimedean(F(1, 2)): {"kind": "arch", "eps": "1/2"},
     Place.padic(3, F(2)): {"kind": "padic", "p": 3, "eps": "2"},
-    Place.tadic(F(1)): {"kind": "tadic", "eps": "1"},
     Place.trivial(): {"kind": "trivial"},
     Place.residue(5): {"kind": "res", "p": 5},
 }

@@ -50,6 +50,15 @@ def test_default_grid_shape():
         validate_grid([])
 
 
+def test_a_bad_grid_fails_where_the_config_is_made():
+    # one check, at construction, as for tol; a config file says so in its message
+    for grid in ([], [Place.trivial(), Place.archimedean()], [Place.residue(3), Place.padic(3)]):
+        with pytest.raises(SweepError):
+            SweepConfig(grid=grid, battery=F1)
+    with pytest.raises(SweepError, match="bad sweep config: the ultrametric endpoint must come last"):
+        SweepConfig.from_json({"grid": [{"kind": "trivial"}, {"kind": "arch", "eps": "1"}]})
+
+
 def test_sweep_chi_scaling_rows():
     cfg = SweepConfig(grid=default_grid(6), battery=F1)
     table = sweep_chi(cfg)
@@ -323,6 +332,14 @@ def test_cli_points_file_must_be_a_list(tmp_path, capsys):
     m = _write(tmp_path, "m.json", lift_to_json(Z2))
     assert main(["green", "--map", m, "--place", '{"kind":"arch","eps":"1"}', "--points", m]) == 2
     assert "config error: bad point JSON 'd'" in capsys.readouterr().err
+
+
+def test_cli_tadic_place_is_a_config_error(tmp_path, capsys):
+    # M(Z) has four kinds of places; "tadic" is not one of them
+    m = _write(tmp_path, "m.json", lift_to_json(Z2))
+    pts = _write(tmp_path, "pts.json", [{"t": "cls", "re": 2.0, "im": 0.0}])
+    assert main(["green", "--map", m, "--place", '{"kind":"tadic","eps":"1"}', "--points", pts]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad place JSON")
 
 
 def test_cli_lets_a_library_value_error_propagate(tmp_path, monkeypatch):

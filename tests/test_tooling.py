@@ -2,6 +2,7 @@ import ast
 import glob
 import importlib
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -120,6 +121,35 @@ def test_readme_cli_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             raise AssertionError(f"README command does not parse: berkpot {' '.join(argv)}") from None
+
+
+def test_readme_place_json_parses():
+    # every place JSON the README shows parses, so a removed kind cannot stay
+    # documented
+    from berkpot.places import place_from_json
+
+    with open(README, encoding="utf-8") as fh:
+        shown = re.findall(r'\{"kind":[^{}]*\}', fh.read())
+    assert len(shown) >= 8
+    kinds = {place_from_json(json.loads(obj)).kind for obj in shown}
+    assert kinds == {"arch", "padic", "trivial", "res"}
+
+
+def test_every_library_error_is_a_typed_failure():
+    # sweeps.ROW_ERRORS is the one list of typed failures: every exception
+    # class of the library is caught through it, and its base class gives its
+    # CLI exit code (ValueError: config error; RuntimeError: numeric failure)
+    from berkpot.sweeps import ROW_ERRORS
+
+    classes = []
+    names = {os.path.basename(p)[:-3] for p in glob.glob(os.path.join(SRC, "*.py"))} - {"__main__"}
+    for module in map(importlib.import_module, sorted(f"berkpot.{name}" for name in names)):
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__ and not issubclass(obj, Warning)]
+    assert len(classes) >= 7
+    assert [c.__name__ for c in classes if not issubclass(c, ROW_ERRORS)] == []
+    assert [c.__name__ for c in classes if not issubclass(c, (ValueError, RuntimeError))] == []
 
 
 def _docstrings(path):
